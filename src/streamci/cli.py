@@ -157,7 +157,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
         write_rows_csv(rows, args.out)
         write_summary_csv(summaries, summary_path)
-        write_manifest(cfgs, manifest_path, threads=args.threads, wall_clock_seconds=elapsed)
+        write_manifest(cfgs, manifest_path, threads=args.threads, wall_clock_seconds=elapsed, rows=rows)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

@@ -25,7 +25,6 @@ from .infer import (
     hulc_batch_count,
     hulc_interval,
     plugin_interval,
-    plugin_update,
     tstat_interval,
     wald_offline,
 )
@@ -35,18 +34,10 @@ from .model import (
     ModelKind,
     ModelSpec,
     covariance_factor,
-    loss_grad,
     population_hessian,
     sample_dataset,
 )
-from .optim import (
-    AlgorithmKind,
-    PolynomialStep,
-    advance,
-    init_state,
-    run_stream,
-    warm_start,
-)
+from .optim import AlgorithmKind, PolynomialStep, run_lanes, warm_lanes
 from .statutil import IllConditionedError, RngStream, spd_factorize, spd_solve
 
 __all__ = [
@@ -56,6 +47,7 @@ __all__ = [
     "aggregate",
     "expansion_residual",
     "generate_dataset",
+    "nonfinite_counts",
     "replication_rows",
     "run_grid",
     "run_replication",
@@ -80,6 +72,11 @@ STREAM_SPACING = 1 << 20
 
 # The warm start consumes the first 1/WARM_FRACTION of the stream it seeds.
 WARM_FRACTION = 3
+
+# A task steps a chunk of replications together; its data and plug-in sums
+# take about reps * (t*d + 3*|c grid|*d*d) floats, kept below this bound
+# unless one replication alone exceeds it.
+CHUNK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -195,9 +192,11 @@ def generate_dataset(cfg: ExperimentConfig, rep: int) -> Dataset:
     return sample_dataset(spec, chol, _stream(cfg, rep, ROLE_DATA), cfg.t)
 
 
-def _initial_iterate(cfg: ExperimentConfig, stream: Dataset) -> np.ndarray:
+def _initial_iterates(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, runs: list[range]) -> np.ndarray:
+    """Starting point of every run: a warm start over the first
+    1/WARM_FRACTION of the run's rows, the configured theta0, or the origin."""
     if cfg.warm_start:
-        return warm_start(cfg.model, cfg.d, stream[: len(stream) // WARM_FRACTION])
+        return warm_lanes(cfg.model, X, y, [r[: len(r) // WARM_FRACTION] for r in runs])
     if cfg.theta0 is not None:
         return np.array(cfg.theta0, dtype=float)
     return np.zeros(cfg.d)
@@ -249,51 +248,100 @@ def _unavailable_rows(cfg: ExperimentConfig, c: float, rep: int, method: str) ->
     ]
 
 
-def replication_rows(cfg: ExperimentConfig, c: float, rep: int, data: Dataset) -> list[ResultRow]:
-    """All result rows of one replication on an already-sampled dataset."""
-    spec = cfg.model_spec()
-    theta_star = spec.theta_star
-    sched = PolynomialStep(c, cfg.gamma)
-    rows: list[ResultRow] = []
+def _chunk_rows(
+    cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np.ndarray, c_grid: Sequence[float]
+) -> list[ResultRow]:
+    """All result rows of a chunk of replications, for every c in c_grid.
 
-    if "wald" in cfg.methods:
-        try:
-            rows += _interval_rows(cfg, c, rep, wald_offline(cfg.model, data, cfg.alpha), theta_star)
-        except IllConditionedError:
-            rows += _unavailable_rows(cfg, c, rep, "wald")
-
+    X and y hold the replications' datasets one after another, in equal
+    lengths. Data, warm starts, Wald intervals and HulC batch counts do not
+    depend on c, so each is computed once per replication; every (c, run)
+    pair is then one lane of a single run_lanes pass, where a run is the
+    full-stream plug-in pass or one HulC bucket.
+    """
+    theta_star = cfg.model_spec().theta_star
+    kind = cfg.algorithm
     # The plug-in interval follows the single full-stream averaged pass; it is
     # defined only for the averaged-SGD estimator.
-    if "plugin" in cfg.methods and cfg.algorithm.name == "asgd":
-        state = init_state(cfg.algorithm, _initial_iterate(cfg, data))
-        acc = PluginAccumulator(cfg.d)
-        for p in data:
-            plugin_update(acc, cfg.model, state.theta, p)
-            advance(state, sched, cfg.model, p)
-        try:
-            rows += _interval_rows(cfg, c, rep, plugin_interval(acc, state.avg, cfg.alpha), theta_star)
-        except IllConditionedError:
-            rows += _unavailable_rows(cfg, c, rep, "plugin")
+    with_plugin = "plugin" in cfg.methods and kind.name == "asgd"
+    with_buckets = "hulc" in cfg.methods or "tstat" in cfg.methods
+    n = len(y) // len(reps)
+    noise = np.empty_like(X) if kind.name == "noisy-truncated" else None
 
-    if "hulc" in cfg.methods or "tstat" in cfg.methods:
-        u = float(_stream(cfg, rep, ROLE_HULC_U).uniform())
-        b = hulc_batch_count(cfg.alpha, u)
-        estimates = np.empty((b, cfg.d))
-        for j in range(b):
-            sub = data[j::b]
-            rng = None
-            if cfg.algorithm.name == "noisy-truncated":
-                rng = _stream(cfg, rep, ROLE_NOISE_BUCKET + j)
-            estimates[j] = run_stream(
-                cfg.algorithm, sched, cfg.model, _initial_iterate(cfg, sub), sub, rng=rng
-            )
-        buckets = BucketSet(estimates)
-        if "hulc" in cfg.methods:
-            rows += _interval_rows(cfg, c, rep, hulc_interval(buckets, cfg.alpha), theta_star)
-        if "tstat" in cfg.methods:
-            rows += _interval_rows(cfg, c, rep, tstat_interval(buckets, cfg.alpha), theta_star)
+    runs: list[range] = []
+    plugin_run: list[Optional[int]] = []
+    bucket_runs: list[range] = []
+    wald: list[Optional[IntervalSet]] = []
+    for i, rep in enumerate(reps):
+        base = i * n
+        data = Dataset(X[base : base + n], y[base : base + n])
+        wald_iv = None
+        if "wald" in cfg.methods:
+            try:
+                wald_iv = wald_offline(cfg.model, data, cfg.alpha)
+            except IllConditionedError:
+                pass
+        wald.append(wald_iv)
+        plugin_run.append(len(runs) if with_plugin else None)
+        if with_plugin:
+            runs.append(range(base, base + n))
+        first = len(runs)
+        if with_buckets:
+            b = hulc_batch_count(cfg.alpha, float(_stream(cfg, rep, ROLE_HULC_U).uniform()))
+            for j in range(b):
+                bucket = range(base + j, base + n, b)
+                runs.append(bucket)
+                if noise is not None:
+                    draws = _stream(cfg, rep, ROLE_NOISE_BUCKET + j).standard_normal((len(bucket), cfg.d))
+                    noise[bucket.start : bucket.stop : b] = draws
+        bucket_runs.append(range(first, len(runs)))
 
+    theta0 = np.broadcast_to(_initial_iterates(cfg, X, y, runs), (len(runs), cfg.d))
+    lanes = [(c, run) for c in c_grid for run in range(len(runs))]
+    plugin_lanes = [i for i, (_, run) in enumerate(lanes) if run in plugin_run]
+    result = run_lanes(
+        kind,
+        cfg.model,
+        X,
+        y,
+        [runs[run] for _, run in lanes],
+        theta0[[run for _, run in lanes]],
+        [PolynomialStep(c, cfg.gamma) for c, _ in lanes],
+        noise=noise,
+        plugin=plugin_lanes,
+    )
+    estimates = result.estimates(kind)
+
+    rows: list[ResultRow] = []
+    sums = iter(zip(result.J_sum, result.V_sum))
+    for ci, c in enumerate(c_grid):
+        lane0 = ci * len(runs)
+        for i, rep in enumerate(reps):
+            if "wald" in cfg.methods:
+                if wald[i] is None:
+                    rows += _unavailable_rows(cfg, c, rep, "wald")
+                else:
+                    rows += _interval_rows(cfg, c, rep, wald[i], theta_star)
+            if with_plugin:
+                acc = PluginAccumulator(cfg.d, t=n)
+                acc.J_sum, acc.V_sum = next(sums)
+                center = result.avg[lane0 + plugin_run[i]]
+                try:
+                    rows += _interval_rows(cfg, c, rep, plugin_interval(acc, center, cfg.alpha), theta_star)
+                except IllConditionedError:
+                    rows += _unavailable_rows(cfg, c, rep, "plugin")
+            if with_buckets:
+                buckets = BucketSet(estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop])
+                if "hulc" in cfg.methods:
+                    rows += _interval_rows(cfg, c, rep, hulc_interval(buckets, cfg.alpha), theta_star)
+                if "tstat" in cfg.methods:
+                    rows += _interval_rows(cfg, c, rep, tstat_interval(buckets, cfg.alpha), theta_star)
     return rows
+
+
+def replication_rows(cfg: ExperimentConfig, c: float, rep: int, data: Dataset) -> list[ResultRow]:
+    """All result rows of one replication on an already-sampled dataset."""
+    return _chunk_rows(cfg, [rep], data.X, data.y, [c])
 
 
 def run_replication(cfg: ExperimentConfig, c: float, rep: int) -> list[ResultRow]:
@@ -305,21 +353,47 @@ def _row_sort_key(r: ResultRow):
     return (r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k)
 
 
-def _replication_task(task: tuple[ExperimentConfig, float, int]) -> list[ResultRow]:
-    return run_replication(*task)
+def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
+    """Contiguous replication ranges of near-equal size: at least one per
+    worker (up to one per replication), each within CHUNK_FLOATS."""
+    per_rep = cfg.t * cfg.d + 3 * len(cfg.c_grid) * cfg.d * cfg.d
+    n = max(min(threads, cfg.reps), math.ceil(cfg.reps * per_rep / CHUNK_FLOATS))
+    n = min(n, cfg.reps)
+    size, extra = divmod(cfg.reps, n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _sample_chunk(cfg: ExperimentConfig, reps: range) -> tuple[np.ndarray, np.ndarray]:
+    """The replications' datasets one after another, as (X, y)."""
+    if len(reps) == 1:
+        data = generate_dataset(cfg, reps[0])
+        return data.X, data.y
+    X = np.empty((len(reps) * cfg.t, cfg.d))
+    y = np.empty(len(reps) * cfg.t)
+    for i, rep in enumerate(reps):
+        data = generate_dataset(cfg, rep)
+        X[i * cfg.t : (i + 1) * cfg.t] = data.X
+        y[i * cfg.t : (i + 1) * cfg.t] = data.y
+    return X, y
+
+
+def _replication_task(task: tuple[ExperimentConfig, range]) -> list[ResultRow]:
+    """Pool task: every row of one chunk of replications."""
+    cfg, reps = task
+    return _chunk_rows(cfg, reps, *_sample_chunk(cfg, reps), cfg.c_grid)
 
 
 def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> list[ResultRow]:
-    """Run every (config, c, rep) cell, parallel over replications."""
+    """Run every (config, c, rep) cell, parallel over chunks of replications."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
-    tasks = [(cfg, c, rep) for cfg in cfgs for c in cfg.c_grid for rep in range(cfg.reps)]
-    if threads <= 1:
+    tasks = [(cfg, reps) for cfg in cfgs for reps in _rep_chunks(cfg, threads)]
+    if threads <= 1 or len(tasks) == 1:
         blocks = [_replication_task(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (8 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(_replication_task, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            blocks = list(pool.map(_replication_task, tasks))
     rows = [row for block in blocks for row in block]
     rows.sort(key=_row_sort_key)
     return rows
@@ -390,14 +464,24 @@ def expansion_residual(
         data = sample_dataset(spec, chol_data, _stream(cfg, rep, ROLE_DATA), t)
     elif len(data) != t:
         raise ValueError(f"data holds {len(data)} points but t={t}")
-    sched = PolynomialStep(cfg.c_grid[0], cfg.gamma)
-    state = init_state(AlgorithmKind("asgd"), _initial_iterate(cfg, data))
     xi_sum = np.zeros(cfg.d)
-    for p in data:
-        xi_sum += loss_grad(cfg.model, state.theta, p) - hess @ (state.theta - theta_star)
-        advance(state, sched, cfg.model, p)
+
+    def accumulate(step, lanes, theta, grad):
+        xi_sum[:] += grad[0] - hess @ (theta[0] - theta_star)
+
+    rows = [range(t)]
+    run = run_lanes(
+        AlgorithmKind("asgd"),
+        cfg.model,
+        data.X,
+        data.y,
+        rows,
+        _initial_iterates(cfg, data.X, data.y, rows),
+        [PolynomialStep(cfg.c_grid[0], cfg.gamma)],
+        on_step=accumulate,
+    )
     lower = spd_factorize(hess)
-    rem = math.sqrt(t) * (state.avg - theta_star) + spd_solve(lower, xi_sum) / math.sqrt(t)
+    rem = math.sqrt(t) * (run.avg[0] - theta_star) + spd_solve(lower, xi_sum) / math.sqrt(t)
     return float(math.sqrt(rem @ hess @ rem))
 
 
@@ -470,7 +554,24 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def write_manifest(cfgs: Sequence[ExperimentConfig], path: str, *, threads: int, wall_clock_seconds: float) -> None:
+def nonfinite_counts(rows: Sequence[ResultRow]) -> dict[str, int]:
+    """Per method, the number of available rows whose width or center is
+    not finite (divergent runs)."""
+    counts: dict[str, int] = {}
+    for r in rows:
+        bad = not r.unavailable and not (math.isfinite(r.width) and math.isfinite(r.center))
+        counts[r.method] = counts.get(r.method, 0) + bad
+    return counts
+
+
+def write_manifest(
+    cfgs: Sequence[ExperimentConfig],
+    path: str,
+    *,
+    threads: int,
+    wall_clock_seconds: float,
+    rows: Sequence[ResultRow] = (),
+) -> None:
     from . import __version__
 
     doc = {
@@ -484,6 +585,7 @@ def write_manifest(cfgs: Sequence[ExperimentConfig], path: str, *, threads: int,
             "cells": sum(len(cfg.c_grid) for cfg in cfgs),
             "replications": sum(len(cfg.c_grid) * cfg.reps for cfg in cfgs),
         },
+        "rows_nonfinite": nonfinite_counts(rows),
     }
     with open(path, "w") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)

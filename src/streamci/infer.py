@@ -33,7 +33,6 @@ __all__ = [
     "hulc_interval",
     "plugin_interval",
     "plugin_update",
-    "round_robin_split",
     "tstat_interval",
     "wald_offline",
 ]
@@ -121,17 +120,6 @@ def hulc_batch_count(alpha: float, u: float) -> int:
         return b_lo
     threshold = 2.0**b_hi * (alpha / 2.0) - 1.0
     return b_hi if u > threshold else b_lo
-
-
-def round_robin_split(n: int, b: int) -> list[list[int]]:
-    """0-based positions of each bucket: bucket j gets j, j+b, j+2b, ...
-
-    Equivalent to slicing the stream with [j::b]; every position lands in
-    exactly one bucket and bucket sizes differ by at most one.
-    """
-    if b < 1 or b > n:
-        raise ValueError(f"need 1 <= b <= n, got b={b}, n={n}")
-    return [list(range(j, n, b)) for j in range(b)]
 
 
 def hulc_interval(buckets: BucketSet, alpha: float) -> IntervalSet:

@@ -3,22 +3,27 @@
 All algorithms maintain the running average of their iterates alongside the
 last iterate; which of the two run_stream reports depends on the algorithm
 (averaged variants report the mean, the rest the final iterate).
+
+run_lanes advances many independent runs in lockstep and is what the
+harness calls; run_stream and warm_start are one-lane calls of it. The
+per-observation init_state + advance is the reference it matches bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import DataPoint, ModelKind, _grad_xy, _mean_response
+from .model import DataPoint, Dataset, ModelKind, _grad_xy, _mean_response, _sigmoid_scalarwise
 from .statutil import IllConditionedError, RngStream
 
 __all__ = [
     "ALGORITHM_NAMES",
     "AlgorithmKind",
     "ConstantStep",
+    "LaneRun",
     "OptimizerState",
     "PolynomialStep",
     "StepSchedule",
@@ -26,13 +31,19 @@ __all__ = [
     "advance",
     "gradient_truncate",
     "init_state",
+    "run_lanes",
     "run_stream",
     "step_size",
+    "warm_lanes",
     "warm_start",
 ]
 
 # Fixed step size of the SGD burn-in used to initialize every algorithm.
 WARM_START_STEP = 0.001
+
+# Bound, in floats, on the scratch buffers of blocked work in run_lanes
+# (gathered rows, outer-product sums).
+BLOCK_FLOATS = 1 << 14
 
 ALGORITHM_NAMES = (
     "sgd",
@@ -125,13 +136,17 @@ class OptimizerState:
     rng: Optional[RngStream]
 
 
-def init_state(kind: AlgorithmKind, theta0: np.ndarray, *, rng: Optional[RngStream] = None) -> OptimizerState:
-    theta0 = np.asarray(theta0, dtype=float).copy()
+def _check_rng(kind: AlgorithmKind, rng: Optional[RngStream]) -> None:
     if kind.name == "noisy-truncated":
         if rng is None:
             raise ValueError("noisy-truncated requires an rng for its injected noise")
     elif rng is not None:
         raise ValueError(f"rng is only consumed by noisy-truncated, not {kind.name!r}")
+
+
+def init_state(kind: AlgorithmKind, theta0: np.ndarray, *, rng: Optional[RngStream] = None) -> OptimizerState:
+    theta0 = np.asarray(theta0, dtype=float).copy()
+    _check_rng(kind, rng)
     return OptimizerState(
         kind=kind,
         t=0,
@@ -253,12 +268,243 @@ def advance(state: OptimizerState, sched: StepSchedule, model_kind: ModelKind, p
     return state
 
 
+@dataclass
+class LaneRun:
+    """Final state of the lanes of one run_lanes call, in the order given.
+
+    J_sum and V_sum hold the plug-in sums of the plug-in lanes, in the order
+    those lanes were named; linear-model lanes over the same rows share one
+    J_sum array, since their curvature sums do not depend on the iterate.
+    """
+
+    theta: np.ndarray
+    avg: np.ndarray
+    J_sum: list[np.ndarray]
+    V_sum: list[np.ndarray]
+
+    def estimates(self, kind: AlgorithmKind) -> np.ndarray:
+        """The (L, d) estimates run_stream reports for algorithm kind."""
+        return self.avg if kind.averaged else self.theta
+
+
+def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
+    """gradient_truncate applied to every row of G, with the same arithmetic:
+    a stable sort of the squares and a sequential (cumsum) scan."""
+    sq = G * G
+    total = sq.sum(axis=1)
+    order = np.argsort(-sq, axis=1, kind="stable")
+    ranked = np.take_along_axis(sq, order, axis=1)
+    target = (1.0 - eps2) * total
+    # reached[:, k]: the squares before rank k already carry the target mass.
+    reached = np.empty(G.shape, dtype=bool)
+    reached[:, 0] = target <= 0.0
+    np.greater_equal(np.cumsum(ranked[:, :-1], axis=1), target[:, None], out=reached[:, 1:])
+    first = np.where(reached.any(axis=1), reached.argmax(axis=1), G.shape[1] - 1)
+    rows = np.arange(G.shape[0])
+    kappa = np.abs(G[rows, order[rows, first]])
+    kappa[total == 0.0] = 0.0
+    return np.where(np.abs(G) < kappa[:, None], 0.0, G)
+
+
+def _mean_responses(model_kind: ModelKind, X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """psi(x'theta) for every lane, bit for bit the scalar path: the batched
+    matmul is one dot product per lane, the one x @ theta computes."""
+    a = (X[:, None, :] @ theta[:, :, None])[:, 0, 0]
+    if model_kind == ModelKind.LINEAR:
+        return a
+    if model_kind == ModelKind.LOGISTIC:
+        return _sigmoid_scalarwise(a)
+    raise ValueError(f"unsupported model kind: {model_kind!r}")
+
+
+def _outer_sum(X: np.ndarray, rows: range) -> np.ndarray:
+    """Sum of outer(X[i], X[i]) over i in rows, added in row order like the
+    per-observation loop: np.cumsum adds sequentially, and blocks of rows
+    keep its buffer near BLOCK_FLOATS."""
+    d = X.shape[1]
+    block = max(1, BLOCK_FLOATS // (d * d))
+    stack = np.zeros((min(block, len(rows)) + 1, d, d))
+    for lo in range(0, len(rows), block):
+        part = rows[lo : lo + block]
+        x = X[part.start : part.stop : part.step]
+        k = len(part)
+        np.multiply(x[:, :, None], x[:, None, :], out=stack[1 : k + 1])
+        np.cumsum(stack[: k + 1], axis=0, out=stack[: k + 1])
+        stack[0] = stack[k]
+    return stack[0].copy()
+
+
+def run_lanes(
+    kind: AlgorithmKind,
+    model_kind: ModelKind,
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: Sequence[range],
+    theta0: np.ndarray,
+    scheds: Sequence[StepSchedule],
+    *,
+    noise: Optional[np.ndarray] = None,
+    plugin: Sequence[int] = (),
+    on_step: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]] = None,
+) -> LaneRun:
+    """Advance independent runs ("lanes") of one algorithm in lockstep over t.
+
+    Lane l starts at theta0[l] (or a shared (d,) theta0), steps with
+    scheds[l], and reads observations X[i], y[i] for i in rows[l] in order,
+    so a round-robin bucket is a strided range over its replication's rows
+    and no data is copied per lane. Every lane's arithmetic is that of
+    init_state + advance, bit for bit, whatever the number of lanes.
+
+    noise (same shape as X, noisy-truncated only) is read through the same
+    row index: the row a lane observes at step t also supplies its noise.
+    The lanes named in plugin accumulate the sums of plugin_update at their
+    pre-update iterates. on_step(t, lanes, theta, grad), when given, is
+    called before each update with the active lanes' indices, pre-update
+    iterates and gradients.
+    """
+    name = kind.name
+    if (noise is None) == (name == "noisy-truncated"):
+        raise ValueError("noise is required by noisy-truncated and consumed by nothing else")
+    n_lanes = len(rows)
+    if len(scheds) != n_lanes:
+        raise ValueError(f"{n_lanes} lanes need {n_lanes} schedules, got {len(scheds)}")
+    d = X.shape[1]
+    # Longest lanes first, so the lanes still running at step t are a prefix.
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty(n_lanes, dtype=np.int64)
+    rank[order] = np.arange(n_lanes)
+    lengths = lengths[order]
+    idx = np.array([rows[i].start for i in order], dtype=np.int64)
+    stride = np.array([rows[i].step for i in order], dtype=np.int64)
+    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (n_lanes, d))[order])
+    avg = np.zeros_like(theta)
+    unique: dict[StepSchedule, int] = {}
+    lane_sched = np.array([[unique.setdefault(scheds[i], len(unique))] for i in order], dtype=np.int64)
+    unique_scheds = list(unique)
+    if name == "root":
+        v = np.zeros_like(theta)
+        prev = theta.copy()
+
+    # Plug-in slots sorted by rank; slot_of maps the caller's order to them.
+    by_rank = sorted(range(len(plugin)), key=lambda p: rank[plugin[p]])
+    slot_of = np.empty(len(plugin), dtype=np.int64)
+    slot_of[by_rank] = np.arange(len(plugin))
+    p_rank = np.array([rank[plugin[p]] for p in by_rank], dtype=np.int64)
+    V = np.zeros((len(plugin), d, d))
+    outer = np.empty_like(V)
+    if model_kind != ModelKind.LINEAR:
+        J = np.zeros_like(V)
+    else:
+        # The curvature sum does not depend on the iterate: one sum per
+        # distinct row range, taken before the pass.
+        shared: dict[tuple, np.ndarray] = {}
+        J_sum = []
+        for lane in plugin:
+            r = rows[lane]
+            key = (r.start, r.step, len(r))
+            if key not in shared:
+                shared[key] = _outer_sum(X, r)
+            J_sum.append(shared[key])
+    need_grad = name not in ("implicit-last", "implicit-avg") or bool(plugin) or on_step is not None
+
+    p_prefix = np.array_equal(p_rank, np.arange(len(p_rank)))
+    single = len(unique_scheds) == 1
+    t0 = 1
+    # Divergent lanes overflow to inf and NaN; they stay in the results, where
+    # the harness counts them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # One phase per distinct lane length: the running lanes are the
+        # prefix theta[:active], which only shrinks between phases.
+        for end in sorted(set(lengths.tolist()) - {0}):
+            active = int(np.count_nonzero(lengths >= end))
+            n_plugin = int(np.count_nonzero(p_rank < active))
+            p_sel = slice(0, n_plugin) if p_prefix else p_rank[:n_plugin]
+            th, av = theta[:active], avg[:active]
+            lane_col = lane_sched[:active]
+            # Rows are gathered a block of steps at a time: X_b[k] holds what
+            # the running lanes read at step first + k.
+            block = max(1, BLOCK_FLOATS // (active * d))
+            for first in range(t0, end + 1, block):
+                steps = range(first, min(first + block, end + 1))
+                at = idx[:active] + np.arange(len(steps))[:, None] * stride[:active]
+                X_b, y_b = X[at], y[at]
+                noise_b = noise[at] if noise is not None else None
+                for k, t in enumerate(steps):
+                    Xt, yt = X_b[k], y_b[k]
+                    if single:
+                        eta = step_size(unique_scheds[0], t)
+                    else:
+                        etas = [step_size(sched, t) for sched in unique_scheds]
+                        eta = np.array(etas)[lane_col]
+                    if need_grad:
+                        mu = _mean_responses(model_kind, Xt, th)
+                        G = (mu - yt)[:, None] * Xt
+                    if on_step is not None:
+                        on_step(t, order[:active], th, G)
+                    if n_plugin:
+                        g = G[p_sel]
+                        buf = outer[:n_plugin]
+                        np.multiply(g[:, :, None], g[:, None, :], out=buf)
+                        V[:n_plugin] += buf
+                        if model_kind == ModelKind.LOGISTIC:
+                            x = Xt[p_sel]
+                            m = mu[p_sel]
+                            np.multiply(x[:, :, None], x[:, None, :], out=buf)
+                            buf *= (m * (1.0 - m))[:, None, None]
+                            J[:n_plugin] += buf
+
+                    if name in ("sgd", "asgd"):
+                        th -= eta * G
+                    elif name in ("implicit-last", "implicit-avg"):
+                        lane_eta = np.broadcast_to(eta, (active, 1))[:, 0].tolist()
+                        for lane, e in enumerate(lane_eta):
+                            th[lane] = _implicit_update(model_kind, th[lane], Xt[lane], float(yt[lane]), e)
+                    elif name == "root":
+                        if t == 1:
+                            v[:active] = G
+                        else:
+                            G_prev = (_mean_responses(model_kind, Xt, prev[:active]) - yt)[:, None] * Xt
+                            v[:active] = G + _root_weight(t) * (v[:active] - G_prev)
+                        prev[:active] = th
+                        th -= eta * v[:active]
+                    elif name == "truncated":
+                        th -= eta * _truncate_rows(G, kind.eps2)
+                    else:
+                        scale = kind.sigma * eta ** (0.5 + kind.beta) if single else np.array(
+                            [kind.sigma * e ** (0.5 + kind.beta) for e in etas]
+                        )[lane_col]
+                        th[...] = th - eta * _truncate_rows(G, kind.eps2) + scale * noise_b[k]
+                    av *= 1.0 - 1.0 / t
+                    av += th / t
+                idx[:active] = at[-1] + stride[:active]
+            t0 = end + 1
+
+    if model_kind != ModelKind.LINEAR:
+        J_sum = [J[slot] for slot in slot_of]
+    return LaneRun(theta=theta[rank], avg=avg[rank], J_sum=J_sum, V_sum=[V[slot] for slot in slot_of])
+
+
+def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequence[range]) -> np.ndarray:
+    """Fixed-step SGD burn-in from the origin for every lane; (L, d) iterates.
+    A lane with no rows stays at the origin."""
+    sched = ConstantStep(WARM_START_STEP)
+    zeros = np.zeros(X.shape[1])
+    return run_lanes(AlgorithmKind("sgd"), model_kind, X, y, rows, zeros, [sched] * len(rows)).theta
+
+
+def _stream_arrays(stream) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(stream, Dataset):
+        return stream.X, stream.y
+    return np.array([p.x for p in stream], dtype=float), np.array([p.y for p in stream], dtype=float)
+
+
 def warm_start(model_kind: ModelKind, d: int, stream) -> np.ndarray:
     """Fixed-step SGD burn-in from the origin; an empty stream returns zeros."""
-    theta = np.zeros(d)
-    for p in stream:
-        theta = theta - WARM_START_STEP * _grad_xy(model_kind, theta, p.x, p.y)
-    return theta
+    if len(stream) == 0:
+        return np.zeros(d)
+    X, y = _stream_arrays(stream)
+    return warm_lanes(model_kind, X, y, [range(len(y))])[0]
 
 
 def run_stream(
@@ -273,7 +519,9 @@ def run_stream(
     """Run one single-pass algorithm over the stream and report its estimate."""
     if len(stream) == 0:
         raise ValueError("stream must be non-empty")
-    state = init_state(kind, theta0, rng=rng)
-    for p in stream:
-        advance(state, sched, model_kind, p)
-    return state.avg.copy() if kind.averaged else state.theta.copy()
+    _check_rng(kind, rng)
+    X, y = _stream_arrays(stream)
+    # One block of draws equals one draw of d per step (the stream is prefix stable).
+    noise = rng.standard_normal(X.shape) if rng is not None else None
+    run = run_lanes(kind, model_kind, X, y, [range(len(y))], theta0, [sched], noise=noise)
+    return run.estimates(kind)[0].copy()

@@ -2,6 +2,7 @@
 streams with known exact answers, aggregation arithmetic, and the CLI."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from streamci.harness import (
     SUMMARY_HEADER,
     ExperimentConfig,
     ResultRow,
+    _rep_chunks,
     aggregate,
     expansion_residual,
     generate_dataset,
+    nonfinite_counts,
     replication_rows,
     run_grid,
     run_replication,
@@ -147,14 +150,35 @@ class TestReplication:
 
 class TestRunGrid:
     def test_worker_count_does_not_change_rows(self, tmp_path):
-        cfg = _cfg(c_grid=(0.1, 0.5), reps=4)
-        serial = run_grid([cfg], threads=1)
-        parallel = run_grid([cfg], threads=2)
-        assert serial == parallel
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_rows_csv(serial, str(a))
-        write_rows_csv(parallel, str(b))
-        assert a.read_bytes() == b.read_bytes()
+        # reps=7 splits unevenly into replication chunks (3+2+2 at 3 workers).
+        for reps, threads in ((4, (1, 2)), (7, (1, 2, 3))):
+            cfg = _cfg(c_grid=(0.1, 0.5), reps=reps)
+            outputs = []
+            for n in threads:
+                path = tmp_path / f"{reps}-{n}.csv"
+                write_rows_csv(run_grid([cfg], threads=n), str(path))
+                outputs.append(path.read_bytes())
+            assert all(out == outputs[0] for out in outputs)
+
+    def test_rep_chunks_partition_reps(self):
+        cfg = _cfg(reps=7)
+        assert [len(r) for r in _rep_chunks(cfg, 3)] == [3, 2, 2]
+        assert _rep_chunks(cfg, 1) == [range(7)]
+        assert len(_rep_chunks(cfg, 16)) == 7
+        # One replication of this cell alone nearly fills a chunk's data bound.
+        chunks = _rep_chunks(_cfg(d=100, t=10_000, reps=10), 1)
+        assert chunks == [range(i, i + 1) for i in range(10)]
+
+    def test_divergent_plugin_lane_is_counted_without_warnings(self):
+        # c=2.0 at d=100 drives the plug-in pass to overflow; its rows stay
+        # non-finite (not unavailable) and are counted, with no warning.
+        cfg = _cfg(d=100, t=1000, cov=CovarianceKind.EQUICORRELATION, c_grid=(2.0,), reps=1,
+                   methods=("plugin",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_grid(cfg)
+        assert nonfinite_counts(rows) == {"plugin": 100}
+        assert not any(r.unavailable for r in rows)
 
     def test_accepts_bare_config(self):
         cfg = _cfg(reps=1, methods=("hulc",))
@@ -290,6 +314,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
         assert manifest["base_seed"] == 0
         assert manifest["grid_sizes"] == {"cells": 1, "replications": 2}
+        assert manifest["rows_nonfinite"] == {"hulc": 0, "wald": 0}
 
     def test_multiple_lengths_make_multiple_cells(self, tmp_path):
         out = tmp_path / "rows.csv"

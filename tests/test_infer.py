@@ -20,7 +20,6 @@ from streamci.infer import (
     hulc_interval,
     plugin_interval,
     plugin_update,
-    round_robin_split,
     tstat_interval,
     wald_offline,
 )
@@ -99,31 +98,6 @@ class TestBatchCount:
         rng = np.random.default_rng(31)
         vals = [2.0 ** (1 - hulc_batch_count(0.05, float(u))) for u in rng.uniform(size=100_000)]
         assert np.mean(vals) == pytest.approx(0.05, abs=0.001)
-
-
-class TestRoundRobinSplit:
-    def test_seven_into_three(self):
-        assert round_robin_split(7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
-
-    def test_single_bucket(self):
-        assert round_robin_split(4, 1) == [[0, 1, 2, 3]]
-
-    @pytest.mark.parametrize("n,b", [(5, 0), (5, 6), (0, 1)])
-    def test_validation(self, n, b):
-        with pytest.raises(ValueError):
-            round_robin_split(n, b)
-
-    @given(n=st.integers(1, 200), b=st.integers(1, 30))
-    def test_is_a_partition(self, n, b):
-        if b > n:
-            return
-        buckets = round_robin_split(n, b)
-        flat = sorted(i for bucket in buckets for i in bucket)
-        assert flat == list(range(n))
-        sizes = [len(bucket) for bucket in buckets]
-        assert max(sizes) - min(sizes) <= 1
-        for j, bucket in enumerate(buckets):
-            assert all(i % b == j for i in bucket)
 
 
 class TestBucketIntervals:

@@ -11,6 +11,7 @@ from streamci.model import (
     Dataset,
     ModelKind,
     ModelSpec,
+    _sigmoid_scalarwise,
     covariance_factor,
     covariance_matrix,
     loss_grad,
@@ -129,6 +130,16 @@ class TestSigmoid:
 
     def test_symmetry(self):
         assert sigmoid(1.7) + sigmoid(-1.7) == pytest.approx(1.0, abs=1e-15)
+
+    def test_scalarwise_array_is_bitwise_scalar(self):
+        # The lane kernel's sigmoid must equal the scalar one bit for bit,
+        # also where divergent runs push it: signed zeros, overflow, inf, NaN.
+        u = np.concatenate([
+            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan],
+            np.random.default_rng(3).standard_normal(2000) * 20.0,
+        ])
+        want = np.array([sigmoid(float(v)) for v in u])
+        assert _sigmoid_scalarwise(u).tobytes() == want.tobytes()
 
 
 def _random_triples(kind, n, seed):

@@ -1,5 +1,6 @@
 """Stream optimizers: pinned single-step examples, truncation invariants,
-implicit fixed-point accuracy, and cross-algorithm consistency checks."""
+implicit fixed-point accuracy, cross-algorithm consistency checks, and the
+lane kernel against the per-observation reference."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from streamci.model import (
     make_theta_star,
     sample_dataset,
 )
+from streamci.infer import PluginAccumulator, plugin_update
 from streamci.optim import (
     ALGORITHM_NAMES,
     WARM_START_STEP,
@@ -26,9 +28,11 @@ from streamci.optim import (
     ConstantStep,
     PolynomialStep,
     _implicit_update,
+    _truncate_rows,
     advance,
     gradient_truncate,
     init_state,
+    run_lanes,
     run_stream,
     step_size,
     warm_start,
@@ -202,6 +206,26 @@ class TestGradientTruncate:
         assert kept >= (1.0 - eps2) * total - 1e-9 * max(total, 1.0)
 
 
+    @given(
+        G=st.integers(1, 8).flatmap(
+            lambda d: hnp.arrays(
+                np.float64,
+                st.tuples(st.integers(1, 6), st.just(d)),
+                elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(-100.0, 100.0)),
+            )
+        ),
+        eps2=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    )
+    def test_rows_match_scalar_truncation(self, G, eps2):
+        # The kernel's row-wise truncation and its row-wise squared norms are
+        # the scalar routine's, bit for bit, ties and zero rows included.
+        out = _truncate_rows(G, eps2)
+        sq = G * G
+        for row, got, total in zip(G, out, sq.sum(axis=1)):
+            assert gradient_truncate(row, eps2)[1].tobytes() == got.tobytes()
+            assert float((row * row).sum()) == total
+
+
 class TestImplicitUpdate:
     def test_linear_closed_form(self):
         rng = np.random.default_rng(21)
@@ -326,3 +350,94 @@ class TestRunStream:
             est = run_stream(AlgorithmKind("asgd"), sched, ModelKind.LINEAR, np.zeros(5), data)
             close += np.linalg.norm(est - spec.theta_star) < 0.2
         assert close >= 0.95 * reps
+
+
+class _RowNoise:
+    """Stands in for a noise stream: hands out the given rows in order."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def standard_normal(self, size):
+        return next(self.rows)
+
+
+def _reference_lane(kind, model_kind, X, y, rows, theta0, sched, noise, with_plugin):
+    rng = _RowNoise(noise[list(rows)]) if noise is not None else None
+    state = init_state(kind, theta0, rng=rng)
+    acc = PluginAccumulator(X.shape[1])
+    for i in rows:
+        p = DataPoint(X[i], float(y[i]))
+        if with_plugin:
+            plugin_update(acc, model_kind, state.theta, p)
+        advance(state, sched, model_kind, p)
+    return state, acc
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestRunLanes:
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    @given(data=st.data())
+    def test_matches_per_observation_reference(self, name, model_kind, data):
+        """Every lane equals init_state + advance (and plugin_update) on its
+        rows bit for bit, and a subset of the lanes run alone gives the same
+        bits, so results do not depend on the lane count."""
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        d = data.draw(st.integers(1, 6), label="d")
+        n_lanes = data.draw(st.integers(1, 5), label="lanes")
+        rng = np.random.default_rng(seed)
+        pool = 48
+        X = rng.standard_normal((pool, d))
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(pool)
+        else:
+            y = (rng.uniform(size=pool) < 0.5).astype(float)
+        noise = rng.standard_normal((pool, d)) if name == "noisy-truncated" else None
+        kind = AlgorithmKind(name)
+        rows, scheds = [], []
+        for _ in range(n_lanes):
+            if rows and data.draw(st.booleans(), label="same rows as the previous lane"):
+                rows.append(rows[-1])
+            else:
+                start = data.draw(st.integers(0, pool - 1), label="start")
+                step = data.draw(st.integers(1, 6), label="step")
+                length = data.draw(st.integers(0, len(range(start, pool, step))), label="length")
+                rows.append(range(start, pool, step)[:length])
+            scheds.append(data.draw(st.sampled_from(
+                [PolynomialStep(0.5), PolynomialStep(0.1, 0.7), PolynomialStep(1.5), ConstantStep(WARM_START_STEP)]
+            ), label="sched"))
+        theta0 = rng.standard_normal((n_lanes, d))
+        plugin = data.draw(st.lists(st.sampled_from(range(n_lanes)), unique=True), label="plugin")
+
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, scheds, noise=noise, plugin=plugin)
+        for lane in range(n_lanes):
+            state, acc = _reference_lane(
+                kind, model_kind, X, y, rows[lane], theta0[lane], scheds[lane], noise, lane in plugin
+            )
+            assert _bits(run.theta[lane]) == _bits(state.theta)
+            assert _bits(run.avg[lane]) == _bits(state.avg)
+            if lane in plugin:
+                p = plugin.index(lane)
+                assert _bits(run.J_sum[p]) == _bits(acc.J_sum)
+                assert _bits(run.V_sum[p]) == _bits(acc.V_sum)
+
+        subset = data.draw(st.lists(st.sampled_from(range(n_lanes)), min_size=1, unique=True), label="subset")
+        part = run_lanes(
+            kind, model_kind, X, y, [rows[i] for i in subset], theta0[subset], [scheds[i] for i in subset],
+            noise=noise, plugin=[k for k, i in enumerate(subset) if i in plugin],
+        )
+        assert _bits(part.theta) == _bits(run.theta[subset])
+        assert _bits(part.avg) == _bits(run.avg[subset])
+
+    def test_noise_required_only_by_noisy_truncated(self):
+        X, y = np.ones((3, 2)), np.zeros(3)
+        with pytest.raises(ValueError):
+            run_lanes(AlgorithmKind("noisy-truncated"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2),
+                      [PolynomialStep(0.5)])
+        with pytest.raises(ValueError):
+            run_lanes(AlgorithmKind("sgd"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2),
+                      [PolynomialStep(0.5)], noise=np.zeros((3, 2)))
