@@ -3,112 +3,6 @@ benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .harness import (
-    ExperimentConfig,
-    ResultRow,
-    Summary,
-    aggregate,
-    expansion_residual,
-    run_grid,
-    run_replication,
-)
-from .infer import (
-    BucketSet,
-    Interval,
-    IntervalSet,
-    PluginAccumulator,
-    estimate_median_bias,
-    hulc_batch_count,
-    hulc_interval,
-    plugin_interval,
-    plugin_update,
-    tstat_interval,
-    wald_offline,
-)
-from .model import (
-    CovarianceKind,
-    DataPoint,
-    Dataset,
-    ModelKind,
-    ModelSpec,
-    covariance_matrix,
-    loss_grad,
-    loss_hessian,
-    loss_value,
-    make_theta_star,
-    population_hessian,
-    sample_dataset,
-    sample_point,
-)
-from .optim import (
-    AlgorithmKind,
-    ConstantStep,
-    OptimizerState,
-    PolynomialStep,
-    advance,
-    gradient_truncate,
-    init_state,
-    run_stream,
-    step_size,
-    warm_start,
-)
-from .statutil import (
-    IllConditionedError,
-    RngStream,
-    mvn_sample,
-    normal_quantile,
-    spd_factorize,
-    spd_solve,
-    student_t_quantile,
-)
+from .harness import ExperimentConfig, aggregate, expansion_residual, run_grid
 
-__all__ = [
-    "AlgorithmKind",
-    "BucketSet",
-    "ConstantStep",
-    "CovarianceKind",
-    "DataPoint",
-    "Dataset",
-    "ExperimentConfig",
-    "IllConditionedError",
-    "Interval",
-    "IntervalSet",
-    "ModelKind",
-    "ModelSpec",
-    "OptimizerState",
-    "PluginAccumulator",
-    "PolynomialStep",
-    "ResultRow",
-    "RngStream",
-    "Summary",
-    "advance",
-    "aggregate",
-    "covariance_matrix",
-    "estimate_median_bias",
-    "expansion_residual",
-    "gradient_truncate",
-    "hulc_batch_count",
-    "hulc_interval",
-    "init_state",
-    "loss_grad",
-    "loss_hessian",
-    "loss_value",
-    "make_theta_star",
-    "mvn_sample",
-    "normal_quantile",
-    "plugin_interval",
-    "plugin_update",
-    "population_hessian",
-    "run_grid",
-    "run_replication",
-    "run_stream",
-    "sample_dataset",
-    "sample_point",
-    "spd_factorize",
-    "spd_solve",
-    "step_size",
-    "student_t_quantile",
-    "tstat_interval",
-    "wald_offline",
-    "warm_start",
-]
+__all__ = ["ExperimentConfig", "aggregate", "expansion_residual", "run_grid"]

@@ -122,6 +122,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
 
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfgs = _build_configs(args)
     except (ValueError, KeyError) as exc:

@@ -13,15 +13,13 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .infer import (
-    BucketSet,
     IntervalSet,
-    PluginAccumulator,
     hulc_batch_count,
     hulc_interval,
     plugin_interval,
@@ -50,7 +48,6 @@ __all__ = [
     "nonfinite_counts",
     "replication_rows",
     "run_grid",
-    "run_replication",
     "write_manifest",
     "write_rows_csv",
     "write_summary_csv",
@@ -202,32 +199,16 @@ def _initial_iterates(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, runs:
     return np.zeros(cfg.d)
 
 
-def _interval_rows(
-    cfg: ExperimentConfig, c: float, rep: int, iv: IntervalSet, theta_star: np.ndarray
+def _method_rows(
+    cfg: ExperimentConfig, c: float, rep: int, method: str, iv: Optional[IntervalSet], theta_star: np.ndarray
 ) -> list[ResultRow]:
-    covered = iv.covers(theta_star)
-    width = iv.width
-    return [
-        ResultRow(
-            model=cfg.model.value,
-            d=cfg.d,
-            t=cfg.t,
-            cov=cfg.cov.value,
-            algo=cfg.algorithm.name,
-            c=c,
-            rep=rep,
-            method=iv.method,
-            k=k + 1,
-            covered=int(covered[k]),
-            width=float(width[k]),
-            center=float(iv.center[k]),
-            unavailable=False,
-        )
-        for k in range(cfg.d)
-    ]
-
-
-def _unavailable_rows(cfg: ExperimentConfig, c: float, rep: int, method: str) -> list[ResultRow]:
+    """One row per coordinate of a method's intervals; iv None marks the
+    method unavailable in this replication."""
+    if iv is None:
+        covered = width = center = [None] * cfg.d
+    else:
+        covered = iv.covers(theta_star).astype(int).tolist()
+        width, center = iv.width.tolist(), iv.center.tolist()
     return [
         ResultRow(
             model=cfg.model.value,
@@ -239,10 +220,10 @@ def _unavailable_rows(cfg: ExperimentConfig, c: float, rep: int, method: str) ->
             rep=rep,
             method=method,
             k=k + 1,
-            covered=None,
-            width=None,
-            center=None,
-            unavailable=True,
+            covered=covered[k],
+            width=width[k],
+            center=center[k],
+            unavailable=iv is None,
         )
         for k in range(cfg.d)
     ]
@@ -318,35 +299,27 @@ def _chunk_rows(
         lane0 = ci * len(runs)
         for i, rep in enumerate(reps):
             if "wald" in cfg.methods:
-                if wald[i] is None:
-                    rows += _unavailable_rows(cfg, c, rep, "wald")
-                else:
-                    rows += _interval_rows(cfg, c, rep, wald[i], theta_star)
+                rows += _method_rows(cfg, c, rep, "wald", wald[i], theta_star)
             if with_plugin:
-                acc = PluginAccumulator(cfg.d, t=n)
-                acc.J_sum, acc.V_sum = next(sums)
+                J_sum, V_sum = next(sums)
                 center = result.avg[lane0 + plugin_run[i]]
                 try:
-                    rows += _interval_rows(cfg, c, rep, plugin_interval(acc, center, cfg.alpha), theta_star)
+                    iv = plugin_interval(J_sum, V_sum, n, center, cfg.alpha)
                 except IllConditionedError:
-                    rows += _unavailable_rows(cfg, c, rep, "plugin")
+                    iv = None
+                rows += _method_rows(cfg, c, rep, "plugin", iv, theta_star)
             if with_buckets:
-                buckets = BucketSet(estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop])
+                buckets = estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop]
                 if "hulc" in cfg.methods:
-                    rows += _interval_rows(cfg, c, rep, hulc_interval(buckets, cfg.alpha), theta_star)
+                    rows += _method_rows(cfg, c, rep, "hulc", hulc_interval(buckets), theta_star)
                 if "tstat" in cfg.methods:
-                    rows += _interval_rows(cfg, c, rep, tstat_interval(buckets, cfg.alpha), theta_star)
+                    rows += _method_rows(cfg, c, rep, "tstat", tstat_interval(buckets, cfg.alpha), theta_star)
     return rows
 
 
 def replication_rows(cfg: ExperimentConfig, c: float, rep: int, data: Dataset) -> list[ResultRow]:
     """All result rows of one replication on an already-sampled dataset."""
     return _chunk_rows(cfg, [rep], data.X, data.y, [c])
-
-
-def run_replication(cfg: ExperimentConfig, c: float, rep: int) -> list[ResultRow]:
-    """Sample the replication's dataset once and evaluate every method on it."""
-    return replication_rows(cfg, c, rep, generate_dataset(cfg, rep))
 
 
 def _row_sort_key(r: ResultRow):
@@ -445,7 +418,7 @@ def expansion_residual(
     cfg: ExperimentConfig, t: int, rep: int, data: Optional[Dataset] = None
 ) -> float:
     """J-norm distance between the scaled averaged-iterate error and its
-    leading martingale term over a t-step linear run.
+    leading martingale term over a t-step linear averaged-SGD run.
 
     Accumulates xi_s = grad_s - J(theta^(s-1) - theta_star) online and
     returns || sqrt(t)(avg - theta_star) + (1/sqrt(t)) J^-1 sum xi_s ||_J.
@@ -454,6 +427,8 @@ def expansion_residual(
     """
     if cfg.model != ModelKind.LINEAR:
         raise ValueError("expansion residual is defined for the linear model only")
+    if cfg.algorithm.name != "asgd":
+        raise ValueError(f"expansion residual is defined for asgd only, not {cfg.algorithm.name!r}")
     if len(cfg.c_grid) != 1:
         raise ValueError("expansion residual needs exactly one step constant in c_grid")
     spec = cfg.model_spec()
@@ -471,7 +446,7 @@ def expansion_residual(
 
     rows = [range(t)]
     run = run_lanes(
-        AlgorithmKind("asgd"),
+        cfg.algorithm,
         cfg.model,
         data.X,
         data.y,

@@ -24,11 +24,8 @@ from .statutil import (
 )
 
 __all__ = [
-    "BucketSet",
-    "Interval",
     "IntervalSet",
     "PluginAccumulator",
-    "estimate_median_bias",
     "hulc_batch_count",
     "hulc_interval",
     "plugin_interval",
@@ -46,18 +43,10 @@ NEWTON_GRAD_TOL = 1.0e-10
 SEPARATION_TOL = 1.0e-6
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-
 @dataclass
 class IntervalSet:
-    """Per-coordinate intervals at level alpha plus the point estimate."""
+    """Per-coordinate intervals plus the point estimate."""
 
-    method: str
-    alpha: float
     lo: np.ndarray
     hi: np.ndarray
     center: np.ndarray
@@ -75,30 +64,10 @@ class IntervalSet:
     def width(self) -> np.ndarray:
         return self.hi - self.lo
 
-    @property
-    def per_coordinate(self) -> list[Interval]:
-        return [Interval(float(a), float(b)) for a, b in zip(self.lo, self.hi)]
-
     def covers(self, theta: np.ndarray) -> np.ndarray:
         """Inclusive per-coordinate coverage indicator."""
         theta = np.asarray(theta, dtype=float)
         return (self.lo <= theta) & (theta <= self.hi)
-
-
-@dataclass
-class BucketSet:
-    """Estimates from B round-robin sub-streams, one row per bucket."""
-
-    estimates: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.estimates = np.asarray(self.estimates, dtype=float)
-        if self.estimates.ndim != 2 or self.estimates.shape[0] < 1:
-            raise ValueError("estimates must be a (B, d) array with B >= 1")
-
-    @property
-    def B(self) -> int:
-        return self.estimates.shape[0]
 
 
 def hulc_batch_count(alpha: float, u: float) -> int:
@@ -122,23 +91,22 @@ def hulc_batch_count(alpha: float, u: float) -> int:
     return b_hi if u > threshold else b_lo
 
 
-def hulc_interval(buckets: BucketSet, alpha: float) -> IntervalSet:
-    """Per-coordinate min/max envelope of the bucket estimates."""
-    est = buckets.estimates
-    lo = est.min(axis=0)
-    hi = est.max(axis=0)
-    return IntervalSet("hulc", alpha, lo, hi, 0.5 * (lo + hi))
+def hulc_interval(estimates: np.ndarray) -> IntervalSet:
+    """Per-coordinate min/max envelope of the (B, d) bucket estimates."""
+    lo = estimates.min(axis=0)
+    hi = estimates.max(axis=0)
+    return IntervalSet(lo, hi, 0.5 * (lo + hi))
 
 
-def tstat_interval(buckets: BucketSet, alpha: float) -> IntervalSet:
-    """t interval from the B bucket estimates: mean +/- t * s / sqrt(B)."""
-    b = buckets.B
+def tstat_interval(estimates: np.ndarray, alpha: float) -> IntervalSet:
+    """t interval from the (B, d) bucket estimates: mean +/- t * s / sqrt(B)."""
+    b = estimates.shape[0]
     if b < 2:
         raise ValueError(f"t interval needs at least 2 buckets, got {b}")
-    center = buckets.estimates.mean(axis=0)
-    s = buckets.estimates.std(axis=0, ddof=1)
+    center = estimates.mean(axis=0)
+    s = estimates.std(axis=0, ddof=1)
     half = student_t_quantile(float(b - 1), 1.0 - alpha / 2.0) * s / math.sqrt(b)
-    return IntervalSet("tstat", alpha, center - half, center + half, center)
+    return IntervalSet(center - half, center + half, center)
 
 
 @dataclass
@@ -178,21 +146,16 @@ def _sandwich_half_width(J: np.ndarray, V: np.ndarray, t: int, alpha: float) -> 
     return z * np.sqrt(np.maximum(diag, 0.0) / t)
 
 
-def plugin_interval(acc: PluginAccumulator, center: np.ndarray, alpha: float) -> IntervalSet:
-    """Sandwich interval around the averaged iterate from streaming sums."""
-    if acc.t < 1:
-        raise ValueError("accumulator holds no observations")
+def plugin_interval(
+    J_sum: np.ndarray, V_sum: np.ndarray, t: int, center: np.ndarray, alpha: float
+) -> IntervalSet:
+    """Sandwich interval around the averaged iterate from the streaming sums
+    of t observations (the J_sum and V_sum of a PluginAccumulator)."""
+    if t < 1:
+        raise ValueError(f"the sums must cover at least 1 observation, got t={t}")
     center = np.asarray(center, dtype=float)
-    half = _sandwich_half_width(acc.J_sum / acc.t, acc.V_sum / acc.t, acc.t, alpha)
-    return IntervalSet("plugin", alpha, center - half, center + half, center.copy())
-
-
-def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, Dataset):
-        return data.X, data.y
-    X = np.array([p.x for p in data], dtype=float)
-    y = np.array([p.y for p in data], dtype=float)
-    return X, y
+    half = _sandwich_half_width(J_sum / t, V_sum / t, t, alpha)
+    return IntervalSet(center - half, center + half, center.copy())
 
 
 def _logistic_mle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -215,9 +178,9 @@ def _logistic_mle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     raise IllConditionedError("logistic MLE Newton iteration did not converge")
 
 
-def wald_offline(kind: ModelKind, data, alpha: float) -> IntervalSet:
+def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
     """Offline sandwich interval around the full-sample M-estimate."""
-    X, y = _as_arrays(data)
+    X, y = data.X, data.y
     t = X.shape[0]
     if t < 1:
         raise ValueError("data must be non-empty")
@@ -236,15 +199,4 @@ def wald_offline(kind: ModelKind, data, alpha: float) -> IntervalSet:
     Xr = X * resid[:, None]
     V = Xr.T @ Xr / t
     half = _sandwich_half_width(J, V, t, alpha)
-    return IntervalSet("wald", alpha, theta_hat - half, theta_hat + half, theta_hat)
-
-
-def estimate_median_bias(samples, target: float) -> float:
-    """Median bias of an estimator's sampling distribution at the target:
-    with p the fraction of samples at or below the target, returns
-    max(0, 1/2 - min(p, 1 - p))."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("samples must be non-empty")
-    p = float(np.mean(samples <= target))
-    return max(0.0, 0.5 - min(p, 1.0 - p))
+    return IntervalSet(theta_hat - half, theta_hat + half, theta_hat)

@@ -30,7 +30,6 @@ __all__ = [
     "make_theta_star",
     "population_hessian",
     "sample_dataset",
-    "sample_point",
     "sigmoid",
 ]
 
@@ -174,11 +173,6 @@ def sample_dataset(spec: ModelSpec, chol_factor: np.ndarray, rng: RngStream, n: 
     else:
         raise ValueError(f"unsupported model kind: {spec.kind!r}")
     return Dataset(X, y)
-
-
-def sample_point(spec: ModelSpec, chol_factor: np.ndarray, rng: RngStream) -> DataPoint:
-    """Draw a single observation (exactly the n=1 block draw)."""
-    return sample_dataset(spec, chol_factor, rng, 1)[0]
 
 
 def _mean_response(kind: ModelKind, u: float) -> float:

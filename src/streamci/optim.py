@@ -1,12 +1,12 @@
 """Single-pass stochastic approximation algorithms over a data stream.
 
 All algorithms maintain the running average of their iterates alongside the
-last iterate; which of the two run_stream reports depends on the algorithm
+last iterate; which of the two is a run's estimate depends on the algorithm
 (averaged variants report the mean, the rest the final iterate).
 
 run_lanes advances many independent runs in lockstep and is what the
-harness calls; run_stream and warm_start are one-lane calls of it. The
-per-observation init_state + advance is the reference it matches bit for bit.
+harness calls; warm_lanes is its fixed-step burn-in. The per-observation
+init_state + advance is the reference it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import DataPoint, Dataset, ModelKind, _grad_xy, _mean_response, _sigmoid_scalarwise
+from .model import DataPoint, ModelKind, _grad_xy, _mean_response, _sigmoid_scalarwise
 from .statutil import IllConditionedError, RngStream
 
 __all__ = [
@@ -32,10 +32,8 @@ __all__ = [
     "gradient_truncate",
     "init_state",
     "run_lanes",
-    "run_stream",
     "step_size",
     "warm_lanes",
-    "warm_start",
 ]
 
 # Fixed step size of the SGD burn-in used to initialize every algorithm.
@@ -119,7 +117,7 @@ class AlgorithmKind:
 
     @property
     def averaged(self) -> bool:
-        """Whether run_stream reports the running average of iterates."""
+        """Whether the run's estimate is the running average of iterates."""
         return self.name in ("asgd", "implicit-avg")
 
 
@@ -283,7 +281,7 @@ class LaneRun:
     V_sum: list[np.ndarray]
 
     def estimates(self, kind: AlgorithmKind) -> np.ndarray:
-        """The (L, d) estimates run_stream reports for algorithm kind."""
+        """The (L, d) estimates of algorithm kind: averages or last iterates."""
         return self.avg if kind.averaged else self.theta
 
 
@@ -491,37 +489,3 @@ def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequen
     sched = ConstantStep(WARM_START_STEP)
     zeros = np.zeros(X.shape[1])
     return run_lanes(AlgorithmKind("sgd"), model_kind, X, y, rows, zeros, [sched] * len(rows)).theta
-
-
-def _stream_arrays(stream) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(stream, Dataset):
-        return stream.X, stream.y
-    return np.array([p.x for p in stream], dtype=float), np.array([p.y for p in stream], dtype=float)
-
-
-def warm_start(model_kind: ModelKind, d: int, stream) -> np.ndarray:
-    """Fixed-step SGD burn-in from the origin; an empty stream returns zeros."""
-    if len(stream) == 0:
-        return np.zeros(d)
-    X, y = _stream_arrays(stream)
-    return warm_lanes(model_kind, X, y, [range(len(y))])[0]
-
-
-def run_stream(
-    kind: AlgorithmKind,
-    sched: StepSchedule,
-    model_kind: ModelKind,
-    theta0: np.ndarray,
-    stream,
-    *,
-    rng: Optional[RngStream] = None,
-) -> np.ndarray:
-    """Run one single-pass algorithm over the stream and report its estimate."""
-    if len(stream) == 0:
-        raise ValueError("stream must be non-empty")
-    _check_rng(kind, rng)
-    X, y = _stream_arrays(stream)
-    # One block of draws equals one draw of d per step (the stream is prefix stable).
-    noise = rng.standard_normal(X.shape) if rng is not None else None
-    run = run_lanes(kind, model_kind, X, y, [range(len(y))], theta0, [sched], noise=noise)
-    return run.estimates(kind)[0].copy()

@@ -1,5 +1,5 @@
-"""Numerical utilities: quantile functions, SPD factorization, multivariate
-normal sampling, and keyed deterministic random streams.
+"""Numerical utilities: quantile functions, SPD factorization, and keyed
+deterministic random streams.
 
 Quantiles are computed in-repo from first principles (erfc-based normal CDF,
 regularized incomplete beta continued fraction for Student's t, both inverted
@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "IllConditionedError",
     "RngStream",
-    "mvn_sample",
     "normal_cdf",
     "normal_quantile",
     "regularized_incomplete_beta",
@@ -257,16 +256,5 @@ class RngStream:
         """Uniform draws on [0, 1)."""
         return self._gen.random(size)
 
-    def clone(self) -> "RngStream":
-        """Fresh stream with the same key, positioned at the start."""
-        return RngStream(self.base_seed, self.stream_id)
-
     def __repr__(self) -> str:
         return f"RngStream(base_seed={self.base_seed}, stream_id={self.stream_id})"
-
-
-def mvn_sample(chol_factor: np.ndarray, rng) -> np.ndarray:
-    """One N(0, L L^T) draw given the lower Cholesky factor L."""
-    chol_factor = np.asarray(chol_factor, dtype=float)
-    g = np.asarray(rng.standard_normal(chol_factor.shape[0]), dtype=float)
-    return chol_factor @ g

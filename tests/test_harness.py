@@ -22,12 +22,11 @@ from streamci.harness import (
     nonfinite_counts,
     replication_rows,
     run_grid,
-    run_replication,
     write_rows_csv,
     write_summary_csv,
 )
 from streamci.model import CovarianceKind, Dataset, ModelKind, make_theta_star
-from streamci.optim import AlgorithmKind
+from streamci.optim import ALGORITHM_NAMES, AlgorithmKind
 
 
 def _cfg(**overrides):
@@ -120,7 +119,8 @@ class TestReplication:
 
     def test_replication_is_deterministic(self):
         cfg = _cfg()
-        assert run_replication(cfg, 0.5, 3) == run_replication(cfg, 0.5, 3)
+        first = replication_rows(cfg, 0.5, 3, generate_dataset(cfg, 3))
+        assert first == replication_rows(cfg, 0.5, 3, generate_dataset(cfg, 3))
 
     def test_dataset_keyed_by_rep_not_c(self):
         cfg = _cfg(c_grid=(0.1, 0.9))
@@ -357,6 +357,24 @@ class TestCli:
         argv[argv.index("linear")] = "logistic"
         assert run_cli(argv) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", [a for a in ALGORITHM_NAMES if a != "asgd"])
+    def test_diagnostic_rejects_other_algorithms(self, tmp_path, capsys, algo):
+        # The residual is that of an averaged-SGD run; any other --algo would
+        # only relabel it.
+        out = tmp_path / "x.csv"
+        argv = self._argv(out, diagnostic="expansion-residual")
+        argv[argv.index("asgd")] = algo
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_config(self, tmp_path, capsys, threads):
+        out = tmp_path / "x.csv"
+        assert run_cli(self._argv(out, threads=threads, methods="hulc")) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_packaged_grid_used_when_c_omitted(self):
         assert default_c_grid("asgd", "linear", 5) == [

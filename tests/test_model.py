@@ -20,7 +20,6 @@ from streamci.model import (
     make_theta_star,
     population_hessian,
     sample_dataset,
-    sample_point,
     sigmoid,
 )
 from streamci.statutil import RngStream
@@ -73,18 +72,9 @@ class TestSampling:
     def test_deterministic_given_stream(self):
         spec = ModelSpec(ModelKind.LINEAR, 4, CovarianceKind.TOEPLITZ)
         chol = covariance_factor(spec)
-        rng = RngStream(3, 1)
-        a = sample_dataset(spec, chol, rng.clone(), 50)
-        b = sample_dataset(spec, chol, rng.clone(), 50)
+        a = sample_dataset(spec, chol, RngStream(3, 1), 50)
+        b = sample_dataset(spec, chol, RngStream(3, 1), 50)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-
-    def test_point_is_unit_block(self):
-        spec = ModelSpec(ModelKind.LOGISTIC, 3, CovarianceKind.IDENTITY)
-        chol = covariance_factor(spec)
-        rng = RngStream(4, 2)
-        p = sample_point(spec, chol, rng.clone())
-        q = sample_dataset(spec, chol, rng.clone(), 1)[0]
-        assert np.array_equal(p.x, q.x) and p.y == q.y
 
     def test_intercept_and_logistic_labels(self):
         spec = ModelSpec(ModelKind.LOGISTIC, 5, CovarianceKind.EQUICORRELATION)

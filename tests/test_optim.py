@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from streamci.model import (
     CovarianceKind,
     DataPoint,
-    Dataset,
     ModelKind,
     ModelSpec,
     covariance_factor,
@@ -33,9 +32,8 @@ from streamci.optim import (
     gradient_truncate,
     init_state,
     run_lanes,
-    run_stream,
     step_size,
-    warm_start,
+    warm_lanes,
 )
 from streamci.statutil import RngStream
 
@@ -111,13 +109,13 @@ class TestInitState:
 
 class TestWarmStart:
     def test_empty_stream_is_origin(self):
-        assert_array_equal(warm_start(ModelKind.LINEAR, 4, []), np.zeros(4))
+        out = warm_lanes(ModelKind.LINEAR, np.zeros((0, 4)), np.zeros(0), [range(0)])
+        assert_array_equal(out[0], np.zeros(4))
 
     def test_three_step_recursion(self):
         # theta <- theta - 0.001 * (theta - 1) starting from 0.
-        p = DataPoint(np.array([1.0]), 1.0)
-        out = warm_start(ModelKind.LINEAR, 1, [p, p, p])
-        assert_allclose(out, [0.002997001], atol=1e-9)
+        out = warm_lanes(ModelKind.LINEAR, np.ones((3, 1)), np.ones(3), [range(3)])
+        assert_allclose(out[0], [0.002997001], atol=1e-9)
         assert WARM_START_STEP == 0.001
 
 
@@ -290,13 +288,15 @@ class TestAveraging:
         kind = AlgorithmKind(name)
         _, data = _linear_data(50, 2, seed=25)
         sched = PolynomialStep(0.5)
-        rng = RngStream(25, 9) if name == "noisy-truncated" else None
-        reported = run_stream(kind, sched, ModelKind.LINEAR, np.zeros(2), data,
-                              rng=rng.clone() if rng else None)
-        state = init_state(kind, np.zeros(2), rng=rng.clone() if rng else None)
+        noisy = name == "noisy-truncated"
+        # One block of draws equals one draw of d per step (the stream is prefix stable).
+        noise = RngStream(25, 9).standard_normal(data.X.shape) if noisy else None
+        run = run_lanes(kind, ModelKind.LINEAR, data.X, data.y, [range(len(data))], np.zeros(2), [sched],
+                        noise=noise)
+        state = init_state(kind, np.zeros(2), rng=RngStream(25, 9) if noisy else None)
         for p in data:
             advance(state, sched, ModelKind.LINEAR, p)
-        assert_array_equal(reported, state.avg if kind.averaged else state.theta)
+        assert_array_equal(run.estimates(kind)[0], state.avg if kind.averaged else state.theta)
 
 
 class TestNoisyTruncated:
@@ -324,31 +324,28 @@ class TestNoisyTruncated:
 
 
 class TestRunStream:
-    def test_empty_stream_raises(self):
-        with pytest.raises(ValueError):
-            run_stream(AlgorithmKind("sgd"), ConstantStep(0.1), ModelKind.LINEAR, np.zeros(2), [])
+    """Whole-stream runs of run_lanes: one lane per stream."""
 
     def test_noiseless_stationary_point_is_fixed(self):
         theta_star = make_theta_star(3)
         rng = np.random.default_rng(28)
         X = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
         y = np.array([float(X[i] @ theta_star) for i in range(40)])
-        data = Dataset(X, y)
-        out = run_stream(
-            AlgorithmKind("asgd"), PolynomialStep(0.5), ModelKind.LINEAR, theta_star, data
-        )
-        assert_array_equal(out, theta_star)
+        kind = AlgorithmKind("asgd")
+        run = run_lanes(kind, ModelKind.LINEAR, X, y, [range(40)], theta_star, [PolynomialStep(0.5)])
+        assert_array_equal(run.estimates(kind)[0], theta_star)
 
     def test_asgd_converges_across_replications(self):
         spec = ModelSpec(ModelKind.LINEAR, 5, CovarianceKind.IDENTITY)
         chol = covariance_factor(spec)
-        sched = PolynomialStep(0.5)
-        close = 0
-        reps = 50
-        for rep in range(reps):
-            data = sample_dataset(spec, chol, RngStream(29, rep), 10_000)
-            est = run_stream(AlgorithmKind("asgd"), sched, ModelKind.LINEAR, np.zeros(5), data)
-            close += np.linalg.norm(est - spec.theta_star) < 0.2
+        reps, n = 50, 10_000
+        data = [sample_dataset(spec, chol, RngStream(29, rep), n) for rep in range(reps)]
+        X = np.concatenate([dt.X for dt in data])
+        y = np.concatenate([dt.y for dt in data])
+        rows = [range(rep * n, (rep + 1) * n) for rep in range(reps)]
+        kind = AlgorithmKind("asgd")
+        run = run_lanes(kind, ModelKind.LINEAR, X, y, rows, np.zeros(5), [PolynomialStep(0.5)] * reps)
+        close = np.sum(np.linalg.norm(run.estimates(kind) - spec.theta_star, axis=1) < 0.2)
         assert close >= 0.95 * reps
 
 

@@ -19,7 +19,6 @@ from numpy.testing import assert_allclose
 from streamci.statutil import (
     IllConditionedError,
     RngStream,
-    mvn_sample,
     normal_cdf,
     normal_quantile,
     regularized_incomplete_beta,
@@ -179,32 +178,6 @@ class TestSpdSolve:
         assert_allclose(a @ inv, np.eye(3), atol=1e-10)
 
 
-class _ForcedRng:
-    """Stub rng returning a fixed standard-normal vector."""
-
-    def __init__(self, g):
-        self.g = np.asarray(g, dtype=float)
-
-    def standard_normal(self, size=None):
-        return self.g
-
-
-class TestMvnSample:
-    def test_forced_zero_vector(self):
-        assert_allclose(mvn_sample(np.eye(3), _ForcedRng([0.0, 0.0, 0.0])), np.zeros(3))
-
-    def test_scalar_scaling(self):
-        assert_allclose(mvn_sample(np.array([[2.0]]), _ForcedRng([1.5])), [3.0])
-
-    def test_toeplitz_sample_covariance(self):
-        idx = np.arange(3)
-        sigma = 0.5 ** np.abs(idx[:, None] - idx[None, :])
-        lower = spd_factorize(sigma)
-        rng = RngStream(123, 0)
-        draws = np.array([mvn_sample(lower, rng) for _ in range(10**5)])
-        assert_allclose(draws.T @ draws / len(draws), sigma, atol=0.02)
-
-
 class TestRngStream:
     def test_identical_keys_reproduce(self):
         a = RngStream(42, 7).standard_normal(100)
@@ -215,11 +188,6 @@ class TestRngStream:
         s1 = RngStream(1, 2)
         chunks = np.concatenate([s1.standard_normal(3), s1.standard_normal(5)])
         assert np.array_equal(chunks, RngStream(1, 2).standard_normal(8))
-
-    def test_clone_restarts(self):
-        s = RngStream(9, 9)
-        s.standard_normal(10)
-        assert np.array_equal(s.clone().standard_normal(4), RngStream(9, 9).standard_normal(4))
 
     def test_distinct_stream_ids_collide_nowhere(self):
         a = RngStream(5, 0).standard_normal(10**4)
