@@ -10,11 +10,16 @@ across reruns and worker counts.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import glob
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -230,7 +235,12 @@ def _method_rows(
 
 
 def _chunk_rows(
-    cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np.ndarray, c_grid: Sequence[float]
+    cfg: ExperimentConfig,
+    reps: Sequence[int],
+    X: np.ndarray,
+    y: np.ndarray,
+    c_grid: Sequence[float],
+    wald_threads: Optional[int] = None,
 ) -> list[ResultRow]:
     """All result rows of a chunk of replications, for every c in c_grid.
 
@@ -239,6 +249,10 @@ def _chunk_rows(
     depend on c, so each is computed once per replication; every (c, run)
     pair is then one lane of a single run_lanes pass, where a run is the
     full-stream plug-in pass or one HulC bucket.
+
+    The Wald fits run with wald_threads BLAS threads when it is given: how
+    OpenBLAS splits a matrix product over its threads changes the product's
+    rounding, so the fits must use the same count on every path.
     """
     theta_star = cfg.model_spec().theta_star
     kind = cfg.algorithm
@@ -259,7 +273,8 @@ def _chunk_rows(
         wald_iv = None
         if "wald" in cfg.methods:
             try:
-                wald_iv = wald_offline(cfg.model, data, cfg.alpha)
+                with _blas_threads(wald_threads):
+                    wald_iv = wald_offline(cfg.model, data, cfg.alpha)
             except IllConditionedError:
                 pass
         wald.append(wald_iv)
@@ -351,22 +366,88 @@ def _sample_chunk(cfg: ExperimentConfig, reps: range) -> tuple[np.ndarray, np.nd
     return X, y
 
 
-def _replication_task(task: tuple[ExperimentConfig, range]) -> list[ResultRow]:
-    """Pool task: every row of one chunk of replications."""
-    cfg, reps = task
-    return _chunk_rows(cfg, reps, *_sample_chunk(cfg, reps), cfg.c_grid)
+def _replication_task(task: tuple[ExperimentConfig, range, Optional[int]]) -> list[ResultRow]:
+    """Pool task: every row of one chunk of replications, with the Wald fits
+    at the given BLAS thread count (None: the current one)."""
+    cfg, reps, wald_threads = task
+    return _chunk_rows(cfg, reps, *_sample_chunk(cfg, reps), cfg.c_grid, wald_threads)
+
+
+# (get, set) symbol pairs of OpenBLAS's thread count, in the builds numpy
+# ships (scipy-openblas, ILP64 suffixed) and in plain ones.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@dataclass(frozen=True)
+class _OpenBlas:
+    """Thread controls of the OpenBLAS that numpy loaded. shutdown joins the
+    helper threads (OpenBLAS restarts them on its next threaded call); None
+    when the library does not export it."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+    shutdown: Optional[Callable[[], int]]
+
+
+@functools.cache
+def _openblas() -> Optional[_OpenBlas]:
+    """numpy's OpenBLAS, or None when no such library is found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
+    for lib in sorted(glob.glob(libs)):
+        handle = ctypes.CDLL(lib)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                shutdown = getattr(handle, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+                return _OpenBlas(get, set_, shutdown)
+    return None
+
+
+@contextmanager
+def _blas_threads(n: Optional[int]) -> Iterator[Optional[int]]:
+    """Run the block with numpy's OpenBLAS at n threads, yielding the count
+    it had, and restore that count afterwards, also when the block raises.
+    A no-op yielding None when n is None or no OpenBLAS is found.
+
+    A block that raises the count from one joins the helper threads it
+    started: after their last job they spin for a while, on a CPU that
+    another pool worker needs.
+    """
+    lib = _openblas()
+    if n is None or lib is None:
+        yield None
+        return
+    before = lib.get()
+    lib.set(n)
+    try:
+        yield before
+    finally:
+        lib.set(before)
+        if before == 1 < n and lib.shutdown is not None:
+            lib.shutdown()
 
 
 def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> list[ResultRow]:
     """Run every (config, c, rep) cell, parallel over chunks of replications."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
-    tasks = [(cfg, reps) for cfg in cfgs for reps in _rep_chunks(cfg, threads)]
-    if threads <= 1 or len(tasks) == 1:
-        blocks = [_replication_task(task) for task in tasks]
+    chunks = [(cfg, reps) for cfg in cfgs for reps in _rep_chunks(cfg, threads)]
+    if threads <= 1 or len(chunks) == 1:
+        blocks = [_replication_task((cfg, reps, None)) for cfg, reps in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            blocks = list(pool.map(_replication_task, tasks))
+        # Workers fork with one BLAS thread each, so they do not each run a
+        # full set of BLAS threads on the same CPUs; their Wald fits run
+        # with this process's count, which their rounding depends on.
+        with _blas_threads(1) as wald_threads, ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            blocks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
     rows = [row for block in blocks for row in block]
     rows.sort(key=_row_sort_key)
     return rows

@@ -11,6 +11,7 @@ init_state + advance is the reference it matches bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -42,6 +43,11 @@ WARM_START_STEP = 0.001
 # Bound, in floats, on the scratch buffers of blocked work in run_lanes
 # (gathered rows, outer-product sums).
 BLOCK_FLOATS = 1 << 14
+
+# Bisection of the implicit update: iteration cap, and the bracket width,
+# relative to max(1, |s0|), at which it stops.
+IMPLICIT_MAX_ITER = 200
+IMPLICIT_TOL = 1.0e-13
 
 ALGORITHM_NAMES = (
     "sgd",
@@ -197,9 +203,6 @@ def _implicit_update(
     x: np.ndarray,
     y: float,
     eta: float,
-    *,
-    max_iter: int = 200,
-    tol: float = 1.0e-13,
 ) -> np.ndarray:
     """Solve theta_new = theta - eta * grad(theta_new) for GLM-type losses.
 
@@ -215,8 +218,8 @@ def _implicit_update(
     if s0 == 0.0 or nx2 == 0.0:
         return theta - s0 * x
     lo, hi = (0.0, s0) if s0 > 0.0 else (s0, 0.0)
-    width_tol = tol * max(1.0, abs(s0))
-    for _ in range(max_iter):
+    width_tol = IMPLICIT_TOL * max(1.0, abs(s0))
+    for _ in range(IMPLICIT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid - eta * (_mean_response(model_kind, a - mid * nx2) - y) < 0.0:
             lo = mid
@@ -227,6 +230,53 @@ def _implicit_update(
     else:
         raise IllConditionedError("implicit update bisection did not converge")
     return theta - (0.5 * (lo + hi)) * x
+
+
+def _implicit_steps(
+    model_kind: ModelKind, a: list[float], nx2: list[float], y: list[float], eta: list[float]
+) -> list[float]:
+    """Per lane, the s of _implicit_update (theta_new = theta - s*x) from
+    a = x'theta and nx2 = ||x||^2. It is the same bisection on Python floats,
+    so each s is bit for bit the reference's; the scalar branch of sigmoid
+    is written out because calling it per bisection step cost most of the
+    time."""
+    logistic = model_kind == ModelKind.LOGISTIC
+    exp = math.exp
+    out = []
+    for a_l, nx2_l, y_l, eta_l in zip(a, nx2, y, eta):
+        if not logistic:
+            psi = a_l
+        elif a_l >= 0.0:
+            psi = 1.0 / (1.0 + exp(-a_l))
+        else:
+            e = exp(a_l)
+            psi = e / (1.0 + e)
+        s0 = eta_l * (psi - y_l)
+        if s0 == 0.0 or nx2_l == 0.0:
+            out.append(s0)
+            continue
+        lo, hi = (0.0, s0) if s0 > 0.0 else (s0, 0.0)
+        width_tol = IMPLICIT_TOL * max(1.0, abs(s0))
+        for _ in range(IMPLICIT_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            u = a_l - mid * nx2_l
+            if not logistic:
+                psi = u
+            elif u >= 0.0:
+                psi = 1.0 / (1.0 + exp(-u))
+            else:
+                e = exp(u)
+                psi = e / (1.0 + e)
+            if mid - eta_l * (psi - y_l) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= width_tol:
+                break
+        else:
+            raise IllConditionedError("implicit update bisection did not converge")
+        out.append(0.5 * (lo + hi))
+    return out
 
 
 def advance(state: OptimizerState, sched: StepSchedule, model_kind: ModelKind, p: DataPoint) -> OptimizerState:
@@ -455,9 +505,11 @@ def run_lanes(
                     if name in ("sgd", "asgd"):
                         th -= eta * G
                     elif name in ("implicit-last", "implicit-avg"):
-                        lane_eta = np.broadcast_to(eta, (active, 1))[:, 0].tolist()
-                        for lane, e in enumerate(lane_eta):
-                            th[lane] = _implicit_update(model_kind, th[lane], Xt[lane], float(yt[lane]), e)
+                        a = (Xt[:, None, :] @ th[:, :, None])[:, 0, 0]
+                        nx2 = (Xt[:, None, :] @ Xt[:, :, None])[:, 0, 0]
+                        lane_eta = np.broadcast_to(eta, (active, 1))[:, 0]
+                        s = _implicit_steps(model_kind, a.tolist(), nx2.tolist(), yt.tolist(), lane_eta.tolist())
+                        th -= np.array(s)[:, None] * Xt
                     elif name == "root":
                         if t == 1:
                             v[:active] = G

@@ -3,11 +3,13 @@ streams with known exact answers, aggregation arithmetic, and the CLI."""
 
 import json
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import streamci.harness as harness
 from streamci.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNWRITABLE, default_c_grid, run_cli
 from streamci.harness import (
     RAW_HEADER,
@@ -15,6 +17,8 @@ from streamci.harness import (
     SUMMARY_HEADER,
     ExperimentConfig,
     ResultRow,
+    _blas_threads,
+    _openblas,
     _rep_chunks,
     aggregate,
     expansion_residual,
@@ -148,17 +152,62 @@ class TestReplication:
         assert "plugin" not in {r.method for r in rows}
 
 
+def _worker_blas_threads(_):
+    return _openblas().get()
+
+
+def _failing_task(task):
+    raise RuntimeError("task failed")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads for the test, where it is found."""
+    with _blas_threads(2):
+        yield _openblas()
+
+
 class TestRunGrid:
-    def test_worker_count_does_not_change_rows(self, tmp_path):
+    def test_worker_count_does_not_change_rows(self, tmp_path, two_blas_threads):
         # reps=7 splits unevenly into replication chunks (3+2+2 at 3 workers).
-        for reps, threads in ((4, (1, 2)), (7, (1, 2, 3))):
-            cfg = _cfg(c_grid=(0.1, 0.5), reps=reps)
+        # In the logistic cell the Newton Wald's Hessian product rounds
+        # differently with one BLAS thread than with two (at this t and d),
+        # so the workers must fit it with the caller's count.
+        cells = (
+            (_cfg(c_grid=(0.1, 0.5), reps=4), (1, 2)),
+            (_cfg(c_grid=(0.1, 0.5), reps=7), (1, 2, 3)),
+            (_cfg(model=ModelKind.LOGISTIC, d=20, t=3000, algorithm=AlgorithmKind("implicit-avg"), reps=3),
+             (1, 2, 3)),
+        )
+        for i, (cfg, threads) in enumerate(cells):
             outputs = []
             for n in threads:
-                path = tmp_path / f"{reps}-{n}.csv"
+                path = tmp_path / f"{i}-{n}.csv"
                 write_rows_csv(run_grid([cfg], threads=n), str(path))
                 outputs.append(path.read_bytes())
             assert all(out == outputs[0] for out in outputs)
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch, two_blas_threads):
+        if two_blas_threads is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        get = two_blas_threads.get
+        seen = []
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                seen.append(get())
+                seen.extend(super().map(_worker_blas_threads, range(4)))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        run_grid([_cfg(reps=2)], threads=2)
+        assert seen == [1] * 5
+        assert get() == 2
+        # The count is restored when a task raises, too.
+        monkeypatch.setattr(harness, "_replication_task", _failing_task)
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_grid([_cfg(reps=2)], threads=2)
+        assert get() == 2
 
     def test_rep_chunks_partition_reps(self):
         cfg = _cfg(reps=7)

@@ -35,7 +35,7 @@ from streamci.optim import (
     step_size,
     warm_lanes,
 )
-from streamci.statutil import RngStream
+from streamci.statutil import IllConditionedError, RngStream
 
 
 def _linear_data(n, d, seed, cov=CovarianceKind.IDENTITY):
@@ -384,7 +384,8 @@ class TestRunLanes:
         rows bit for bit, and a subset of the lanes run alone gives the same
         bits, so results do not depend on the lane count."""
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        d = data.draw(st.integers(1, 6), label="d")
+        # d=20 is the logistic sweep's dimension.
+        d = data.draw(st.one_of(st.integers(1, 6), st.just(20)), label="d")
         n_lanes = data.draw(st.integers(1, 5), label="lanes")
         rng = np.random.default_rng(seed)
         pool = 48
@@ -429,6 +430,19 @@ class TestRunLanes:
         )
         assert _bits(part.theta) == _bits(run.theta[subset])
         assert _bits(part.avg) == _bits(run.avg[subset])
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_nan_lane_fails_implicit_bisection(self, model_kind):
+        # The bisection never brackets a NaN fixed point; the kernel raises
+        # as the reference does, whatever the other lanes do.
+        X = np.array([[1.0, 0.5], [1.0, -1.0]])
+        y = np.array([1.0, 0.0])
+        theta0 = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(IllConditionedError):
+            _implicit_update(model_kind, theta0[1], X[0], float(y[0]), 0.5)
+        with pytest.raises(IllConditionedError):
+            run_lanes(AlgorithmKind("implicit-last"), model_kind, X, y, [range(2)] * 2, theta0,
+                      [PolynomialStep(0.5)] * 2)
 
     def test_noise_required_only_by_noisy_truncated(self):
         X, y = np.ones((3, 2)), np.zeros(3)
