@@ -3,6 +3,6 @@ benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .harness import ExperimentConfig, aggregate, expansion_residual, run_grid
+from .harness import ExperimentConfig, aggregate, expansion_residuals, run_grid
 
-__all__ = ["ExperimentConfig", "aggregate", "expansion_residual", "run_grid"]
+__all__ = ["ExperimentConfig", "aggregate", "expansion_residuals", "run_grid"]

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .harness import (
     ExperimentConfig,
     aggregate,
-    expansion_residual,
+    expansion_residuals,
     run_grid,
     write_manifest,
     write_residuals_csv,
@@ -134,13 +134,14 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     if args.diagnostic == "expansion-residual":
         try:
+            reps = range(cfgs[0].reps)
             residual_rows = [
                 (
                     cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.name,
-                    cfg.c_grid[0], rep, expansion_residual(cfg, cfg.t, rep),
+                    cfg.c_grid[0], rep, residual,
                 )
                 for cfg in cfgs
-                for rep in range(cfgs[0].reps)
+                for rep, residual in zip(reps, expansion_residuals(cfg, cfg.t, reps))
             ]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ __all__ = [
     "ResultRow",
     "Summary",
     "aggregate",
-    "expansion_residual",
+    "expansion_residuals",
     "generate_dataset",
     "nonfinite_counts",
     "replication_rows",
@@ -75,9 +75,10 @@ STREAM_SPACING = 1 << 20
 # The warm start consumes the first 1/WARM_FRACTION of the stream it seeds.
 WARM_FRACTION = 3
 
-# A task steps a chunk of replications together; its data and plug-in sums
-# take about reps * (t*d + 3*|c grid|*d*d) floats, kept below this bound
-# unless one replication alone exceeds it.
+# A task steps a chunk of replications together; its data and plug-in state
+# (per plug-in lane, a response per step and the J and V sums) take about
+# reps * (t*d + |c grid|*(t + 2*d*d)) floats, kept below this bound unless
+# one replication alone exceeds it.
 CHUNK_FLOATS = 1 << 20
 
 
@@ -344,7 +345,7 @@ def _row_sort_key(r: ResultRow):
 def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
     """Contiguous replication ranges of near-equal size: at least one per
     worker (up to one per replication), each within CHUNK_FLOATS."""
-    per_rep = cfg.t * cfg.d + 3 * len(cfg.c_grid) * cfg.d * cfg.d
+    per_rep = cfg.t * cfg.d + len(cfg.c_grid) * (cfg.t + 2 * cfg.d * cfg.d)
     n = max(min(threads, cfg.reps), math.ceil(cfg.reps * per_rep / CHUNK_FLOATS))
     n = min(n, cfg.reps)
     size, extra = divmod(cfg.reps, n)
@@ -484,7 +485,7 @@ def aggregate(rows: Sequence[ResultRow]) -> list[Summary]:
         for method, k in sorted(cell["methods"], key=lambda mk: (mk[0], mk[1])):
             group = cell["methods"][(method, k)]
             usable = [g for g in group if not g.unavailable]
-            coverage = float(np.mean([g.covered for g in usable])) if usable else None
+            coverage = sum(g.covered for g in usable) / len(usable) if usable else None
             median_width = _lower_median([g.width for g in usable]) if usable else None
             width_ratio = None
             if median_width is not None and k in wald_median:
@@ -495,16 +496,19 @@ def aggregate(rows: Sequence[ResultRow]) -> list[Summary]:
     return summaries
 
 
-def expansion_residual(
-    cfg: ExperimentConfig, t: int, rep: int, data: Optional[Dataset] = None
-) -> float:
-    """J-norm distance between the scaled averaged-iterate error and its
-    leading martingale term over a t-step linear averaged-SGD run.
+def expansion_residuals(
+    cfg: ExperimentConfig, t: int, reps: Sequence[int], data: Optional[Sequence[Dataset]] = None
+) -> list[float]:
+    """Per replication, the J-norm distance between the scaled
+    averaged-iterate error and its leading martingale term over a t-step
+    linear averaged-SGD run.
 
     Accumulates xi_s = grad_s - J(theta^(s-1) - theta_star) online and
     returns || sqrt(t)(avg - theta_star) + (1/sqrt(t)) J^-1 sum xi_s ||_J.
     The t argument overrides cfg.t so one config drives several lengths;
-    data, when given, replaces the stream the config would generate.
+    data, when given, holds one dataset per replication and replaces the
+    streams the config would generate. The replications run as the lanes of
+    run_lanes passes, a chunk of at most CHUNK_FLOATS data floats at a time.
     """
     if cfg.model != ModelKind.LINEAR:
         raise ValueError("expansion residual is defined for the linear model only")
@@ -512,33 +516,48 @@ def expansion_residual(
         raise ValueError(f"expansion residual is defined for asgd only, not {cfg.algorithm.name!r}")
     if len(cfg.c_grid) != 1:
         raise ValueError("expansion residual needs exactly one step constant in c_grid")
+    reps = list(reps)
+    if data is not None:
+        if len(data) != len(reps):
+            raise ValueError(f"{len(reps)} replications need {len(reps)} datasets, got {len(data)}")
+        if any(len(dataset) != t for dataset in data):
+            raise ValueError(f"every dataset must hold t={t} points")
     spec = cfg.model_spec()
     theta_star = spec.theta_star
     hess = population_hessian(spec)
-    if data is None:
-        chol_data = covariance_factor(spec)
-        data = sample_dataset(spec, chol_data, _stream(cfg, rep, ROLE_DATA), t)
-    elif len(data) != t:
-        raise ValueError(f"data holds {len(data)} points but t={t}")
-    xi_sum = np.zeros(cfg.d)
-
-    def accumulate(step, lanes, theta, grad):
-        xi_sum[:] += grad[0] - hess @ (theta[0] - theta_star)
-
-    rows = [range(t)]
-    run = run_lanes(
-        cfg.algorithm,
-        cfg.model,
-        data.X,
-        data.y,
-        rows,
-        _initial_iterates(cfg, data.X, data.y, rows),
-        [PolynomialStep(cfg.c_grid[0], cfg.gamma)],
-        on_step=accumulate,
-    )
     lower = spd_factorize(hess)
-    rem = math.sqrt(t) * (run.avg[0] - theta_star) + spd_solve(lower, xi_sum) / math.sqrt(t)
-    return float(math.sqrt(rem @ hess @ rem))
+    chol = covariance_factor(spec)
+    sched = PolynomialStep(cfg.c_grid[0], cfg.gamma)
+    per_chunk = max(1, CHUNK_FLOATS // (t * cfg.d))
+    residuals = []
+    for lo in range(0, len(reps), per_chunk):
+        chunk = range(lo, min(lo + per_chunk, len(reps)))
+        if data is None:
+            sets = [sample_dataset(spec, chol, _stream(cfg, reps[i], ROLE_DATA), t) for i in chunk]
+        else:
+            sets = [data[i] for i in chunk]
+        X = np.concatenate([dataset.X for dataset in sets])
+        y = np.concatenate([dataset.y for dataset in sets])
+        xi_sum = np.zeros((len(sets), cfg.d))
+
+        def accumulate(step, lanes, theta, grad):
+            xi_sum[lanes] += grad - (hess[None] @ (theta - theta_star)[:, :, None])[:, :, 0]
+
+        rows = [range(i * t, (i + 1) * t) for i in range(len(sets))]
+        run = run_lanes(
+            cfg.algorithm,
+            cfg.model,
+            X,
+            y,
+            rows,
+            _initial_iterates(cfg, X, y, rows),
+            [sched] * len(rows),
+            on_step=accumulate,
+        )
+        for avg, xi in zip(run.avg, xi_sum):
+            rem = math.sqrt(t) * (avg - theta_star) + spd_solve(lower, xi) / math.sqrt(t)
+            residuals.append(float(math.sqrt(rem @ hess @ rem)))
+    return residuals
 
 
 # ---------------------------------------------------------------------------

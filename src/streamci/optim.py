@@ -40,8 +40,7 @@ __all__ = [
 # Fixed step size of the SGD burn-in used to initialize every algorithm.
 WARM_START_STEP = 0.001
 
-# Bound, in floats, on the scratch buffers of blocked work in run_lanes
-# (gathered rows, outer-product sums).
+# Bound, in floats, on the rows run_lanes gathers for a block of steps.
 BLOCK_FLOATS = 1 << 14
 
 # Bisection of the implicit update: iteration cap, and the bracket width,
@@ -321,8 +320,9 @@ class LaneRun:
     """Final state of the lanes of one run_lanes call, in the order given.
 
     J_sum and V_sum hold the plug-in sums of the plug-in lanes, in the order
-    those lanes were named; linear-model lanes over the same rows share one
-    J_sum array, since their curvature sums do not depend on the iterate.
+    those lanes were named, each added in step order as plugin_update adds
+    it; linear-model lanes over the same rows share one J_sum array, since
+    their curvature sums do not depend on the iterate.
     """
 
     theta: np.ndarray
@@ -365,21 +365,22 @@ def _mean_responses(model_kind: ModelKind, X: np.ndarray, theta: np.ndarray) -> 
     raise ValueError(f"unsupported model kind: {model_kind!r}")
 
 
-def _outer_sum(X: np.ndarray, rows: range) -> np.ndarray:
-    """Sum of outer(X[i], X[i]) over i in rows, added in row order like the
-    per-observation loop: np.cumsum adds sequentially, and blocks of rows
-    keep its buffer near BLOCK_FLOATS."""
-    d = X.shape[1]
-    block = max(1, BLOCK_FLOATS // (d * d))
-    stack = np.zeros((min(block, len(rows)) + 1, d, d))
-    for lo in range(0, len(rows), block):
-        part = rows[lo : lo + block]
-        x = X[part.start : part.stop : part.step]
-        k = len(part)
-        np.multiply(x[:, :, None], x[:, None, :], out=stack[1 : k + 1])
-        np.cumsum(stack[: k + 1], axis=0, out=stack[: k + 1])
-        stack[0] = stack[k]
-    return stack[0].copy()
+def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over t of outer(a[t], a[t]), each term scaled by w[t] when w is
+    given, bit for bit the loop out += outer(a[t], a[t]) * w[t] of
+    plugin_update: numpy's einsum loop (no optimize) adds the terms in t
+    order, each with its own multiply and add. With a single column it would
+    sum t in an unrolled loop instead, so that case gets a zero column first.
+
+    Where a NaN term meets a NaN sum, the result keeps the term's NaN and the
+    loop the sum's. They differ only if NaNs of different sign or payload
+    meet, which takes a NaN in the input: arithmetic makes one kind.
+    """
+    if a.shape[1] == 1:
+        return _ordered_outer_sum(np.hstack([a, np.zeros_like(a)]), w)[:1, :1]
+    if w is None:
+        return np.einsum("ti,tj->ij", a, a)
+    return np.einsum("ti,tj,t->ij", a, a, w)
 
 
 def run_lanes(
@@ -405,8 +406,10 @@ def run_lanes(
 
     noise (same shape as X, noisy-truncated only) is read through the same
     row index: the row a lane observes at step t also supplies its noise.
-    The lanes named in plugin accumulate the sums of plugin_update at their
-    pre-update iterates. on_step(t, lanes, theta, grad), when given, is
+    The lanes named in plugin get the sums of plugin_update at their
+    pre-update iterates: the pass records psi(x'theta) of each plug-in
+    lane-step, and each lane's sums are taken over its rows after the pass,
+    in step order. on_step(t, lanes, theta, grad), when given, is
     called before each update with the active lanes' indices, pre-update
     iterates and gradients.
     """
@@ -439,21 +442,8 @@ def run_lanes(
     slot_of = np.empty(len(plugin), dtype=np.int64)
     slot_of[by_rank] = np.arange(len(plugin))
     p_rank = np.array([rank[plugin[p]] for p in by_rank], dtype=np.int64)
-    V = np.zeros((len(plugin), d, d))
-    outer = np.empty_like(V)
-    if model_kind != ModelKind.LINEAR:
-        J = np.zeros_like(V)
-    else:
-        # The curvature sum does not depend on the iterate: one sum per
-        # distinct row range, taken before the pass.
-        shared: dict[tuple, np.ndarray] = {}
-        J_sum = []
-        for lane in plugin:
-            r = rows[lane]
-            key = (r.start, r.step, len(r))
-            if key not in shared:
-                shared[key] = _outer_sum(X, r)
-            J_sum.append(shared[key])
+    # mu_rec[slot, t - 1]: psi(x'theta) of a plug-in lane at step t.
+    mu_rec = np.empty((len(plugin), int(lengths.max(initial=0))))
     need_grad = name not in ("implicit-last", "implicit-avg") or bool(plugin) or on_step is not None
 
     p_prefix = np.array_equal(p_rank, np.arange(len(p_rank)))
@@ -491,16 +481,7 @@ def run_lanes(
                     if on_step is not None:
                         on_step(t, order[:active], th, G)
                     if n_plugin:
-                        g = G[p_sel]
-                        buf = outer[:n_plugin]
-                        np.multiply(g[:, :, None], g[:, None, :], out=buf)
-                        V[:n_plugin] += buf
-                        if model_kind == ModelKind.LOGISTIC:
-                            x = Xt[p_sel]
-                            m = mu[p_sel]
-                            np.multiply(x[:, :, None], x[:, None, :], out=buf)
-                            buf *= (m * (1.0 - m))[:, None, None]
-                            J[:n_plugin] += buf
+                        mu_rec[:n_plugin, t - 1] = mu[p_sel]
 
                     if name in ("sgd", "asgd"):
                         th -= eta * G
@@ -530,9 +511,26 @@ def run_lanes(
                 idx[:active] = at[-1] + stride[:active]
             t0 = end + 1
 
-    if model_kind != ModelKind.LINEAR:
-        J_sum = [J[slot] for slot in slot_of]
-    return LaneRun(theta=theta[rank], avg=avg[rank], J_sum=J_sum, V_sum=[V[slot] for slot in slot_of])
+        # The plug-in sums, from the recorded responses: V from the
+        # gradients (psi - y) x, J from x x' weighted by psi (1 - psi) for
+        # the logistic model. The linear J does not depend on the iterate,
+        # so lanes over the same rows share one.
+        J_sum, V_sum = [], []
+        shared: dict[tuple, np.ndarray] = {}
+        for lane, slot in zip(plugin, slot_of):
+            r = rows[lane]
+            part = slice(r.start, r.stop, r.step)
+            x = X[part]
+            m = mu_rec[slot, : len(r)]
+            V_sum.append(_ordered_outer_sum((m - y[part])[:, None] * x))
+            if model_kind == ModelKind.LINEAR:
+                key = (r.start, r.step, len(r))
+                if key not in shared:
+                    shared[key] = _ordered_outer_sum(x)
+                J_sum.append(shared[key])
+            else:
+                J_sum.append(_ordered_outer_sum(x, m * (1.0 - m)))
+    return LaneRun(theta=theta[rank], avg=avg[rank], J_sum=J_sum, V_sum=V_sum)
 
 
 def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequence[range]) -> np.ndarray:

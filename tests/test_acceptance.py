@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from streamci.cli import run_cli
-from streamci.harness import ExperimentConfig, aggregate, expansion_residual, run_grid
+from streamci.harness import ExperimentConfig, aggregate, expansion_residuals, run_grid
 from streamci.infer import hulc_batch_count, wald_offline
 from streamci.model import (
     CovarianceKind,
@@ -263,8 +263,8 @@ def test_criterion_12_expansion_residual_shrinks():
         reps=50,
         base_seed=BASE_SEED,
     )
-    med_small = float(np.median([expansion_residual(cfg, 1_000, rep) for rep in range(50)]))
-    med_large = float(np.median([expansion_residual(cfg, 10_000, rep) for rep in range(50)]))
+    med_small = float(np.median(expansion_residuals(cfg, 1_000, range(50))))
+    med_large = float(np.median(expansion_residuals(cfg, 10_000, range(50))))
     assert med_large < med_small, f"median residual {med_small} -> {med_large}"
 
 

@@ -21,7 +21,7 @@ from streamci.harness import (
     _openblas,
     _rep_chunks,
     aggregate,
-    expansion_residual,
+    expansion_residuals,
     generate_dataset,
     nonfinite_counts,
     replication_rows,
@@ -298,26 +298,38 @@ class TestExpansionResidual:
         d = 3
         data, theta_star = _noiseless_dataset(d, 60, seed=43)
         cfg = _cfg(d=d, warm_start=False, theta0=tuple(theta_star))
-        assert expansion_residual(cfg, 60, 0, data=data) == 0.0
+        assert expansion_residuals(cfg, 60, [0], data=[data]) == [0.0]
 
     def test_logistic_rejected(self):
         cfg = _cfg(model=ModelKind.LOGISTIC)
         with pytest.raises(ValueError):
-            expansion_residual(cfg, 60, 0)
+            expansion_residuals(cfg, 60, [0])
 
     def test_needs_single_step_constant(self):
         cfg = _cfg(c_grid=(0.1, 0.5))
         with pytest.raises(ValueError):
-            expansion_residual(cfg, 60, 0)
+            expansion_residuals(cfg, 60, [0])
 
     def test_injected_data_length_checked(self):
         data, _ = _noiseless_dataset(2, 50, seed=44)
         with pytest.raises(ValueError):
-            expansion_residual(_cfg(), 60, 0, data=data)
+            expansion_residuals(_cfg(), 60, [0], data=[data])
+        with pytest.raises(ValueError):
+            expansion_residuals(_cfg(), 50, [0, 1], data=[data])
 
     def test_default_stream_reproducible(self):
         cfg = _cfg()
-        assert expansion_residual(cfg, 60, 1) == expansion_residual(cfg, 60, 1)
+        assert expansion_residuals(cfg, 60, [1]) == expansion_residuals(cfg, 60, [1])
+
+    def test_lanes_match_one_replication_at_a_time(self, monkeypatch):
+        # All replications in one pass, or one chunk per replication, give
+        # the residuals of separate single-replication passes bit for bit.
+        cfg = _cfg(d=4, cov=CovarianceKind.TOEPLITZ)
+        together = expansion_residuals(cfg, 300, range(6))
+        alone = [expansion_residuals(cfg, 300, [rep])[0] for rep in range(6)]
+        monkeypatch.setattr(harness, "CHUNK_FLOATS", 2 * 300 * 4)
+        chunked = expansion_residuals(cfg, 300, range(6))
+        assert [r.hex() for r in together] == [r.hex() for r in alone] == [r.hex() for r in chunked]
 
 
 class TestCsvWriters:

@@ -27,6 +27,7 @@ from streamci.optim import (
     ConstantStep,
     PolynomialStep,
     _implicit_update,
+    _ordered_outer_sum,
     _truncate_rows,
     advance,
     gradient_truncate,
@@ -432,6 +433,30 @@ class TestRunLanes:
         assert _bits(part.avg) == _bits(run.avg[subset])
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_plugin_sums_match_reference_at_d100(self, model_kind):
+        # The property above draws d <= 6 or 20; the default grid runs the
+        # plug-in at d=100. Two plug-in lanes over different rows, named out
+        # of rank order, next to a lane without the plug-in.
+        d, n = 100, 300
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((2 * n, d)) / np.sqrt(d)
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(2 * n)
+        else:
+            y = (rng.uniform(size=2 * n) < 0.5).astype(float)
+        rows = [range(n), range(1, 2 * n, 2), range(0, 2 * n, 2)[:250]]
+        theta0 = 0.1 * rng.standard_normal((3, d))
+        sched = PolynomialStep(0.5)
+        kind = AlgorithmKind("asgd")
+        plugin = [2, 0]
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched] * 3, plugin=plugin)
+        for p, lane in enumerate(plugin):
+            state, acc = _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], sched, None, True)
+            assert _bits(run.avg[lane]) == _bits(state.avg)
+            assert _bits(run.J_sum[p]) == _bits(acc.J_sum)
+            assert _bits(run.V_sum[p]) == _bits(acc.V_sum)
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_nan_lane_fails_implicit_bisection(self, model_kind):
         # The bisection never brackets a NaN fixed point; the kernel raises
         # as the reference does, whatever the other lanes do.
@@ -452,3 +477,45 @@ class TestRunLanes:
         with pytest.raises(ValueError):
             run_lanes(AlgorithmKind("sgd"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2),
                       [PolynomialStep(0.5)], noise=np.zeros((3, 2)))
+
+
+class TestOrderedOuterSum:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 100])
+    def test_matches_sequential_loop(self, d, step, weighted):
+        """Bit for bit the per-step loop, also past a row whose products
+        overflow, rows holding inf and NaN, and a row whose products are
+        inf * 0: the non-finite entries sit at the same positions with the
+        same signs. The NaN is the one the platform's arithmetic makes, the
+        only kind a divergent lane produces."""
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((64 * step, d))[::step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a[3] *= 1e200
+            a[5, -1] = -np.inf
+            a[7, d // 2] = np.subtract(np.inf, np.inf)
+            a[9, 0], a[9, -1] = np.inf, 0.0
+            w = rng.uniform(0.0, 0.25, len(a)) if weighted else None
+            want = np.zeros((d, d))
+            for t in range(len(a)):
+                term = a[t][:, None] * a[t][None, :]
+                want += term * w[t] if weighted else term
+            got = _ordered_outer_sum(a, w)
+        assert not np.isfinite(got).all()
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 100])
+    def test_finite_rows_match_sequential_loop(self, d):
+        # Long sums of finite terms, where an unrolled or pairwise sum would
+        # round differently from the sequential one.
+        rng = np.random.default_rng(100 + d)
+        a = rng.standard_normal((1000, d))
+        w = rng.uniform(0.0, 0.25, 1000)
+        plain, weighted = np.zeros((d, d)), np.zeros((d, d))
+        for t in range(len(a)):
+            term = a[t][:, None] * a[t][None, :]
+            plain += term
+            weighted += term * w[t]
+        assert _bits(_ordered_outer_sum(a)) == _bits(plain)
+        assert _bits(_ordered_outer_sum(a, w)) == _bits(weighted)

@@ -10,7 +10,7 @@ MODULES = ("statutil", "model", "optim", "infer", "harness")
 def test_exports_resolve():
     # `import streamci` gives the harness entry points; every other name is
     # imported from its module, and each module's __all__ names only what exists.
-    assert sorted(streamci.__all__) == ["ExperimentConfig", "aggregate", "expansion_residual", "run_grid"]
+    assert sorted(streamci.__all__) == ["ExperimentConfig", "aggregate", "expansion_residuals", "run_grid"]
     for name in MODULES:
         module = importlib.import_module(f"streamci.{name}")
         for attr in getattr(module, "__all__", ()):
