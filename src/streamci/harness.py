@@ -9,17 +9,17 @@ across reruns and worker counts.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import glob
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .infer import (
     hulc_batch_count,
     hulc_interval,
     plugin_interval,
+    sandwich_inverse,
     tstat_interval,
     wald_offline,
 )
@@ -145,8 +146,7 @@ def _canonical_methods(methods: Sequence[str]) -> tuple[str, ...]:
     return tuple(m for m in METHOD_ORDER if m in seen)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     """One (replication, method, coordinate) outcome. k is 1-based. The
     covered/width/center fields are None when the method was unavailable
     (numerically singular baseline)."""
@@ -166,8 +166,7 @@ class ResultRow:
     unavailable: bool
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """Per (grid cell, method, coordinate) aggregate over replications."""
 
     model: str
@@ -208,30 +207,16 @@ def _initial_iterates(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, runs:
 def _method_rows(
     cfg: ExperimentConfig, c: float, rep: int, method: str, iv: Optional[IntervalSet], theta_star: np.ndarray
 ) -> list[ResultRow]:
-    """One row per coordinate of a method's intervals; iv None marks the
-    method unavailable in this replication."""
+    """One row per coordinate of a method's intervals, k = 1..d in order; iv
+    None marks the method unavailable in this replication."""
+    head = (cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.name, c, rep, method)
     if iv is None:
-        covered = width = center = [None] * cfg.d
-    else:
-        covered = iv.covers(theta_star).astype(int).tolist()
-        width, center = iv.width.tolist(), iv.center.tolist()
+        return [ResultRow._make(head + (k, None, None, None, True)) for k in range(1, cfg.d + 1)]
+    covered = iv.covers(theta_star).astype(int).tolist()
+    width, center = iv.width.tolist(), iv.center.tolist()
     return [
-        ResultRow(
-            model=cfg.model.value,
-            d=cfg.d,
-            t=cfg.t,
-            cov=cfg.cov.value,
-            algo=cfg.algorithm.name,
-            c=c,
-            rep=rep,
-            method=method,
-            k=k + 1,
-            covered=covered[k],
-            width=width[k],
-            center=center[k],
-            unavailable=iv is None,
-        )
-        for k in range(cfg.d)
+        ResultRow._make(head + (k, cov, w, ctr, False))
+        for k, cov, w, ctr in zip(range(1, cfg.d + 1), covered, width, center)
     ]
 
 
@@ -308,6 +293,17 @@ def _chunk_rows(
         plugin=plugin_lanes,
     )
     estimates = result.estimates(kind)
+    # Linear-model lanes over the same rows share one J_sum array (the J sum
+    # does not depend on the iterate), so every c of a replication reuses
+    # one inverse; None marks a singular J, whose plug-in rows are all
+    # unavailable.
+    j_inv: dict[int, Optional[np.ndarray]] = {}
+    for J_sum in result.J_sum:
+        if id(J_sum) not in j_inv:
+            try:
+                j_inv[id(J_sum)] = sandwich_inverse(J_sum / n)
+            except IllConditionedError:
+                j_inv[id(J_sum)] = None
 
     rows: list[ResultRow] = []
     sums = iter(zip(result.J_sum, result.V_sum))
@@ -318,11 +314,11 @@ def _chunk_rows(
                 rows += _method_rows(cfg, c, rep, "wald", wald[i], theta_star)
             if with_plugin:
                 J_sum, V_sum = next(sums)
-                center = result.avg[lane0 + plugin_run[i]]
-                try:
-                    iv = plugin_interval(J_sum, V_sum, n, center, cfg.alpha)
-                except IllConditionedError:
-                    iv = None
+                inverse = j_inv[id(J_sum)]
+                iv = None
+                if inverse is not None:
+                    center = result.avg[lane0 + plugin_run[i]]
+                    iv = plugin_interval(J_sum, V_sum, n, center, cfg.alpha, inverse)
                 rows += _method_rows(cfg, c, rep, "plugin", iv, theta_star)
             if with_buckets:
                 buckets = estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop]
@@ -336,10 +332,6 @@ def _chunk_rows(
 def replication_rows(cfg: ExperimentConfig, c: float, rep: int, data: Dataset) -> list[ResultRow]:
     """All result rows of one replication on an already-sampled dataset."""
     return _chunk_rows(cfg, [rep], data.X, data.y, [c])
-
-
-def _row_sort_key(r: ResultRow):
-    return (r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k)
 
 
 def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
@@ -449,9 +441,23 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> list[ResultR
         # with this process's count, which their rounding depends on.
         with _blas_threads(1) as wald_threads, ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             blocks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
-    rows = [row for block in blocks for row in block]
-    rows.sort(key=_row_sort_key)
+    # A task's rows come in runs of d rows, one per (c, rep, method), each in
+    # k order, so sorting the runs by their shared head sorts the rows. Runs
+    # with the same head (a repeated c or config) interleave by k, as a
+    # stable sort of the rows would.
+    runs = [
+        block[i : i + cfg.d] for (cfg, _), block in zip(chunks, blocks) for i in range(0, len(block), cfg.d)
+    ]
+    runs.sort(key=_run_head)
+    rows: list[ResultRow] = []
+    for _, same in itertools.groupby(runs, key=_run_head):
+        rows += (row for rows_k in zip(*same) for row in rows_k)
     return rows
+
+
+def _run_head(run: list[ResultRow]) -> tuple:
+    """The fields a run's rows share: all of the sort key but k."""
+    return run[0][:8]
 
 
 def _lower_median(values: list[float]) -> float:
@@ -463,36 +469,38 @@ def _lower_median(values: list[float]) -> float:
 
 def aggregate(rows: Sequence[ResultRow]) -> list[Summary]:
     """Coverage, median width, and width ratio per (grid cell, method, k)."""
-    cells: dict[tuple, dict] = {}
-    for r in rows:
-        cell_key = (r.model, r.d, r.t, r.cov, r.algo, r.c)
-        cell = cells.setdefault(cell_key, {"methods": {}, "wald_reps": set()})
-        cell["methods"].setdefault((r.method, r.k), []).append(r)
-        if r.method == "wald" and not r.unavailable:
-            cell["wald_reps"].add(r.rep)
+    # (cell, method, k) -> the covered flags and widths of its available
+    # rows; cell -> the replications with an available Wald row.
+    groups: dict[tuple, tuple[list[int], list[float]]] = {}
+    wald_reps: dict[tuple, set[int]] = {}
+    for model, d, t, cov, algo, c, rep, method, k, covered, width, _, unavailable in rows:
+        key = (model, d, t, cov, algo, c, method, k)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = ([], [])
+        if not unavailable:
+            group[0].append(covered)
+            group[1].append(width)
+            if method == "wald":
+                wald_reps.setdefault(key[:6], set()).add(rep)
 
+    wald_median = {
+        key[:6] + key[7:]: _lower_median(widths)
+        for key, (_, widths) in groups.items()
+        if key[6] == "wald" and widths
+    }
     summaries: list[Summary] = []
-    for cell_key in sorted(cells):
-        cell = cells[cell_key]
-        n_wald = len(cell["wald_reps"])
-        wald_median = {}
-        for (method, k), group in cell["methods"].items():
-            if method != "wald":
-                continue
-            widths = [g.width for g in group if not g.unavailable]
-            if widths:
-                wald_median[k] = _lower_median(widths)
-        for method, k in sorted(cell["methods"], key=lambda mk: (mk[0], mk[1])):
-            group = cell["methods"][(method, k)]
-            usable = [g for g in group if not g.unavailable]
-            coverage = sum(g.covered for g in usable) / len(usable) if usable else None
-            median_width = _lower_median([g.width for g in usable]) if usable else None
-            width_ratio = None
-            if median_width is not None and k in wald_median:
-                width_ratio = median_width / wald_median[k]
-            summaries.append(
-                Summary(*cell_key, method, k, coverage, median_width, width_ratio, n_wald)
-            )
+    for key in sorted(groups):
+        covered, widths = groups[key]
+        cell = key[:6]
+        coverage = median_width = width_ratio = None
+        if widths:
+            coverage = sum(covered) / len(covered)
+            median_width = _lower_median(widths)
+            baseline = wald_median.get(cell + key[7:])
+            if baseline is not None:
+                width_ratio = median_width / baseline
+        summaries.append(Summary._make(key + (coverage, median_width, width_ratio, len(wald_reps.get(cell, ())))))
     return summaries
 
 
@@ -564,50 +572,55 @@ def expansion_residuals(
 # Output files
 # ---------------------------------------------------------------------------
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Every CSV line is an f-string of its row's fields: a float as repr (the
+# shortest text that reads back to the same float), an int or a name as
+# itself, a missing value (None) as an empty field and a bool as 0/1. No
+# field is quoted, because none can hold a comma, quote or newline: model,
+# cov, algo and method are enum values and every other field is a number.
+
+def _opt(value: Optional[float]) -> str:
+    """A field that may be missing: "" for None, repr otherwise."""
+    return "" if value is None else repr(value)
+
+
+def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
+    """The header and the lines as one text, in one write."""
+    text = "\n".join([header, *lines, ""])
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
 
 
 def write_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RAW_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [
-                    r.model, r.d, r.t, r.cov, r.algo, _cell(r.c), r.rep, r.method, r.k,
-                    _cell(r.covered), _cell(r.width), _cell(r.center), _cell(r.unavailable),
-                ]
-            )
+    _write_csv(
+        path,
+        RAW_HEADER,
+        (
+            f"{r.model},{r.d},{r.t},{r.cov},{r.algo},{r.c!r},{r.rep},{r.method},{r.k},"
+            f"{_opt(r.covered)},{_opt(r.width)},{_opt(r.center)},{r.unavailable:d}"
+            for r in rows
+        ),
+    )
 
 
 def write_summary_csv(summaries: Sequence[Summary], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER.split(","))
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.model, s.d, s.t, s.cov, s.algo, _cell(s.c), s.method, s.k,
-                    _cell(s.coverage), _cell(s.median_width), _cell(s.width_ratio),
-                    s.n_wald_available,
-                ]
-            )
+    _write_csv(
+        path,
+        SUMMARY_HEADER,
+        (
+            f"{s.model},{s.d},{s.t},{s.cov},{s.algo},{s.c!r},{s.method},{s.k},"
+            f"{_opt(s.coverage)},{_opt(s.median_width)},{_opt(s.width_ratio)},{s.n_wald_available}"
+            for s in summaries
+        ),
+    )
 
 
 def write_residuals_csv(rows: Sequence[tuple], path: str) -> None:
     """Rows are (model, d, t, cov, algo, c, rep, residual) tuples."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESIDUAL_HEADER.split(","))
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+    _write_csv(
+        path,
+        RESIDUAL_HEADER,
+        (f"{model},{d},{t},{cov},{algo},{c!r},{rep},{residual!r}" for model, d, t, cov, algo, c, rep, residual in rows),
+    )
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "hulc_interval",
     "plugin_interval",
     "plugin_update",
+    "sandwich_inverse",
     "tstat_interval",
     "wald_offline",
 ]
@@ -136,25 +138,41 @@ def plugin_update(acc: PluginAccumulator, kind: ModelKind, theta_prev: np.ndarra
     return acc
 
 
-def _sandwich_half_width(J: np.ndarray, V: np.ndarray, t: int, alpha: float) -> np.ndarray:
-    """Half-widths z * sqrt(diag(J^-1 V J^-1) / t); raises IllConditionedError
+def sandwich_inverse(J: np.ndarray) -> np.ndarray:
+    """J^-1 through the Cholesky factor of J; raises IllConditionedError
     when J is numerically singular."""
-    lower = spd_factorize(J)
-    j_inv = spd_solve(lower, np.eye(J.shape[0]))
+    return spd_solve(spd_factorize(J), np.eye(J.shape[0]))
+
+
+def _sandwich_half_width(j_inv: np.ndarray, V: np.ndarray, t: int, alpha: float) -> np.ndarray:
+    """Half-widths z * sqrt(diag(J^-1 V J^-1) / t) from j_inv = J^-1."""
     diag = np.einsum("ij,jk,ik->i", j_inv, V, j_inv)
     z = normal_quantile(1.0 - alpha / 2.0)
     return z * np.sqrt(np.maximum(diag, 0.0) / t)
 
 
 def plugin_interval(
-    J_sum: np.ndarray, V_sum: np.ndarray, t: int, center: np.ndarray, alpha: float
+    J_sum: np.ndarray,
+    V_sum: np.ndarray,
+    t: int,
+    center: np.ndarray,
+    alpha: float,
+    j_inv: Optional[np.ndarray] = None,
 ) -> IntervalSet:
     """Sandwich interval around the averaged iterate from the streaming sums
-    of t observations (the J_sum and V_sum of a PluginAccumulator)."""
+    of t observations (the J_sum and V_sum of a PluginAccumulator).
+
+    j_inv, when given, must be sandwich_inverse(J_sum / t): intervals whose
+    runs share one J_sum (the linear model's, which does not depend on the
+    iterate) then factor it once. Raises IllConditionedError when J_sum / t
+    is numerically singular.
+    """
     if t < 1:
         raise ValueError(f"the sums must cover at least 1 observation, got t={t}")
+    if j_inv is None:
+        j_inv = sandwich_inverse(J_sum / t)
     center = np.asarray(center, dtype=float)
-    half = _sandwich_half_width(J_sum / t, V_sum / t, t, alpha)
+    half = _sandwich_half_width(j_inv, V_sum / t, t, alpha)
     return IntervalSet(center - half, center + half, center.copy())
 
 
@@ -198,5 +216,5 @@ def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
         raise ValueError(f"unsupported model kind: {kind!r}")
     Xr = X * resid[:, None]
     V = Xr.T @ Xr / t
-    half = _sandwich_half_width(J, V, t, alpha)
+    half = _sandwich_half_width(sandwich_inverse(J), V, t, alpha)
     return IntervalSet(theta_hat - half, theta_hat + half, theta_hat)

@@ -4,6 +4,7 @@ streams with known exact answers, aggregation arithmetic, and the CLI."""
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from streamci.harness import (
     SUMMARY_HEADER,
     ExperimentConfig,
     ResultRow,
+    Summary,
     _blas_threads,
     _openblas,
     _rep_chunks,
@@ -26,11 +28,14 @@ from streamci.harness import (
     nonfinite_counts,
     replication_rows,
     run_grid,
+    write_residuals_csv,
     write_rows_csv,
     write_summary_csv,
 )
 from streamci.model import CovarianceKind, Dataset, ModelKind, make_theta_star
 from streamci.optim import ALGORITHM_NAMES, AlgorithmKind
+
+INF, NAN = float("inf"), float("nan")
 
 
 def _cfg(**overrides):
@@ -145,6 +150,13 @@ class TestReplication:
         for r in rows:
             if r.unavailable:
                 assert r.covered is None and r.width is None and r.center is None
+        # Every c of the replication shares the singular J sum, so the
+        # plug-in is unavailable for each.
+        rows = harness._chunk_rows(cfg, [0], X, y, [0.5, 2.0])
+        status = {(r.c, r.method): r.unavailable for r in rows}
+        assert status == {
+            (c, method): method in ("wald", "plugin") for c in (0.5, 2.0) for method in harness.METHOD_ORDER
+        }
 
     def test_plugin_needs_averaged_sgd(self):
         cfg = _cfg(algorithm=AlgorithmKind("sgd"))
@@ -229,6 +241,25 @@ class TestRunGrid:
         assert nonfinite_counts(rows) == {"plugin": 100}
         assert not any(r.unavailable for r in rows)
 
+    def test_shared_plugin_inverse_matches_single_c_runs(self, tmp_path):
+        # The c values of a linear replication share one J sum and its
+        # inverse; each (c, rep) must get the rows of a run of that c and
+        # replication alone. c=2.0 is criterion 05's divergent step, whose
+        # plug-in intervals explode. Bytes are compared, since NaN != NaN.
+        cfg = _cfg(d=5, t=1000, c_grid=(0.1, 0.5, 2.0), reps=2)
+        single = [
+            row
+            for c in cfg.c_grid
+            for rep in range(cfg.reps)
+            for row in replication_rows(replace(cfg, c_grid=(c,)), c, rep, generate_dataset(cfg, rep))
+        ]
+        single.sort(key=lambda r: (r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k))
+        write_rows_csv(run_grid(cfg), str(tmp_path / "grid.csv"))
+        write_rows_csv(single, str(tmp_path / "single.csv"))
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+        width = {c: [r.width for r in single if r.method == "plugin" and r.c == c] for c in cfg.c_grid}
+        assert len(width[2.0]) == 10 and max(width[2.0]) > 10 * max(width[0.1])
+
     def test_accepts_bare_config(self):
         cfg = _cfg(reps=1, methods=("hulc",))
         rows = run_grid(cfg)
@@ -239,6 +270,13 @@ class TestRunGrid:
         rows = run_grid([cfg])
         keys = [(r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k) for r in rows]
         assert keys == sorted(keys)
+
+    def test_repeated_c_rows_interleave_by_k(self):
+        # A repeated c gives two runs of rows with the same (c, rep, method);
+        # they interleave by coordinate, as a stable sort of the rows does.
+        rows = run_grid([_cfg(c_grid=(0.5, 0.1, 0.5), reps=2, methods=("hulc", "wald"))])
+        keys = [(r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k) for r in rows]
+        assert keys == sorted(keys) and (len(keys), len(set(keys))) == (24, 16)
 
 
 def _row(method, rep, covered, width, *, unavailable=False, k=1):
@@ -352,6 +390,71 @@ class TestCsvWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == SUMMARY_HEADER
         assert len(lines) == 2
+
+    # Rows with special floats (NaN, +-inf, -0.0, exponent forms, the least
+    # subnormal), unavailable values and the implicit-last name. Each
+    # expected line is what the csv module wrote before the writers were
+    # hand-formatted: repr for floats, "" for None, 0/1 for bools.
+    def test_raw_special_values(self, tmp_path):
+        head = ("linear", 5, 1000, "identity", "implicit-last")
+        rows = [
+            ResultRow(*head, 2.0, 0, "plugin", 1, 0, NAN, NAN, False),
+            ResultRow(*head, 2.0, 0, "plugin", 2, 0, INF, -INF, False),
+            ResultRow("logistic", 20, 10000, "toeplitz", "implicit-last", 1e-05, 12, "tstat", 20, 1, 5e-324, -0.0,
+                      False),
+            ResultRow("logistic", 20, 10000, "toeplitz", "implicit-last", 1e16, 3, "wald", 7, None, None, None, True),
+        ]
+        path = tmp_path / "rows.csv"
+        write_rows_csv(rows, str(path))
+        assert path.read_bytes() == (
+            b"model,d,t,cov,algo,c,rep,method,k,covered,width,center,unavailable\n"
+            b"linear,5,1000,identity,implicit-last,2.0,0,plugin,1,0,nan,nan,0\n"
+            b"linear,5,1000,identity,implicit-last,2.0,0,plugin,2,0,inf,-inf,0\n"
+            b"logistic,20,10000,toeplitz,implicit-last,1e-05,12,tstat,20,1,5e-324,-0.0,0\n"
+            b"logistic,20,10000,toeplitz,implicit-last,1e+16,3,wald,7,,,,1\n"
+        )
+
+    def test_summary_special_values(self, tmp_path):
+        summaries = [
+            Summary("linear", 5, 1000, "identity", "implicit-last", 2.0, "plugin", 1, 0.0, NAN, NAN, 0),
+            Summary("linear", 5, 1000, "equicorr", "implicit-last", 1e-05, "hulc", 2, 0.95, INF, -INF, 200),
+            Summary("logistic", 20, 10000, "toeplitz", "implicit-last", 1e16, "tstat", 3, 1.0, 5e-324, -0.0, 1),
+            Summary("logistic", 20, 10000, "toeplitz", "implicit-last", 0.5, "wald", 4, None, None, None, 0),
+        ]
+        path = tmp_path / "summary.csv"
+        write_summary_csv(summaries, str(path))
+        assert path.read_bytes() == (
+            b"model,d,t,cov,algo,c,method,k,coverage,median_width,width_ratio,n_wald_available\n"
+            b"linear,5,1000,identity,implicit-last,2.0,plugin,1,0.0,nan,nan,0\n"
+            b"linear,5,1000,equicorr,implicit-last,1e-05,hulc,2,0.95,inf,-inf,200\n"
+            b"logistic,20,10000,toeplitz,implicit-last,1e+16,tstat,3,1.0,5e-324,-0.0,1\n"
+            b"logistic,20,10000,toeplitz,implicit-last,0.5,wald,4,,,,0\n"
+        )
+
+    def test_residual_special_values(self, tmp_path):
+        head = ("linear", 5, 1000, "identity", "implicit-last")
+        rows = [(*head, 1e-05, 0, NAN), (*head, 1e16, 1, INF), (*head, 0.5, 2, -0.0), (*head, 2.0, 3, 5e-324)]
+        path = tmp_path / "residuals.csv"
+        write_residuals_csv(rows, str(path))
+        assert path.read_bytes() == (
+            b"model,d,t,cov,algo,c,rep,residual\n"
+            b"linear,5,1000,identity,implicit-last,1e-05,0,nan\n"
+            b"linear,5,1000,identity,implicit-last,1e+16,1,inf\n"
+            b"linear,5,1000,identity,implicit-last,0.5,2,-0.0\n"
+            b"linear,5,1000,identity,implicit-last,2.0,3,5e-324\n"
+        )
+
+    def test_pipeline_writes_plain_numbers(self, tmp_path):
+        # Every number the harness puts in a row is a Python int or float,
+        # so no numpy scalar repr ("np.float64(...)") reaches a file.
+        rows = run_grid(_cfg(c_grid=(0.1, 0.5), reps=3))
+        write_rows_csv(rows, str(tmp_path / "rows.csv"))
+        write_summary_csv(aggregate(rows), str(tmp_path / "summary.csv"))
+        for name in ("rows.csv", "summary.csv"):
+            for line in (tmp_path / name).read_text().splitlines()[1:]:
+                for field in line.split(",")[5:]:
+                    if field not in ("", "wald", "plugin", "hulc", "tstat"):
+                        float(field)
 
 
 class TestCli:
