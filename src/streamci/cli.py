@@ -46,24 +46,19 @@ def default_c_grid(algo: str, model: str, d: int) -> list[float]:
     return list(grids["other"][model])
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+def _comma_list(convert, noun):
+    """argparse type: a non-empty comma list of convert(value)s."""
 
+    def parse(text: str) -> list:
+        try:
+            values = [convert(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {noun}, got {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+    return parse
 
 
 def _method_list(text: str) -> list[str]:
@@ -77,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--model", required=True, choices=[m.value for m in ModelKind])
     parser.add_argument("--d", required=True, type=int, help="number of coordinates incl. intercept")
-    parser.add_argument("--t", required=True, type=_int_list, help="stream length(s), comma list")
+    parser.add_argument("--t", required=True, type=_comma_list(int, "integers"), help="stream length(s), comma list")
     parser.add_argument("--cov", required=True, choices=[c.value for c in CovarianceKind])
     parser.add_argument("--algo", required=True, choices=list(ALGORITHM_NAMES))
-    parser.add_argument("--c", type=_float_list, default=None, help="step constants, comma list (default: packaged grid)")
+    parser.add_argument("--c", type=_comma_list(float, "numbers"), default=None, help="step constants, comma list (default: packaged grid)")
     parser.add_argument("--gamma", type=float, default=0.505)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=200)
@@ -134,14 +129,13 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     if args.diagnostic == "expansion-residual":
         try:
-            reps = range(cfgs[0].reps)
             residual_rows = [
                 (
                     cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.name,
                     cfg.c_grid[0], rep, residual,
                 )
                 for cfg in cfgs
-                for rep, residual in zip(reps, expansion_residuals(cfg, cfg.t, reps))
+                for rep, residual in enumerate(expansion_residuals(cfg))
             ]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

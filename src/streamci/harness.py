@@ -50,9 +50,7 @@ __all__ = [
     "Summary",
     "aggregate",
     "expansion_residuals",
-    "generate_dataset",
     "nonfinite_counts",
-    "replication_rows",
     "run_grid",
     "write_manifest",
     "write_rows_csv",
@@ -187,11 +185,18 @@ def _stream(cfg: ExperimentConfig, rep: int, role: int) -> RngStream:
     return RngStream(cfg.base_seed, rep * STREAM_SPACING + role)
 
 
-def generate_dataset(cfg: ExperimentConfig, rep: int) -> Dataset:
-    """The replication's data stream; shared by every method and c value."""
+def _sample_reps(cfg: ExperimentConfig, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The replications' data streams one after another, as (X, y): reps[i]
+    is rows i*t:(i+1)*t. Every method and c value shares them."""
     spec = cfg.model_spec()
     chol = covariance_factor(spec)
-    return sample_dataset(spec, chol, _stream(cfg, rep, ROLE_DATA), cfg.t)
+    X = np.empty((len(reps) * cfg.t, cfg.d))
+    y = np.empty(len(reps) * cfg.t)
+    for i, rep in enumerate(reps):
+        data = sample_dataset(spec, chol, _stream(cfg, rep, ROLE_DATA), cfg.t)
+        X[i * cfg.t : (i + 1) * cfg.t] = data.X
+        y[i * cfg.t : (i + 1) * cfg.t] = data.y
+    return X, y
 
 
 def _initial_iterates(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, runs: list[range]) -> np.ndarray:
@@ -225,16 +230,15 @@ def _chunk_rows(
     reps: Sequence[int],
     X: np.ndarray,
     y: np.ndarray,
-    c_grid: Sequence[float],
     wald_threads: Optional[int] = None,
 ) -> list[ResultRow]:
-    """All result rows of a chunk of replications, for every c in c_grid.
+    """All result rows of a chunk of replications, for every c in cfg.c_grid.
 
-    X and y hold the replications' datasets one after another, in equal
-    lengths. Data, warm starts, Wald intervals and HulC batch counts do not
-    depend on c, so each is computed once per replication; every (c, run)
-    pair is then one lane of a single run_lanes pass, where a run is the
-    full-stream plug-in pass or one HulC bucket.
+    X and y hold the replications' datasets as _sample_reps lays them out.
+    Data, warm starts, Wald intervals and HulC batch counts do not depend on
+    c, so each is computed once per replication; every (c, run) pair is then
+    one lane of a single run_lanes pass, where a run is the full-stream
+    plug-in pass or one HulC bucket.
 
     The Wald fits run with wald_threads BLAS threads when it is given: how
     OpenBLAS splits a matrix product over its threads changes the product's
@@ -246,7 +250,7 @@ def _chunk_rows(
     # defined only for the averaged-SGD estimator.
     with_plugin = "plugin" in cfg.methods and kind.name == "asgd"
     with_buckets = "hulc" in cfg.methods or "tstat" in cfg.methods
-    n = len(y) // len(reps)
+    n = cfg.t
     noise = np.empty_like(X) if kind.name == "noisy-truncated" else None
 
     runs: list[range] = []
@@ -279,7 +283,7 @@ def _chunk_rows(
         bucket_runs.append(range(first, len(runs)))
 
     theta0 = np.broadcast_to(_initial_iterates(cfg, X, y, runs), (len(runs), cfg.d))
-    lanes = [(c, run) for c in c_grid for run in range(len(runs))]
+    lanes = [(c, run) for c in cfg.c_grid for run in range(len(runs))]
     plugin_lanes = [i for i, (_, run) in enumerate(lanes) if run in plugin_run]
     result = run_lanes(
         kind,
@@ -307,7 +311,7 @@ def _chunk_rows(
 
     rows: list[ResultRow] = []
     sums = iter(zip(result.J_sum, result.V_sum))
-    for ci, c in enumerate(c_grid):
+    for ci, c in enumerate(cfg.c_grid):
         lane0 = ci * len(runs)
         for i, rep in enumerate(reps):
             if "wald" in cfg.methods:
@@ -318,7 +322,7 @@ def _chunk_rows(
                 iv = None
                 if inverse is not None:
                     center = result.avg[lane0 + plugin_run[i]]
-                    iv = plugin_interval(J_sum, V_sum, n, center, cfg.alpha, inverse)
+                    iv = plugin_interval(inverse, V_sum, n, center, cfg.alpha)
                 rows += _method_rows(cfg, c, rep, "plugin", iv, theta_star)
             if with_buckets:
                 buckets = estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop]
@@ -327,11 +331,6 @@ def _chunk_rows(
                 if "tstat" in cfg.methods:
                     rows += _method_rows(cfg, c, rep, "tstat", tstat_interval(buckets, cfg.alpha), theta_star)
     return rows
-
-
-def replication_rows(cfg: ExperimentConfig, c: float, rep: int, data: Dataset) -> list[ResultRow]:
-    """All result rows of one replication on an already-sampled dataset."""
-    return _chunk_rows(cfg, [rep], data.X, data.y, [c])
 
 
 def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
@@ -345,25 +344,11 @@ def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _sample_chunk(cfg: ExperimentConfig, reps: range) -> tuple[np.ndarray, np.ndarray]:
-    """The replications' datasets one after another, as (X, y)."""
-    if len(reps) == 1:
-        data = generate_dataset(cfg, reps[0])
-        return data.X, data.y
-    X = np.empty((len(reps) * cfg.t, cfg.d))
-    y = np.empty(len(reps) * cfg.t)
-    for i, rep in enumerate(reps):
-        data = generate_dataset(cfg, rep)
-        X[i * cfg.t : (i + 1) * cfg.t] = data.X
-        y[i * cfg.t : (i + 1) * cfg.t] = data.y
-    return X, y
-
-
 def _replication_task(task: tuple[ExperimentConfig, range, Optional[int]]) -> list[ResultRow]:
     """Pool task: every row of one chunk of replications, with the Wald fits
     at the given BLAS thread count (None: the current one)."""
     cfg, reps, wald_threads = task
-    return _chunk_rows(cfg, reps, *_sample_chunk(cfg, reps), cfg.c_grid, wald_threads)
+    return _chunk_rows(cfg, reps, *_sample_reps(cfg, reps), wald_threads)
 
 
 # (get, set) symbol pairs of OpenBLAS's thread count, in the builds numpy
@@ -504,19 +489,16 @@ def aggregate(rows: Sequence[ResultRow]) -> list[Summary]:
     return summaries
 
 
-def expansion_residuals(
-    cfg: ExperimentConfig, t: int, reps: Sequence[int], data: Optional[Sequence[Dataset]] = None
-) -> list[float]:
-    """Per replication, the J-norm distance between the scaled
-    averaged-iterate error and its leading martingale term over a t-step
+def expansion_residuals(cfg: ExperimentConfig, data: Optional[Dataset] = None) -> list[float]:
+    """Per replication 0..cfg.reps-1, the J-norm distance between the scaled
+    averaged-iterate error and its leading martingale term over a cfg.t-step
     linear averaged-SGD run.
 
     Accumulates xi_s = grad_s - J(theta^(s-1) - theta_star) online and
     returns || sqrt(t)(avg - theta_star) + (1/sqrt(t)) J^-1 sum xi_s ||_J.
-    The t argument overrides cfg.t so one config drives several lengths;
-    data, when given, holds one dataset per replication and replaces the
-    streams the config would generate. The replications run as the lanes of
-    run_lanes passes, a chunk of at most CHUNK_FLOATS data floats at a time.
+    data, when given, replaces the sampled streams: cfg.reps * cfg.t rows
+    laid out as _sample_reps lays them out. The replications run as the
+    lanes of one run_lanes pass per chunk of _rep_chunks.
     """
     if cfg.model != ModelKind.LINEAR:
         raise ValueError("expansion residual is defined for the linear model only")
@@ -524,34 +506,26 @@ def expansion_residuals(
         raise ValueError(f"expansion residual is defined for asgd only, not {cfg.algorithm.name!r}")
     if len(cfg.c_grid) != 1:
         raise ValueError("expansion residual needs exactly one step constant in c_grid")
-    reps = list(reps)
-    if data is not None:
-        if len(data) != len(reps):
-            raise ValueError(f"{len(reps)} replications need {len(reps)} datasets, got {len(data)}")
-        if any(len(dataset) != t for dataset in data):
-            raise ValueError(f"every dataset must hold t={t} points")
+    t = cfg.t
+    if data is not None and len(data) != cfg.reps * t:
+        raise ValueError(f"data must hold reps * t = {cfg.reps * t} points, got {len(data)}")
     spec = cfg.model_spec()
     theta_star = spec.theta_star
     hess = population_hessian(spec)
     lower = spd_factorize(hess)
-    chol = covariance_factor(spec)
     sched = PolynomialStep(cfg.c_grid[0], cfg.gamma)
-    per_chunk = max(1, CHUNK_FLOATS // (t * cfg.d))
     residuals = []
-    for lo in range(0, len(reps), per_chunk):
-        chunk = range(lo, min(lo + per_chunk, len(reps)))
+    for reps in _rep_chunks(cfg, 1):
         if data is None:
-            sets = [sample_dataset(spec, chol, _stream(cfg, reps[i], ROLE_DATA), t) for i in chunk]
+            X, y = _sample_reps(cfg, reps)
         else:
-            sets = [data[i] for i in chunk]
-        X = np.concatenate([dataset.X for dataset in sets])
-        y = np.concatenate([dataset.y for dataset in sets])
-        xi_sum = np.zeros((len(sets), cfg.d))
+            X, y = data.X[reps.start * t : reps.stop * t], data.y[reps.start * t : reps.stop * t]
+        xi_sum = np.zeros((len(reps), cfg.d))
 
         def accumulate(step, lanes, theta, grad):
             xi_sum[lanes] += grad - (hess[None] @ (theta - theta_star)[:, :, None])[:, :, 0]
 
-        rows = [range(i * t, (i + 1) * t) for i in range(len(sets))]
+        rows = [range(i * t, (i + 1) * t) for i in range(len(reps))]
         run = run_lanes(
             cfg.algorithm,
             cfg.model,
@@ -658,14 +632,14 @@ def write_manifest(
     *,
     threads: int,
     wall_clock_seconds: float,
-    rows: Sequence[ResultRow] = (),
+    rows: Sequence[ResultRow],
 ) -> None:
     from . import __version__
 
     doc = {
         "tool": "streamci",
         "version": __version__,
-        "base_seed": cfgs[0].base_seed if cfgs else 0,
+        "base_seed": cfgs[0].base_seed,
         "threads": threads,
         "wall_clock_seconds": wall_clock_seconds,
         "grid": [config_echo(cfg) for cfg in cfgs],

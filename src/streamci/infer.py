@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -151,26 +150,14 @@ def _sandwich_half_width(j_inv: np.ndarray, V: np.ndarray, t: int, alpha: float)
     return z * np.sqrt(np.maximum(diag, 0.0) / t)
 
 
-def plugin_interval(
-    J_sum: np.ndarray,
-    V_sum: np.ndarray,
-    t: int,
-    center: np.ndarray,
-    alpha: float,
-    j_inv: Optional[np.ndarray] = None,
-) -> IntervalSet:
+def plugin_interval(j_inv: np.ndarray, V_sum: np.ndarray, t: int, center: np.ndarray, alpha: float) -> IntervalSet:
     """Sandwich interval around the averaged iterate from the streaming sums
-    of t observations (the J_sum and V_sum of a PluginAccumulator).
-
-    j_inv, when given, must be sandwich_inverse(J_sum / t): intervals whose
-    runs share one J_sum (the linear model's, which does not depend on the
-    iterate) then factor it once. Raises IllConditionedError when J_sum / t
-    is numerically singular.
+    of t observations (a PluginAccumulator's), given j_inv =
+    sandwich_inverse(J_sum / t): intervals whose runs share one J_sum (the
+    linear model's, which does not depend on the iterate) factor it once.
     """
     if t < 1:
         raise ValueError(f"the sums must cover at least 1 observation, got t={t}")
-    if j_inv is None:
-        j_inv = sandwich_inverse(J_sum / t)
     center = np.asarray(center, dtype=float)
     half = _sandwich_half_width(j_inv, V_sum / t, t, alpha)
     return IntervalSet(center - half, center + half, center.copy())

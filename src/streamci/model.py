@@ -57,12 +57,8 @@ class DataPoint:
 
 
 class Dataset:
-    """Ordered stream of observations backed by dense arrays.
-
-    Behaves as a sequence of DataPoint views; slicing returns a Dataset over
-    array views, so round-robin sub-streams share storage with the parent.
-    The arrays X (T, d) and y (T,) are exposed for vectorized consumers.
-    """
+    """Ordered stream of observations backed by dense arrays X (T, d) and
+    y (T,); iterating yields one DataPoint view per observation."""
 
     __slots__ = ("X", "y")
 
@@ -76,11 +72,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.X.shape[0]
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return Dataset(self.X[idx], self.y[idx])
-        return DataPoint(self.X[idx], float(self.y[idx]))
 
     def __iter__(self):
         for i in range(len(self)):

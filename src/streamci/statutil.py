@@ -179,12 +179,12 @@ def student_t_quantile(df: float, p: float) -> float:
 # Symmetric positive definite linear algebra
 # ---------------------------------------------------------------------------
 
-def spd_factorize(a: np.ndarray, *, pivot_rtol: float = SPD_PIVOT_RTOL) -> np.ndarray:
+def spd_factorize(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L of a symmetric positive definite matrix.
 
-    Raises IllConditionedError when a pivot falls below pivot_rtol times the
-    largest diagonal entry, which covers rank deficiency, loss of positive
-    definiteness, and near-singular conditioning in one signal.
+    Raises IllConditionedError when a pivot falls below SPD_PIVOT_RTOL times
+    the largest diagonal entry, which covers rank deficiency, loss of
+    positive definiteness, and near-singular conditioning in one signal.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -196,7 +196,7 @@ def spd_factorize(a: np.ndarray, *, pivot_rtol: float = SPD_PIVOT_RTOL) -> np.nd
     max_diag = float(np.max(np.diag(a))) if n else 0.0
     if max_diag <= 0.0:
         raise IllConditionedError("matrix has no positive diagonal entry")
-    threshold = pivot_rtol * max_diag
+    threshold = SPD_PIVOT_RTOL * max_diag
     lower = np.zeros_like(a)
     for j in range(n):
         pivot = a[j, j] - lower[j, :j] @ lower[j, :j]

@@ -21,12 +21,12 @@ from streamci.harness import (
     Summary,
     _blas_threads,
     _openblas,
+    _chunk_rows,
     _rep_chunks,
+    _sample_reps,
     aggregate,
     expansion_residuals,
-    generate_dataset,
     nonfinite_counts,
-    replication_rows,
     run_grid,
     write_residuals_csv,
     write_rows_csv,
@@ -114,7 +114,7 @@ class TestReplication:
         d = 3
         data, theta_star = _noiseless_dataset(d, 60, seed=41)
         cfg = _cfg(d=d, warm_start=False, theta0=tuple(theta_star))
-        rows = replication_rows(cfg, 0.5, 0, data)
+        rows = _chunk_rows(cfg, [0], data.X, data.y)
         by_method = {}
         for r in rows:
             by_method.setdefault(r.method, []).append(r)
@@ -128,23 +128,23 @@ class TestReplication:
 
     def test_replication_is_deterministic(self):
         cfg = _cfg()
-        first = replication_rows(cfg, 0.5, 3, generate_dataset(cfg, 3))
-        assert first == replication_rows(cfg, 0.5, 3, generate_dataset(cfg, 3))
+        first = _chunk_rows(cfg, [3], *_sample_reps(cfg, [3]))
+        assert first == _chunk_rows(cfg, [3], *_sample_reps(cfg, [3]))
 
     def test_dataset_keyed_by_rep_not_c(self):
         cfg = _cfg(c_grid=(0.1, 0.9))
-        a = generate_dataset(cfg, 1)
-        b = generate_dataset(cfg, 1)
-        other = generate_dataset(cfg, 2)
-        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-        assert not np.array_equal(a.X, other.X)
+        a = _sample_reps(cfg, [1])
+        b = _sample_reps(cfg, [1])
+        other = _sample_reps(cfg, [2])
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert not np.array_equal(a[0], other[0])
 
     def test_collinear_stream_marks_sandwiches_unavailable(self):
         n = 60
         X = np.ones((n, 2))
         y = np.random.default_rng(42).standard_normal(n)
         cfg = _cfg()
-        rows = replication_rows(cfg, 0.5, 0, Dataset(X, y))
+        rows = _chunk_rows(cfg, [0], X, y)
         status = {r.method: r.unavailable for r in rows}
         assert status == {"wald": True, "plugin": True, "hulc": False, "tstat": False}
         for r in rows:
@@ -152,7 +152,7 @@ class TestReplication:
                 assert r.covered is None and r.width is None and r.center is None
         # Every c of the replication shares the singular J sum, so the
         # plug-in is unavailable for each.
-        rows = harness._chunk_rows(cfg, [0], X, y, [0.5, 2.0])
+        rows = _chunk_rows(replace(cfg, c_grid=(0.5, 2.0)), [0], X, y)
         status = {(r.c, r.method): r.unavailable for r in rows}
         assert status == {
             (c, method): method in ("wald", "plugin") for c in (0.5, 2.0) for method in harness.METHOD_ORDER
@@ -160,7 +160,7 @@ class TestReplication:
 
     def test_plugin_needs_averaged_sgd(self):
         cfg = _cfg(algorithm=AlgorithmKind("sgd"))
-        rows = replication_rows(cfg, 0.5, 0, generate_dataset(cfg, 0))
+        rows = _chunk_rows(cfg, [0], *_sample_reps(cfg, [0]))
         assert "plugin" not in {r.method for r in rows}
 
 
@@ -251,7 +251,7 @@ class TestRunGrid:
             row
             for c in cfg.c_grid
             for rep in range(cfg.reps)
-            for row in replication_rows(replace(cfg, c_grid=(c,)), c, rep, generate_dataset(cfg, rep))
+            for row in _chunk_rows(replace(cfg, c_grid=(c,)), [rep], *_sample_reps(cfg, [rep]))
         ]
         single.sort(key=lambda r: (r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k))
         write_rows_csv(run_grid(cfg), str(tmp_path / "grid.csv"))
@@ -335,38 +335,42 @@ class TestExpansionResidual:
     def test_noiseless_run_is_exactly_zero(self):
         d = 3
         data, theta_star = _noiseless_dataset(d, 60, seed=43)
-        cfg = _cfg(d=d, warm_start=False, theta0=tuple(theta_star))
-        assert expansion_residuals(cfg, 60, [0], data=[data]) == [0.0]
+        cfg = _cfg(d=d, warm_start=False, theta0=tuple(theta_star), reps=1)
+        assert expansion_residuals(cfg, data=data) == [0.0]
 
     def test_logistic_rejected(self):
         cfg = _cfg(model=ModelKind.LOGISTIC)
         with pytest.raises(ValueError):
-            expansion_residuals(cfg, 60, [0])
+            expansion_residuals(cfg)
 
     def test_needs_single_step_constant(self):
         cfg = _cfg(c_grid=(0.1, 0.5))
         with pytest.raises(ValueError):
-            expansion_residuals(cfg, 60, [0])
+            expansion_residuals(cfg)
 
     def test_injected_data_length_checked(self):
         data, _ = _noiseless_dataset(2, 50, seed=44)
         with pytest.raises(ValueError):
-            expansion_residuals(_cfg(), 60, [0], data=[data])
+            expansion_residuals(_cfg(reps=1), data=data)
+        data, _ = _noiseless_dataset(2, 60, seed=44)
         with pytest.raises(ValueError):
-            expansion_residuals(_cfg(), 50, [0, 1], data=[data])
+            expansion_residuals(_cfg(reps=2), data=data)
 
     def test_default_stream_reproducible(self):
         cfg = _cfg()
-        assert expansion_residuals(cfg, 60, [1]) == expansion_residuals(cfg, 60, [1])
+        assert expansion_residuals(cfg) == expansion_residuals(cfg)
 
     def test_lanes_match_one_replication_at_a_time(self, monkeypatch):
-        # All replications in one pass, or one chunk per replication, give
+        # All replications in one pass, or two replications per chunk, give
         # the residuals of separate single-replication passes bit for bit.
-        cfg = _cfg(d=4, cov=CovarianceKind.TOEPLITZ)
-        together = expansion_residuals(cfg, 300, range(6))
-        alone = [expansion_residuals(cfg, 300, [rep])[0] for rep in range(6)]
-        monkeypatch.setattr(harness, "CHUNK_FLOATS", 2 * 300 * 4)
-        chunked = expansion_residuals(cfg, 300, range(6))
+        cfg = _cfg(d=4, t=300, cov=CovarianceKind.TOEPLITZ, reps=6)
+        together = expansion_residuals(cfg)
+        monkeypatch.setattr(harness, "CHUNK_FLOATS", 1)
+        alone = expansion_residuals(cfg)
+        # A replication's share of the chunk bound: t*d data floats and the
+        # t + 2*d*d floats of its one c value.
+        monkeypatch.setattr(harness, "CHUNK_FLOATS", 2 * (300 * 4 + 300 + 2 * 4 * 4))
+        chunked = expansion_residuals(cfg)
         assert [r.hex() for r in together] == [r.hex() for r in alone] == [r.hex() for r in chunked]
 
 

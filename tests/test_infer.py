@@ -19,6 +19,7 @@ from streamci.infer import (
     hulc_interval,
     plugin_interval,
     plugin_update,
+    sandwich_inverse,
     tstat_interval,
     wald_offline,
 )
@@ -186,7 +187,7 @@ class TestPlugin:
         """plugin_interval on the sums of t observations with means J and V."""
         J_sum = np.asarray(J, dtype=float) * t
         V_sum = np.asarray(V, dtype=float) * t
-        return plugin_interval(J_sum, V_sum, t, center, 0.05)
+        return plugin_interval(sandwich_inverse(J_sum / t), V_sum, t, center, 0.05)
 
     def test_pinned_half_width(self):
         # z * sqrt(J^-1 V J^-1 / t) = 1.959964 * sqrt(0.5 * 4 * 0.5 / 100).
@@ -210,7 +211,7 @@ class TestPlugin:
     def test_empty_accumulator_raises(self):
         acc = PluginAccumulator(1)
         with pytest.raises(ValueError):
-            plugin_interval(acc.J_sum, acc.V_sum, acc.t, np.zeros(1), 0.05)
+            plugin_interval(np.eye(1), acc.V_sum, acc.t, np.zeros(1), 0.05)
 
 
 class TestWaldOffline:

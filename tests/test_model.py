@@ -98,10 +98,6 @@ class TestSampling:
         X = np.arange(12.0).reshape(6, 2)
         X[:, 0] = 1.0
         data = Dataset(X, np.arange(6.0))
-        sub = data[1::3]
-        assert len(sub) == 2 and np.shares_memory(sub.X, X)
-        point = data[4]
-        assert isinstance(point, DataPoint) and point.y == 4.0
         assert len(list(iter(data))) == 6
 
     def test_dataset_shape_mismatch(self):
