@@ -61,10 +61,6 @@ def _comma_list(convert, noun):
     return parse
 
 
-def _method_list(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamci",
@@ -80,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0, help="base seed (uint64)")
-    parser.add_argument("--methods", type=_method_list, default=["wald", "plugin", "hulc", "tstat"])
+    parser.add_argument("--methods", type=_comma_list(str.strip, "method names"), default=["wald", "plugin", "hulc", "tstat"])
     parser.add_argument("--no-warm-start", action="store_true")
     parser.add_argument("--out", required=True, help="raw result CSV path")
     parser.add_argument("--summary", default=None, help="summary CSV path (default: <out stem>_summary.csv)")
@@ -131,7 +127,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         try:
             residual_rows = [
                 (
-                    cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.name,
+                    cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.value,
                     cfg.c_grid[0], rep, residual,
                 )
                 for cfg in cfgs

@@ -41,7 +41,7 @@ from .model import (
     population_hessian,
     sample_dataset,
 )
-from .optim import AlgorithmKind, PolynomialStep, run_lanes, warm_lanes
+from .optim import NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes, warm_lanes
 from .statutil import IllConditionedError, RngStream, spd_factorize, spd_solve
 
 __all__ = [
@@ -67,7 +67,6 @@ RESIDUAL_HEADER = "model,d,t,cov,algo,c,rep,residual"
 # so streams depend only on (base_seed, rep, role), never on scheduling.
 ROLE_DATA = 0
 ROLE_HULC_U = 1
-ROLE_NOISE_FULL = 2
 ROLE_NOISE_BUCKET = 8  # + bucket index
 STREAM_SPACING = 1 << 20
 
@@ -103,8 +102,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", ModelKind(self.model))
         object.__setattr__(self, "cov", CovarianceKind(self.cov))
-        if isinstance(self.algorithm, str):
-            object.__setattr__(self, "algorithm", AlgorithmKind(self.algorithm))
+        object.__setattr__(self, "algorithm", AlgorithmKind(self.algorithm))
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
         object.__setattr__(self, "methods", _canonical_methods(self.methods))
         if self.theta0 is not None:
@@ -214,7 +212,7 @@ def _method_rows(
 ) -> list[ResultRow]:
     """One row per coordinate of a method's intervals, k = 1..d in order; iv
     None marks the method unavailable in this replication."""
-    head = (cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.name, c, rep, method)
+    head = (cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.value, c, rep, method)
     if iv is None:
         return [ResultRow._make(head + (k, None, None, None, True)) for k in range(1, cfg.d + 1)]
     covered = iv.covers(theta_star).astype(int).tolist()
@@ -248,10 +246,10 @@ def _chunk_rows(
     kind = cfg.algorithm
     # The plug-in interval follows the single full-stream averaged pass; it is
     # defined only for the averaged-SGD estimator.
-    with_plugin = "plugin" in cfg.methods and kind.name == "asgd"
+    with_plugin = "plugin" in cfg.methods and kind == AlgorithmKind.ASGD
     with_buckets = "hulc" in cfg.methods or "tstat" in cfg.methods
     n = cfg.t
-    noise = np.empty_like(X) if kind.name == "noisy-truncated" else None
+    noise = np.empty_like(X) if kind == AlgorithmKind.NOISY_TRUNCATED else None
 
     runs: list[range] = []
     plugin_run: list[Optional[int]] = []
@@ -292,7 +290,8 @@ def _chunk_rows(
         y,
         [runs[run] for _, run in lanes],
         theta0[[run for _, run in lanes]],
-        [PolynomialStep(c, cfg.gamma) for c, _ in lanes],
+        [c for c, _ in lanes],
+        cfg.gamma,
         noise=noise,
         plugin=plugin_lanes,
     )
@@ -502,8 +501,8 @@ def expansion_residuals(cfg: ExperimentConfig, data: Optional[Dataset] = None) -
     """
     if cfg.model != ModelKind.LINEAR:
         raise ValueError("expansion residual is defined for the linear model only")
-    if cfg.algorithm.name != "asgd":
-        raise ValueError(f"expansion residual is defined for asgd only, not {cfg.algorithm.name!r}")
+    if cfg.algorithm != AlgorithmKind.ASGD:
+        raise ValueError(f"expansion residual is defined for asgd only, not {cfg.algorithm.value!r}")
     if len(cfg.c_grid) != 1:
         raise ValueError("expansion residual needs exactly one step constant in c_grid")
     t = cfg.t
@@ -513,7 +512,6 @@ def expansion_residuals(cfg: ExperimentConfig, data: Optional[Dataset] = None) -
     theta_star = spec.theta_star
     hess = population_hessian(spec)
     lower = spd_factorize(hess)
-    sched = PolynomialStep(cfg.c_grid[0], cfg.gamma)
     residuals = []
     for reps in _rep_chunks(cfg, 1):
         if data is None:
@@ -533,7 +531,8 @@ def expansion_residuals(cfg: ExperimentConfig, data: Optional[Dataset] = None) -
             y,
             rows,
             _initial_iterates(cfg, X, y, rows),
-            [sched] * len(rows),
+            [cfg.c_grid[0]] * len(rows),
+            cfg.gamma,
             on_step=accumulate,
         )
         for avg, xi in zip(run.avg, xi_sum):
@@ -603,10 +602,10 @@ def config_echo(cfg: ExperimentConfig) -> dict:
         "d": cfg.d,
         "t": cfg.t,
         "cov": cfg.cov.value,
-        "algo": cfg.algorithm.name,
-        "eps2": cfg.algorithm.eps2,
-        "sigma": cfg.algorithm.sigma,
-        "beta": cfg.algorithm.beta,
+        "algo": cfg.algorithm.value,
+        "eps2": TRUNCATION_EPS2,
+        "sigma": NOISE_SIGMA,
+        "beta": NOISE_BETA,
         "c_grid": list(cfg.c_grid),
         "gamma": cfg.gamma,
         "alpha": cfg.alpha,

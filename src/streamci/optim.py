@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,11 +24,12 @@ from .statutil import IllConditionedError, RngStream
 __all__ = [
     "ALGORITHM_NAMES",
     "AlgorithmKind",
-    "ConstantStep",
     "LaneRun",
+    "NOISE_BETA",
+    "NOISE_SIGMA",
     "OptimizerState",
     "PolynomialStep",
-    "StepSchedule",
+    "TRUNCATION_EPS2",
     "WARM_START_STEP",
     "advance",
     "gradient_truncate",
@@ -40,6 +42,14 @@ __all__ = [
 # Fixed step size of the SGD burn-in used to initialize every algorithm.
 WARM_START_STEP = 0.001
 
+# Squared truncation level of the truncated variants: the truncation drops
+# at most this fraction of the squared gradient norm.
+TRUNCATION_EPS2 = 0.64
+# Scale and decay exponent of noisy-truncated's injected Gaussian noise: the
+# noise step is NOISE_SIGMA * eta ** (1/2 + NOISE_BETA).
+NOISE_SIGMA = 1.0
+NOISE_BETA = 0.25
+
 # Bound, in floats, on the rows run_lanes gathers for a block of steps.
 BLOCK_FLOATS = 1 << 14
 
@@ -48,29 +58,11 @@ BLOCK_FLOATS = 1 << 14
 IMPLICIT_MAX_ITER = 200
 IMPLICIT_TOL = 1.0e-13
 
-ALGORITHM_NAMES = (
-    "sgd",
-    "asgd",
-    "implicit-last",
-    "implicit-avg",
-    "root",
-    "truncated",
-    "noisy-truncated",
-)
-
-
-@dataclass(frozen=True)
-class ConstantStep:
-    eta: float
-
-    def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-
 
 @dataclass(frozen=True)
 class PolynomialStep:
-    """Step size c * t**(-gamma); gamma in (1/2, 1) for root-T averaging."""
+    """Step size c * t**(-gamma): gamma in (1/2, 1) for root-T averaging,
+    gamma = 0 for a constant step c."""
 
     c: float
     gamma: float = 0.505
@@ -78,52 +70,35 @@ class PolynomialStep:
     def __post_init__(self) -> None:
         if self.c <= 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if not 0.5 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0.5, 1), got {self.gamma}")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
 
-StepSchedule = ConstantStep | PolynomialStep
-
-
-def step_size(sched: StepSchedule, t: int) -> float:
+def step_size(sched: PolynomialStep, t: int) -> float:
     """Step size at step t (1-based)."""
     if t < 1:
         raise ValueError(f"t must be at least 1, got {t}")
-    if isinstance(sched, ConstantStep):
-        return sched.eta
-    if isinstance(sched, PolynomialStep):
-        return sched.c * float(t) ** (-sched.gamma)
-    raise TypeError(f"unsupported schedule: {sched!r}")
+    return sched.c * float(t) ** (-sched.gamma)
 
 
-@dataclass(frozen=True)
-class AlgorithmKind:
-    """Algorithm tag plus the hyperparameters of the truncated variants.
+class AlgorithmKind(str, Enum):
+    """The stream algorithms, by their CLI names."""
 
-    eps2 is the squared truncation level: the truncation drops at most an
-    eps2 fraction of the squared gradient norm. sigma scales the injected
-    Gaussian noise and beta its decay exponent (step ~ eta^(1/2 + beta)).
-    """
-
-    name: str
-    eps2: float = 0.64
-    sigma: float = 1.0
-    beta: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.name not in ALGORITHM_NAMES:
-            raise ValueError(f"unknown algorithm {self.name!r}; expected one of {ALGORITHM_NAMES}")
-        if not 0.0 < self.eps2 <= 1.0:
-            raise ValueError(f"eps2 must lie in (0, 1], got {self.eps2}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not 0.0 < self.beta <= 0.5:
-            raise ValueError(f"beta must lie in (0, 0.5], got {self.beta}")
+    SGD = "sgd"
+    ASGD = "asgd"
+    IMPLICIT_LAST = "implicit-last"
+    IMPLICIT_AVG = "implicit-avg"
+    ROOT = "root"
+    TRUNCATED = "truncated"
+    NOISY_TRUNCATED = "noisy-truncated"
 
     @property
     def averaged(self) -> bool:
         """Whether the run's estimate is the running average of iterates."""
-        return self.name in ("asgd", "implicit-avg")
+        return self in (AlgorithmKind.ASGD, AlgorithmKind.IMPLICIT_AVG)
+
+
+ALGORITHM_NAMES = tuple(kind.value for kind in AlgorithmKind)
 
 
 @dataclass
@@ -140,11 +115,11 @@ class OptimizerState:
 
 
 def _check_rng(kind: AlgorithmKind, rng: Optional[RngStream]) -> None:
-    if kind.name == "noisy-truncated":
+    if kind == AlgorithmKind.NOISY_TRUNCATED:
         if rng is None:
             raise ValueError("noisy-truncated requires an rng for its injected noise")
     elif rng is not None:
-        raise ValueError(f"rng is only consumed by noisy-truncated, not {kind.name!r}")
+        raise ValueError(f"rng is only consumed by noisy-truncated, not {kind.value!r}")
 
 
 def init_state(kind: AlgorithmKind, theta0: np.ndarray, *, rng: Optional[RngStream] = None) -> OptimizerState:
@@ -278,13 +253,13 @@ def _implicit_steps(
     return out
 
 
-def advance(state: OptimizerState, sched: StepSchedule, model_kind: ModelKind, p: DataPoint) -> OptimizerState:
+def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind, p: DataPoint) -> OptimizerState:
     """Apply exactly one update of state.kind for observation p, in place."""
     t = state.t + 1
     eta = step_size(sched, t)
     x, y = p.x, p.y
     theta = state.theta
-    name = state.kind.name
+    name = state.kind.value
 
     if name in ("sgd", "asgd"):
         theta_new = theta - eta * _grad_xy(model_kind, theta, x, y)
@@ -300,12 +275,12 @@ def advance(state: OptimizerState, sched: StepSchedule, model_kind: ModelKind, p
         state.prev_theta = theta
         theta_new = theta - eta * v
     elif name == "truncated":
-        _, g_trunc = gradient_truncate(_grad_xy(model_kind, theta, x, y), state.kind.eps2)
+        _, g_trunc = gradient_truncate(_grad_xy(model_kind, theta, x, y), TRUNCATION_EPS2)
         theta_new = theta - eta * g_trunc
     elif name == "noisy-truncated":
-        _, g_trunc = gradient_truncate(_grad_xy(model_kind, theta, x, y), state.kind.eps2)
+        _, g_trunc = gradient_truncate(_grad_xy(model_kind, theta, x, y), TRUNCATION_EPS2)
         noise = state.rng.standard_normal(theta.shape[0])
-        theta_new = theta - eta * g_trunc + (state.kind.sigma * eta ** (0.5 + state.kind.beta)) * noise
+        theta_new = theta - eta * g_trunc + (NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)) * noise
     else:
         raise ValueError(f"unknown algorithm {name!r}")
 
@@ -390,7 +365,8 @@ def run_lanes(
     y: np.ndarray,
     rows: Sequence[range],
     theta0: np.ndarray,
-    scheds: Sequence[StepSchedule],
+    c: Sequence[float],
+    gamma: float,
     *,
     noise: Optional[np.ndarray] = None,
     plugin: Sequence[int] = (),
@@ -399,9 +375,10 @@ def run_lanes(
     """Advance independent runs ("lanes") of one algorithm in lockstep over t.
 
     Lane l starts at theta0[l] (or a shared (d,) theta0), steps with
-    scheds[l], and reads observations X[i], y[i] for i in rows[l] in order,
-    so a round-robin bucket is a strided range over its replication's rows
-    and no data is copied per lane. Every lane's arithmetic is that of
+    eta_t = c[l] * t**(-gamma) (gamma = 0: the constant step c[l]), and
+    reads observations X[i], y[i] for i in rows[l] in order, so a
+    round-robin bucket is a strided range over its replication's rows and
+    no data is copied per lane. Every lane's arithmetic is that of
     init_state + advance, bit for bit, whatever the number of lanes.
 
     noise (same shape as X, noisy-truncated only) is read through the same
@@ -413,12 +390,12 @@ def run_lanes(
     called before each update with the active lanes' indices, pre-update
     iterates and gradients.
     """
-    name = kind.name
+    name = kind.value
     if (noise is None) == (name == "noisy-truncated"):
         raise ValueError("noise is required by noisy-truncated and consumed by nothing else")
     n_lanes = len(rows)
-    if len(scheds) != n_lanes:
-        raise ValueError(f"{n_lanes} lanes need {n_lanes} schedules, got {len(scheds)}")
+    if len(c) != n_lanes:
+        raise ValueError(f"{n_lanes} lanes need {n_lanes} step constants, got {len(c)}")
     d = X.shape[1]
     # Longest lanes first, so the lanes still running at step t are a prefix.
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
@@ -430,9 +407,10 @@ def run_lanes(
     stride = np.array([rows[i].step for i in order], dtype=np.int64)
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (n_lanes, d))[order])
     avg = np.zeros_like(theta)
-    unique: dict[StepSchedule, int] = {}
-    lane_sched = np.array([[unique.setdefault(scheds[i], len(unique))] for i in order], dtype=np.int64)
-    unique_scheds = list(unique)
+    # The distinct step constants, and each lane's index into them.
+    unique: dict[float, int] = {}
+    lane_c = np.array([[unique.setdefault(c[i], len(unique))] for i in order], dtype=np.int64)
+    cs = list(unique)
     if name == "root":
         v = np.zeros_like(theta)
         prev = theta.copy()
@@ -447,7 +425,7 @@ def run_lanes(
     need_grad = name not in ("implicit-last", "implicit-avg") or bool(plugin) or on_step is not None
 
     p_prefix = np.array_equal(p_rank, np.arange(len(p_rank)))
-    single = len(unique_scheds) == 1
+    single = len(cs) == 1
     t0 = 1
     # Divergent lanes overflow to inf and NaN; they stay in the results, where
     # the harness counts them.
@@ -459,7 +437,7 @@ def run_lanes(
             n_plugin = int(np.count_nonzero(p_rank < active))
             p_sel = slice(0, n_plugin) if p_prefix else p_rank[:n_plugin]
             th, av = theta[:active], avg[:active]
-            lane_col = lane_sched[:active]
+            lane_col = lane_c[:active]
             # Rows are gathered a block of steps at a time: X_b[k] holds what
             # the running lanes read at step first + k.
             block = max(1, BLOCK_FLOATS // (active * d))
@@ -470,10 +448,13 @@ def run_lanes(
                 noise_b = noise[at] if noise is not None else None
                 for k, t in enumerate(steps):
                     Xt, yt = X_b[k], y_b[k]
+                    # One Python ** per step (numpy's rounds differently),
+                    # times each distinct c: step_size's arithmetic.
+                    decay = float(t) ** -gamma
                     if single:
-                        eta = step_size(unique_scheds[0], t)
+                        eta = cs[0] * decay
                     else:
-                        etas = [step_size(sched, t) for sched in unique_scheds]
+                        etas = [c_j * decay for c_j in cs]
                         eta = np.array(etas)[lane_col]
                     if need_grad:
                         mu = _mean_responses(model_kind, Xt, th)
@@ -500,12 +481,12 @@ def run_lanes(
                         prev[:active] = th
                         th -= eta * v[:active]
                     elif name == "truncated":
-                        th -= eta * _truncate_rows(G, kind.eps2)
+                        th -= eta * _truncate_rows(G, TRUNCATION_EPS2)
                     else:
-                        scale = kind.sigma * eta ** (0.5 + kind.beta) if single else np.array(
-                            [kind.sigma * e ** (0.5 + kind.beta) for e in etas]
+                        scale = NOISE_SIGMA * eta ** (0.5 + NOISE_BETA) if single else np.array(
+                            [NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in etas]
                         )[lane_col]
-                        th[...] = th - eta * _truncate_rows(G, kind.eps2) + scale * noise_b[k]
+                        th[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_b[k]
                     av *= 1.0 - 1.0 / t
                     av += th / t
                 idx[:active] = at[-1] + stride[:active]
@@ -536,6 +517,5 @@ def run_lanes(
 def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequence[range]) -> np.ndarray:
     """Fixed-step SGD burn-in from the origin for every lane; (L, d) iterates.
     A lane with no rows stays at the origin."""
-    sched = ConstantStep(WARM_START_STEP)
     zeros = np.zeros(X.shape[1])
-    return run_lanes(AlgorithmKind("sgd"), model_kind, X, y, rows, zeros, [sched] * len(rows)).theta
+    return run_lanes(AlgorithmKind.SGD, model_kind, X, y, rows, zeros, [WARM_START_STEP] * len(rows), 0.0).theta

@@ -520,6 +520,25 @@ class TestCli:
         assert lines[0] == RESIDUAL_HEADER and len(lines) == 3
         assert float(lines[1].split(",")[-1]) > 0.0
 
+    def test_algorithm_value_reaches_manifest_and_residuals(self, tmp_path):
+        # The CSVs the byte fixtures compare do not reach these two outputs;
+        # both must carry the algorithm's CLI name, never its enum name.
+        out = tmp_path / "rows.csv"
+        argv = self._argv(out, methods="hulc")
+        argv[argv.index("asgd")] = "noisy-truncated"
+        assert run_cli(argv) == EXIT_OK
+        grid = json.loads((tmp_path / "rows.csv.manifest.json").read_text())["grid"][0]
+        assert [grid[k] for k in ("algo", "eps2", "sigma", "beta")] == ["noisy-truncated", 0.64, 1.0, 0.25]
+        resid = tmp_path / "resid.csv"
+        assert run_cli(self._argv(resid, diagnostic="expansion-residual")) == EXIT_OK
+        algo = RESIDUAL_HEADER.split(",").index("algo")
+        rows = resid.read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(row.split(",")[algo] == "asgd" for row in rows)
+
+    def test_empty_methods_exits_config(self, tmp_path, capsys):
+        assert run_cli(self._argv(tmp_path / "x.csv", methods="")) == EXIT_CONFIG
+        assert "expected at least one value" in capsys.readouterr().err
+
     def test_diagnostic_rejects_logistic(self, tmp_path, capsys):
         argv = self._argv(tmp_path / "x.csv", diagnostic="expansion-residual")
         argv[argv.index("linear")] = "logistic"

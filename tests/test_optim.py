@@ -22,9 +22,10 @@ from streamci.model import (
 from streamci.infer import PluginAccumulator, plugin_update
 from streamci.optim import (
     ALGORITHM_NAMES,
+    NOISE_BETA,
+    NOISE_SIGMA,
     WARM_START_STEP,
     AlgorithmKind,
-    ConstantStep,
     PolynomialStep,
     _implicit_update,
     _ordered_outer_sum,
@@ -52,18 +53,18 @@ class TestStepSize:
         assert step_size(PolynomialStep(0.5, 0.505), 100) == pytest.approx(0.048862, abs=1e-6)
 
     def test_constant(self):
-        assert step_size(ConstantStep(0.01), 12345) == 0.01
+        assert step_size(PolynomialStep(0.01, 0.0), 12345) == 0.01
 
     def test_step_index_positive(self):
         with pytest.raises(ValueError):
-            step_size(ConstantStep(0.1), 0)
+            step_size(PolynomialStep(0.1, 0.0), 0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_constant_validation(self, bad):
         with pytest.raises(ValueError):
-            ConstantStep(bad)
+            PolynomialStep(bad, 0.0)
 
-    @pytest.mark.parametrize("c,gamma", [(0.0, 0.505), (1.0, 0.5), (1.0, 1.0), (1.0, 1.5)])
+    @pytest.mark.parametrize("c,gamma", [(0.0, 0.505), (1.0, -0.5), (1.0, 1.0), (1.0, 1.5)])
     def test_polynomial_validation(self, c, gamma):
         with pytest.raises(ValueError):
             PolynomialStep(c, gamma)
@@ -72,7 +73,7 @@ class TestStepSize:
 class TestAlgorithmKind:
     def test_all_names_construct(self):
         for name in ALGORITHM_NAMES:
-            assert AlgorithmKind(name).name == name
+            assert AlgorithmKind(name).value == name
 
     def test_averaged_flag(self):
         averaged = {name for name in ALGORITHM_NAMES if AlgorithmKind(name).averaged}
@@ -81,14 +82,6 @@ class TestAlgorithmKind:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             AlgorithmKind("adam")
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"eps2": 0.0}, {"eps2": 1.5}, {"sigma": 0.0}, {"beta": 0.0}, {"beta": 0.6}],
-    )
-    def test_hyperparameter_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            AlgorithmKind("truncated", **kwargs)
 
 
 class TestInitState:
@@ -123,7 +116,7 @@ class TestWarmStart:
 class TestAdvancePinned:
     def test_sgd_single_step(self):
         state = init_state(AlgorithmKind("sgd"), np.zeros(1))
-        advance(state, ConstantStep(0.5), ModelKind.LINEAR, DataPoint(np.array([1.0]), 1.0))
+        advance(state, PolynomialStep(0.5, 0.0), ModelKind.LINEAR, DataPoint(np.array([1.0]), 1.0))
         assert_allclose(state.theta, [0.5])
         assert_allclose(state.avg, [0.5])
         assert state.t == 1
@@ -131,15 +124,15 @@ class TestAdvancePinned:
     def test_implicit_single_step(self):
         # (1 + eta x x')^{-1} (theta + eta y x) = 1/2 for theta=1, y=0, eta=1.
         state = init_state(AlgorithmKind("implicit-last"), np.ones(1))
-        advance(state, ConstantStep(1.0), ModelKind.LINEAR, DataPoint(np.array([1.0]), 0.0))
+        advance(state, PolynomialStep(1.0, 0.0), ModelKind.LINEAR, DataPoint(np.array([1.0]), 0.0))
         assert_allclose(state.theta, [0.5], atol=1e-12)
 
     def test_root_first_step_matches_sgd(self):
         p = DataPoint(np.array([1.0, -2.0]), 0.7)
         root = init_state(AlgorithmKind("root"), np.array([0.3, 0.1]))
         sgd = init_state(AlgorithmKind("sgd"), np.array([0.3, 0.1]))
-        advance(root, ConstantStep(0.2), ModelKind.LINEAR, p)
-        advance(sgd, ConstantStep(0.2), ModelKind.LINEAR, p)
+        advance(root, PolynomialStep(0.2, 0.0), ModelKind.LINEAR, p)
+        advance(sgd, PolynomialStep(0.2, 0.0), ModelKind.LINEAR, p)
         assert_array_equal(root.theta, sgd.theta)
         assert_array_equal(root.v, loss_grad(ModelKind.LINEAR, np.array([0.3, 0.1]), p))
 
@@ -292,8 +285,8 @@ class TestAveraging:
         noisy = name == "noisy-truncated"
         # One block of draws equals one draw of d per step (the stream is prefix stable).
         noise = RngStream(25, 9).standard_normal(data.X.shape) if noisy else None
-        run = run_lanes(kind, ModelKind.LINEAR, data.X, data.y, [range(len(data))], np.zeros(2), [sched],
-                        noise=noise)
+        run = run_lanes(kind, ModelKind.LINEAR, data.X, data.y, [range(len(data))], np.zeros(2), [sched.c],
+                        sched.gamma, noise=noise)
         state = init_state(kind, np.zeros(2), rng=RngStream(25, 9) if noisy else None)
         for p in data:
             advance(state, sched, ModelKind.LINEAR, p)
@@ -301,27 +294,18 @@ class TestAveraging:
 
 
 class TestNoisyTruncated:
-    def test_vanishing_noise_recovers_truncated(self):
-        _, data = _linear_data(100, 3, seed=26)
-        sched = PolynomialStep(0.5)
-        noisy = init_state(
-            AlgorithmKind("noisy-truncated", sigma=1e-12), np.zeros(3), rng=RngStream(26, 9)
-        )
-        plain = init_state(AlgorithmKind("truncated"), np.zeros(3))
-        for p in data:
-            advance(noisy, sched, ModelKind.LINEAR, p)
-            advance(plain, sched, ModelKind.LINEAR, p)
-        assert_allclose(noisy.theta, plain.theta, atol=1e-6)
-
     def test_noise_scale_enters_update(self):
-        p = DataPoint(np.array([1.0]), 0.0)
-        small = init_state(AlgorithmKind("noisy-truncated", sigma=1e-12), np.zeros(1),
-                           rng=RngStream(27, 9))
-        large = init_state(AlgorithmKind("noisy-truncated", sigma=10.0), np.zeros(1),
-                           rng=RngStream(27, 9))
-        advance(small, ConstantStep(1.0), ModelKind.LINEAR, p)
-        advance(large, ConstantStep(1.0), ModelKind.LINEAR, p)
-        assert not np.allclose(small.theta, large.theta)
+        # One step from the origin (eta = c = 0.5 at t = 1) is the truncated
+        # step plus NOISE_SIGMA * eta**(1/2 + NOISE_BETA) times the stream's
+        # first draw.
+        p = DataPoint(np.array([1.0, -2.0, 0.5]), 0.7)
+        sched = PolynomialStep(0.5)
+        noisy = init_state(AlgorithmKind("noisy-truncated"), np.zeros(3), rng=RngStream(27, 9))
+        plain = init_state(AlgorithmKind("truncated"), np.zeros(3))
+        advance(noisy, sched, ModelKind.LINEAR, p)
+        advance(plain, sched, ModelKind.LINEAR, p)
+        draw = RngStream(27, 9).standard_normal(3)
+        assert_array_equal(noisy.theta, plain.theta + NOISE_SIGMA * 0.5 ** (0.5 + NOISE_BETA) * draw)
 
 
 class TestRunStream:
@@ -333,7 +317,7 @@ class TestRunStream:
         X = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
         y = np.array([float(X[i] @ theta_star) for i in range(40)])
         kind = AlgorithmKind("asgd")
-        run = run_lanes(kind, ModelKind.LINEAR, X, y, [range(40)], theta_star, [PolynomialStep(0.5)])
+        run = run_lanes(kind, ModelKind.LINEAR, X, y, [range(40)], theta_star, [0.5], 0.505)
         assert_array_equal(run.estimates(kind)[0], theta_star)
 
     def test_asgd_converges_across_replications(self):
@@ -345,7 +329,7 @@ class TestRunStream:
         y = np.concatenate([dt.y for dt in data])
         rows = [range(rep * n, (rep + 1) * n) for rep in range(reps)]
         kind = AlgorithmKind("asgd")
-        run = run_lanes(kind, ModelKind.LINEAR, X, y, rows, np.zeros(5), [PolynomialStep(0.5)] * reps)
+        run = run_lanes(kind, ModelKind.LINEAR, X, y, rows, np.zeros(5), [0.5] * reps, 0.505)
         close = np.sum(np.linalg.norm(run.estimates(kind) - spec.theta_star, axis=1) < 0.2)
         assert close >= 0.95 * reps
 
@@ -397,7 +381,8 @@ class TestRunLanes:
             y = (rng.uniform(size=pool) < 0.5).astype(float)
         noise = rng.standard_normal((pool, d)) if name == "noisy-truncated" else None
         kind = AlgorithmKind(name)
-        rows, scheds = [], []
+        gamma = data.draw(st.sampled_from([0.505, 0.7, 0.0]), label="gamma")
+        rows, c = [], []
         for _ in range(n_lanes):
             if rows and data.draw(st.booleans(), label="same rows as the previous lane"):
                 rows.append(rows[-1])
@@ -406,16 +391,15 @@ class TestRunLanes:
                 step = data.draw(st.integers(1, 6), label="step")
                 length = data.draw(st.integers(0, len(range(start, pool, step))), label="length")
                 rows.append(range(start, pool, step)[:length])
-            scheds.append(data.draw(st.sampled_from(
-                [PolynomialStep(0.5), PolynomialStep(0.1, 0.7), PolynomialStep(1.5), ConstantStep(WARM_START_STEP)]
-            ), label="sched"))
+            c.append(data.draw(st.sampled_from([0.5, 0.1, 1.5, WARM_START_STEP]), label="c"))
         theta0 = rng.standard_normal((n_lanes, d))
         plugin = data.draw(st.lists(st.sampled_from(range(n_lanes)), unique=True), label="plugin")
 
-        run = run_lanes(kind, model_kind, X, y, rows, theta0, scheds, noise=noise, plugin=plugin)
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, c, gamma, noise=noise, plugin=plugin)
         for lane in range(n_lanes):
             state, acc = _reference_lane(
-                kind, model_kind, X, y, rows[lane], theta0[lane], scheds[lane], noise, lane in plugin
+                kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], gamma), noise,
+                lane in plugin,
             )
             assert _bits(run.theta[lane]) == _bits(state.theta)
             assert _bits(run.avg[lane]) == _bits(state.avg)
@@ -426,7 +410,7 @@ class TestRunLanes:
 
         subset = data.draw(st.lists(st.sampled_from(range(n_lanes)), min_size=1, unique=True), label="subset")
         part = run_lanes(
-            kind, model_kind, X, y, [rows[i] for i in subset], theta0[subset], [scheds[i] for i in subset],
+            kind, model_kind, X, y, [rows[i] for i in subset], theta0[subset], [c[i] for i in subset], gamma,
             noise=noise, plugin=[k for k, i in enumerate(subset) if i in plugin],
         )
         assert _bits(part.theta) == _bits(run.theta[subset])
@@ -449,7 +433,7 @@ class TestRunLanes:
         sched = PolynomialStep(0.5)
         kind = AlgorithmKind("asgd")
         plugin = [2, 0]
-        run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched] * 3, plugin=plugin)
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * 3, sched.gamma, plugin=plugin)
         for p, lane in enumerate(plugin):
             state, acc = _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], sched, None, True)
             assert _bits(run.avg[lane]) == _bits(state.avg)
@@ -466,17 +450,15 @@ class TestRunLanes:
         with pytest.raises(IllConditionedError):
             _implicit_update(model_kind, theta0[1], X[0], float(y[0]), 0.5)
         with pytest.raises(IllConditionedError):
-            run_lanes(AlgorithmKind("implicit-last"), model_kind, X, y, [range(2)] * 2, theta0,
-                      [PolynomialStep(0.5)] * 2)
+            run_lanes(AlgorithmKind("implicit-last"), model_kind, X, y, [range(2)] * 2, theta0, [0.5] * 2, 0.505)
 
     def test_noise_required_only_by_noisy_truncated(self):
         X, y = np.ones((3, 2)), np.zeros(3)
         with pytest.raises(ValueError):
-            run_lanes(AlgorithmKind("noisy-truncated"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2),
-                      [PolynomialStep(0.5)])
+            run_lanes(AlgorithmKind("noisy-truncated"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2), [0.5], 0.505)
         with pytest.raises(ValueError):
-            run_lanes(AlgorithmKind("sgd"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2),
-                      [PolynomialStep(0.5)], noise=np.zeros((3, 2)))
+            run_lanes(AlgorithmKind("sgd"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2), [0.5], 0.505,
+                      noise=np.zeros((3, 2)))
 
 
 class TestOrderedOuterSum:
