@@ -20,6 +20,7 @@ from streamci.model import (
     sample_dataset,
 )
 from streamci.infer import PluginAccumulator, plugin_update
+from streamci import optim
 from streamci.optim import (
     ALGORITHM_NAMES,
     NOISE_BETA,
@@ -294,6 +295,17 @@ class TestAveraging:
 
 
 class TestNoisyTruncated:
+    def test_vanishing_noise_recovers_truncated(self, monkeypatch):
+        monkeypatch.setattr(optim, "NOISE_SIGMA", 1e-12)
+        _, data = _linear_data(100, 3, seed=26)
+        sched = PolynomialStep(0.5)
+        noisy = init_state(AlgorithmKind("noisy-truncated"), np.zeros(3), rng=RngStream(26, 9))
+        plain = init_state(AlgorithmKind("truncated"), np.zeros(3))
+        for p in data:
+            advance(noisy, sched, ModelKind.LINEAR, p)
+            advance(plain, sched, ModelKind.LINEAR, p)
+        assert_allclose(noisy.theta, plain.theta, atol=1e-6)
+
     def test_noise_scale_enters_update(self):
         # One step from the origin (eta = c = 0.5 at t = 1) is the truncated
         # step plus NOISE_SIGMA * eta**(1/2 + NOISE_BETA) times the stream's
