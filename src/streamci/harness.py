@@ -28,7 +28,6 @@ from .infer import (
     hulc_batch_count,
     hulc_interval,
     plugin_interval,
-    sandwich_inverse,
     tstat_interval,
     wald_offline,
 )
@@ -97,7 +96,6 @@ class ExperimentConfig:
     base_seed: int = 0
     methods: tuple[str, ...] = METHOD_ORDER
     warm_start: bool = True
-    theta0: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", ModelKind(self.model))
@@ -105,8 +103,6 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithm", AlgorithmKind(self.algorithm))
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
         object.__setattr__(self, "methods", _canonical_methods(self.methods))
-        if self.theta0 is not None:
-            object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
         if self.d < 2:
             raise ValueError(f"d must be at least 2, got {self.d}")
         if not 0.0 < self.alpha < 1.0:
@@ -122,10 +118,6 @@ class ExperimentConfig:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must be a uint64, got {self.base_seed}")
-        if self.theta0 is not None and len(self.theta0) != self.d:
-            raise ValueError(f"theta0 must have {self.d} coordinates")
-        if self.theta0 is not None and self.warm_start:
-            raise ValueError("theta0 override requires warm_start=False")
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(self.model, self.d, self.cov)
@@ -199,11 +191,9 @@ def _sample_reps(cfg: ExperimentConfig, reps: Sequence[int]) -> tuple[np.ndarray
 
 def _initial_iterates(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, runs: list[range]) -> np.ndarray:
     """Starting point of every run: a warm start over the first
-    1/WARM_FRACTION of the run's rows, the configured theta0, or the origin."""
+    1/WARM_FRACTION of the run's rows, or the origin."""
     if cfg.warm_start:
         return warm_lanes(cfg.model, X, y, [r[: len(r) // WARM_FRACTION] for r in runs])
-    if cfg.theta0 is not None:
-        return np.array(cfg.theta0, dtype=float)
     return np.zeros(cfg.d)
 
 
@@ -280,7 +270,8 @@ def _chunk_rows(
                     noise[bucket.start : bucket.stop : b] = draws
         bucket_runs.append(range(first, len(runs)))
 
-    theta0 = np.broadcast_to(_initial_iterates(cfg, X, y, runs), (len(runs), cfg.d))
+    initial = np.broadcast_to(_initial_iterates(cfg, X, y, runs), (len(runs), cfg.d))
+    # Lanes are c-major: lane ci * len(runs) + run.
     lanes = [(c, run) for c in cfg.c_grid for run in range(len(runs))]
     plugin_lanes = [i for i, (_, run) in enumerate(lanes) if run in plugin_run]
     result = run_lanes(
@@ -289,40 +280,29 @@ def _chunk_rows(
         X,
         y,
         [runs[run] for _, run in lanes],
-        theta0[[run for _, run in lanes]],
+        initial[[run for _, run in lanes]],
         [c for c, _ in lanes],
         cfg.gamma,
         noise=noise,
-        plugin=plugin_lanes,
+        record=plugin_lanes,
     )
     estimates = result.estimates(kind)
-    # Linear-model lanes over the same rows share one J_sum array (the J sum
-    # does not depend on the iterate), so every c of a replication reuses
-    # one inverse; None marks a singular J, whose plug-in rows are all
-    # unavailable.
-    j_inv: dict[int, Optional[np.ndarray]] = {}
-    for J_sum in result.J_sum:
-        if id(J_sum) not in j_inv:
-            try:
-                j_inv[id(J_sum)] = sandwich_inverse(J_sum / n)
-            except IllConditionedError:
-                j_inv[id(J_sum)] = None
+    # Per replication, the plug-in interval of every c (None: singular J).
+    plugin_ivs = [
+        plugin_interval(cfg.model, X[i * n : (i + 1) * n], y[i * n : (i + 1) * n],
+                        result.responses[i :: len(reps), :n], result.avg[plugin_run[i] :: len(runs)], cfg.alpha)
+        for i in range(len(reps))
+        if with_plugin
+    ]
 
     rows: list[ResultRow] = []
-    sums = iter(zip(result.J_sum, result.V_sum))
     for ci, c in enumerate(cfg.c_grid):
         lane0 = ci * len(runs)
         for i, rep in enumerate(reps):
             if "wald" in cfg.methods:
                 rows += _method_rows(cfg, c, rep, "wald", wald[i], theta_star)
             if with_plugin:
-                J_sum, V_sum = next(sums)
-                inverse = j_inv[id(J_sum)]
-                iv = None
-                if inverse is not None:
-                    center = result.avg[lane0 + plugin_run[i]]
-                    iv = plugin_interval(inverse, V_sum, n, center, cfg.alpha)
-                rows += _method_rows(cfg, c, rep, "plugin", iv, theta_star)
+                rows += _method_rows(cfg, c, rep, "plugin", plugin_ivs[i][ci], theta_star)
             if with_buckets:
                 buckets = estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop]
                 if "hulc" in cfg.methods:
@@ -446,7 +426,10 @@ def _run_head(run: list[ResultRow]) -> tuple:
 
 def _lower_median(values: list[float]) -> float:
     """Median with the lower of the two middle values on even counts, so
-    aggregates are reproducible without interpolation conventions."""
+    aggregates are reproducible without interpolation conventions; NaN when
+    any value is NaN (sorted() leaves a NaN where the input order puts it)."""
+    if any(map(math.isnan, values)):
+        return math.nan
     ordered = sorted(values)
     return ordered[(len(ordered) - 1) // 2]
 
@@ -488,16 +471,15 @@ def aggregate(rows: Sequence[ResultRow]) -> list[Summary]:
     return summaries
 
 
-def expansion_residuals(cfg: ExperimentConfig, data: Optional[Dataset] = None) -> list[float]:
+def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
     """Per replication 0..cfg.reps-1, the J-norm distance between the scaled
     averaged-iterate error and its leading martingale term over a cfg.t-step
     linear averaged-SGD run.
 
     Accumulates xi_s = grad_s - J(theta^(s-1) - theta_star) online and
     returns || sqrt(t)(avg - theta_star) + (1/sqrt(t)) J^-1 sum xi_s ||_J.
-    data, when given, replaces the sampled streams: cfg.reps * cfg.t rows
-    laid out as _sample_reps lays them out. The replications run as the
-    lanes of one run_lanes pass per chunk of _rep_chunks.
+    The replications run as the lanes of one run_lanes pass per chunk of
+    _rep_chunks.
     """
     if cfg.model != ModelKind.LINEAR:
         raise ValueError("expansion residual is defined for the linear model only")
@@ -506,18 +488,13 @@ def expansion_residuals(cfg: ExperimentConfig, data: Optional[Dataset] = None) -
     if len(cfg.c_grid) != 1:
         raise ValueError("expansion residual needs exactly one step constant in c_grid")
     t = cfg.t
-    if data is not None and len(data) != cfg.reps * t:
-        raise ValueError(f"data must hold reps * t = {cfg.reps * t} points, got {len(data)}")
     spec = cfg.model_spec()
     theta_star = spec.theta_star
     hess = population_hessian(spec)
     lower = spd_factorize(hess)
     residuals = []
     for reps in _rep_chunks(cfg, 1):
-        if data is None:
-            X, y = _sample_reps(cfg, reps)
-        else:
-            X, y = data.X[reps.start * t : reps.stop * t], data.y[reps.start * t : reps.stop * t]
+        X, y = _sample_reps(cfg, reps)
         xi_sum = np.zeros((len(reps), cfg.d))
 
         def accumulate(step, lanes, theta, grad):

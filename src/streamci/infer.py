@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -143,24 +144,63 @@ def sandwich_inverse(J: np.ndarray) -> np.ndarray:
     return spd_solve(spd_factorize(J), np.eye(J.shape[0]))
 
 
-def _sandwich_half_width(j_inv: np.ndarray, V: np.ndarray, t: int, alpha: float) -> np.ndarray:
-    """Half-widths z * sqrt(diag(J^-1 V J^-1) / t) from j_inv = J^-1."""
+def _sandwich_interval(j_inv: np.ndarray, V: np.ndarray, t: int, center: np.ndarray, alpha: float) -> IntervalSet:
+    """center +/- z * sqrt(diag(J^-1 V J^-1) / t), from j_inv = J^-1 and the
+    per-observation mean V of t observations."""
     diag = np.einsum("ij,jk,ik->i", j_inv, V, j_inv)
     z = normal_quantile(1.0 - alpha / 2.0)
-    return z * np.sqrt(np.maximum(diag, 0.0) / t)
+    half = z * np.sqrt(np.maximum(diag, 0.0) / t)
+    return IntervalSet(center - half, center + half, center.copy())
 
 
-def plugin_interval(j_inv: np.ndarray, V_sum: np.ndarray, t: int, center: np.ndarray, alpha: float) -> IntervalSet:
-    """Sandwich interval around the averaged iterate from the streaming sums
-    of t observations (a PluginAccumulator's), given j_inv =
-    sandwich_inverse(J_sum / t): intervals whose runs share one J_sum (the
-    linear model's, which does not depend on the iterate) factor it once.
+def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over t of outer(a[t], a[t]), each term scaled by w[t] when w is
+    given, bit for bit the loop out += outer(a[t], a[t]) * w[t] of
+    plugin_update: numpy's einsum loop (no optimize) adds the terms in t
+    order, each with its own multiply and add. With a single column it would
+    sum t in an unrolled loop instead, so that case gets a zero column first.
+
+    Where a NaN term meets a NaN sum, the result keeps the term's NaN and the
+    loop the sum's. They differ only if NaNs of different sign or payload
+    meet, which takes a NaN in the input: arithmetic makes one kind.
     """
+    if a.shape[1] == 1:
+        return _ordered_outer_sum(np.hstack([a, np.zeros_like(a)]), w)[:1, :1]
+    if w is None:
+        return np.einsum("ti,tj->ij", a, a)
+    return np.einsum("ti,tj,t->ij", a, a, w)
+
+
+def plugin_interval(
+    kind: ModelKind, x: np.ndarray, y: np.ndarray, mu: np.ndarray, center: np.ndarray, alpha: float
+) -> list[Optional[IntervalSet]]:
+    """Sandwich intervals of passes over the t observations x, y: pass p has
+    responses mu[p] = psi(x'theta) at its pre-update iterates and averaged
+    iterate center[p], and its sums are a PluginAccumulator's, bit for bit.
+    None marks a pass whose J is numerically singular. The linear J does not
+    depend on the iterate, so all passes share one J and one inverse."""
+    t = len(x)
     if t < 1:
         raise ValueError(f"the sums must cover at least 1 observation, got t={t}")
-    center = np.asarray(center, dtype=float)
-    half = _sandwich_half_width(j_inv, V_sum / t, t, alpha)
-    return IntervalSet(center - half, center + half, center.copy())
+    # A divergent pass overflows to inf and NaN; its rows show it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == ModelKind.LINEAR:
+            J_sums = [_ordered_outer_sum(x)]
+        else:
+            J_sums = [_ordered_outer_sum(x, m * (1.0 - m)) for m in mu]
+        V_sums = [_ordered_outer_sum((m - y)[:, None] * x) for m in mu]
+    inverses: list[Optional[np.ndarray]] = []
+    for J_sum in J_sums:
+        try:
+            inverses.append(sandwich_inverse(J_sum / t))
+        except IllConditionedError:
+            inverses.append(None)
+    if kind == ModelKind.LINEAR:
+        inverses *= len(mu)
+    return [
+        None if j_inv is None else _sandwich_interval(j_inv, V_sum / t, t, c, alpha)
+        for j_inv, V_sum, c in zip(inverses, V_sums, center)
+    ]
 
 
 def _logistic_mle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -203,5 +243,4 @@ def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
         raise ValueError(f"unsupported model kind: {kind!r}")
     Xr = X * resid[:, None]
     V = Xr.T @ Xr / t
-    half = _sandwich_half_width(sandwich_inverse(J), V, t, alpha)
-    return IntervalSet(theta_hat - half, theta_hat + half, theta_hat)
+    return _sandwich_interval(sandwich_inverse(J), V, t, theta_hat, alpha)

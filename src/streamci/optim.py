@@ -294,16 +294,13 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
 class LaneRun:
     """Final state of the lanes of one run_lanes call, in the order given.
 
-    J_sum and V_sum hold the plug-in sums of the plug-in lanes, in the order
-    those lanes were named, each added in step order as plugin_update adds
-    it; linear-model lanes over the same rows share one J_sum array, since
-    their curvature sums do not depend on the iterate.
+    responses[p, :len(rows[record[p]])] holds psi(x'theta) of recorded lane
+    record[p] at each step's pre-update iterate, in step order.
     """
 
     theta: np.ndarray
     avg: np.ndarray
-    J_sum: list[np.ndarray]
-    V_sum: list[np.ndarray]
+    responses: np.ndarray
 
     def estimates(self, kind: AlgorithmKind) -> np.ndarray:
         """The (L, d) estimates of algorithm kind: averages or last iterates."""
@@ -340,24 +337,6 @@ def _mean_responses(model_kind: ModelKind, X: np.ndarray, theta: np.ndarray) -> 
     raise ValueError(f"unsupported model kind: {model_kind!r}")
 
 
-def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sum over t of outer(a[t], a[t]), each term scaled by w[t] when w is
-    given, bit for bit the loop out += outer(a[t], a[t]) * w[t] of
-    plugin_update: numpy's einsum loop (no optimize) adds the terms in t
-    order, each with its own multiply and add. With a single column it would
-    sum t in an unrolled loop instead, so that case gets a zero column first.
-
-    Where a NaN term meets a NaN sum, the result keeps the term's NaN and the
-    loop the sum's. They differ only if NaNs of different sign or payload
-    meet, which takes a NaN in the input: arithmetic makes one kind.
-    """
-    if a.shape[1] == 1:
-        return _ordered_outer_sum(np.hstack([a, np.zeros_like(a)]), w)[:1, :1]
-    if w is None:
-        return np.einsum("ti,tj->ij", a, a)
-    return np.einsum("ti,tj,t->ij", a, a, w)
-
-
 def run_lanes(
     kind: AlgorithmKind,
     model_kind: ModelKind,
@@ -369,7 +348,7 @@ def run_lanes(
     gamma: float,
     *,
     noise: Optional[np.ndarray] = None,
-    plugin: Sequence[int] = (),
+    record: Sequence[int] = (),
     on_step: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> LaneRun:
     """Advance independent runs ("lanes") of one algorithm in lockstep over t.
@@ -383,12 +362,11 @@ def run_lanes(
 
     noise (same shape as X, noisy-truncated only) is read through the same
     row index: the row a lane observes at step t also supplies its noise.
-    The lanes named in plugin get the sums of plugin_update at their
-    pre-update iterates: the pass records psi(x'theta) of each plug-in
-    lane-step, and each lane's sums are taken over its rows after the pass,
-    in step order. on_step(t, lanes, theta, grad), when given, is
-    called before each update with the active lanes' indices, pre-update
-    iterates and gradients.
+    The lanes named in record get their responses psi(x'theta) at each
+    pre-update iterate recorded (LaneRun.responses), from which the plug-in
+    sums are taken. on_step(t, lanes, theta, grad), when given, is called
+    before each update with the active lanes' indices, pre-update iterates
+    and gradients.
     """
     name = kind.value
     if (noise is None) == (name == "noisy-truncated"):
@@ -415,14 +393,14 @@ def run_lanes(
         v = np.zeros_like(theta)
         prev = theta.copy()
 
-    # Plug-in slots sorted by rank; slot_of maps the caller's order to them.
-    by_rank = sorted(range(len(plugin)), key=lambda p: rank[plugin[p]])
-    slot_of = np.empty(len(plugin), dtype=np.int64)
-    slot_of[by_rank] = np.arange(len(plugin))
-    p_rank = np.array([rank[plugin[p]] for p in by_rank], dtype=np.int64)
-    # mu_rec[slot, t - 1]: psi(x'theta) of a plug-in lane at step t.
-    mu_rec = np.empty((len(plugin), int(lengths.max(initial=0))))
-    need_grad = name not in ("implicit-last", "implicit-avg") or bool(plugin) or on_step is not None
+    # Recorded slots sorted by rank; slot_of maps the caller's order to them.
+    by_rank = sorted(range(len(record)), key=lambda p: rank[record[p]])
+    slot_of = np.empty(len(record), dtype=np.int64)
+    slot_of[by_rank] = np.arange(len(record))
+    p_rank = np.array([rank[record[p]] for p in by_rank], dtype=np.int64)
+    # mu_rec[slot, t - 1]: psi(x'theta) of a recorded lane at step t.
+    mu_rec = np.empty((len(record), int(lengths.max(initial=0))))
+    need_grad = name not in ("implicit-last", "implicit-avg") or bool(record) or on_step is not None
 
     p_prefix = np.array_equal(p_rank, np.arange(len(p_rank)))
     single = len(cs) == 1
@@ -434,8 +412,8 @@ def run_lanes(
         # prefix theta[:active], which only shrinks between phases.
         for end in sorted(set(lengths.tolist()) - {0}):
             active = int(np.count_nonzero(lengths >= end))
-            n_plugin = int(np.count_nonzero(p_rank < active))
-            p_sel = slice(0, n_plugin) if p_prefix else p_rank[:n_plugin]
+            n_record = int(np.count_nonzero(p_rank < active))
+            p_sel = slice(0, n_record) if p_prefix else p_rank[:n_record]
             th, av = theta[:active], avg[:active]
             lane_col = lane_c[:active]
             # Rows are gathered a block of steps at a time: X_b[k] holds what
@@ -461,8 +439,8 @@ def run_lanes(
                         G = (mu - yt)[:, None] * Xt
                     if on_step is not None:
                         on_step(t, order[:active], th, G)
-                    if n_plugin:
-                        mu_rec[:n_plugin, t - 1] = mu[p_sel]
+                    if n_record:
+                        mu_rec[:n_record, t - 1] = mu[p_sel]
 
                     if name in ("sgd", "asgd"):
                         th -= eta * G
@@ -491,27 +469,7 @@ def run_lanes(
                     av += th / t
                 idx[:active] = at[-1] + stride[:active]
             t0 = end + 1
-
-        # The plug-in sums, from the recorded responses: V from the
-        # gradients (psi - y) x, J from x x' weighted by psi (1 - psi) for
-        # the logistic model. The linear J does not depend on the iterate,
-        # so lanes over the same rows share one.
-        J_sum, V_sum = [], []
-        shared: dict[tuple, np.ndarray] = {}
-        for lane, slot in zip(plugin, slot_of):
-            r = rows[lane]
-            part = slice(r.start, r.stop, r.step)
-            x = X[part]
-            m = mu_rec[slot, : len(r)]
-            V_sum.append(_ordered_outer_sum((m - y[part])[:, None] * x))
-            if model_kind == ModelKind.LINEAR:
-                key = (r.start, r.step, len(r))
-                if key not in shared:
-                    shared[key] = _ordered_outer_sum(x)
-                J_sum.append(shared[key])
-            else:
-                J_sum.append(_ordered_outer_sum(x, m * (1.0 - m)))
-    return LaneRun(theta=theta[rank], avg=avg[rank], J_sum=J_sum, V_sum=V_sum)
+    return LaneRun(theta=theta[rank], avg=avg[rank], responses=mu_rec[slot_of])
 
 
 def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequence[range]) -> np.ndarray:

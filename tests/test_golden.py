@@ -1,7 +1,8 @@
 """Byte-identity of the golden fixture: every algorithm on both models
-(bench/golden.py) must reproduce the stored raw and summary CSVs. Also a
-short traced benchmark run, which must still attach to the program, and a
-traced pooled run, which must write the untraced run's bytes."""
+(bench/golden.py) must reproduce the stored raw and summary CSVs, and every
+seed-0 benchmark call its stored reference. Also a short traced benchmark
+run, which must still attach to the program, and traced runs, which must
+write the untraced run's bytes."""
 
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import time
 from pathlib import Path
 
 from streamci.cli import run_cli
+from streamci.harness import _blas_threads
+from streamci.optim import ALGORITHM_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +59,54 @@ def test_bench_tracer_pool_path(tmp_path, monkeypatch):
     assert metrics["harness.pool.tasks"][0] == 2
     assert metrics["infer.wald.calls"][0] == 2
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_plugin_traced_once_per_replication(tmp_path, monkeypatch):
+    # infer.plugin_interval builds the plug-in intervals of every c of a
+    # replication in one call, so its span, and with it the plug-in's share
+    # of the run under infer.plugin, is one per replication.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layertrace
+
+    def argv(out):
+        return ["--model", "linear", "--d", "5", "--t", "400", "--cov", "identity", "--algo", "asgd",
+                "--methods", "plugin", "--c", "0.1,0.5,2.0", "--reps", "2", "--out", str(out)]
+
+    assert run_cli(argv(tmp_path / "plain.csv")) == 0
+    tracer = layertrace.Tracer().install()
+    try:
+        start = time.perf_counter()
+        assert run_cli(argv(tmp_path / "traced.csv")) == 0
+        wall_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    assert sum(1 for span in tracer.spans if span[0] == "infer.plugin_interval") == 2
+    assert layertrace.layer_metrics(tracer, wall_s)["infer.plugin.busy_s"][0] > 0.0
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_workloads_match_seed0_references(tmp_path, monkeypatch):
+    """Every seed-0 call of the benchmark's workloads writes the raw and
+    summary bytes of its stored reference, compared as bytes: the
+    benchmark's own check falls back to a 1e-9 relative float comparison.
+    The calls are bench/run.py's, with one worker, as they were recorded.
+    The references were recorded with OpenBLAS at 2 threads (the seed
+    entry of bench/trajectory.json), and the Wald fits' matrix products
+    round differently under another count, so the calls run at 2."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import oracle
+    import run as bench_run
+    from streamci import cli
+
+    changed = []
+    for workload in bench_run.WORKLOADS:
+        calls = bench_run.workload_calls(workload, cli, ALGORITHM_NAMES, seed=0, work=tmp_path, threads=1)
+        reference = oracle.load_reference(workload, 0, [call.name for call in calls])
+        assert reference is not None, workload
+        for call in calls:
+            with _blas_threads(2):
+                assert run_cli(call.argv) == 0
+            for path, want in zip(call.outputs(tmp_path)[:2], reference[call.name]):
+                if path.read_bytes() != want:
+                    changed.append(f"{workload}/{path.name}")
+    assert changed == []

@@ -15,6 +15,7 @@ from scipy import optimize, stats
 from streamci.infer import (
     IntervalSet,
     PluginAccumulator,
+    _sandwich_interval,
     hulc_batch_count,
     hulc_interval,
     plugin_interval,
@@ -29,6 +30,7 @@ from streamci.model import (
     Dataset,
     ModelKind,
     ModelSpec,
+    _mean_response,
     covariance_factor,
     make_theta_star,
     sample_dataset,
@@ -184,10 +186,9 @@ class TestPlugin:
 
     @staticmethod
     def _interval(J, V, t, center):
-        """plugin_interval on the sums of t observations with means J and V."""
-        J_sum = np.asarray(J, dtype=float) * t
-        V_sum = np.asarray(V, dtype=float) * t
-        return plugin_interval(sandwich_inverse(J_sum / t), V_sum, t, center, 0.05)
+        """The sandwich interval of t observations with means J and V."""
+        J, V = np.asarray(J, dtype=float), np.asarray(V, dtype=float)
+        return _sandwich_interval(sandwich_inverse(J), V, t, center, 0.05)
 
     def test_pinned_half_width(self):
         # z * sqrt(J^-1 V J^-1 / t) = 1.959964 * sqrt(0.5 * 4 * 0.5 / 100).
@@ -209,9 +210,57 @@ class TestPlugin:
             self._interval([[1.0, 1.0], [1.0, 1.0]], np.eye(2), 10, np.zeros(2))
 
     def test_empty_accumulator_raises(self):
-        acc = PluginAccumulator(1)
         with pytest.raises(ValueError):
-            plugin_interval(np.eye(1), acc.V_sum, acc.t, np.zeros(1), 0.05)
+            plugin_interval(ModelKind.LINEAR, np.empty((0, 2)), np.empty(0), np.empty((1, 0)), np.zeros((1, 2)), 0.05)
+
+
+class TestPluginInterval:
+    @staticmethod
+    def _passes(model_kind, X, y, n_passes, seed):
+        """Per pass, the responses psi(x'theta) along a random walk of
+        pre-update iterates, and the PluginAccumulator of that walk."""
+        t, d = X.shape
+        rng = np.random.default_rng(seed)
+        mu, accs = np.empty((n_passes, t)), []
+        for p in range(n_passes):
+            theta = 0.3 * rng.standard_normal(d)
+            acc = PluginAccumulator(d)
+            for s in range(t):
+                mu[p, s] = _mean_response(model_kind, float(X[s] @ theta))
+                plugin_update(acc, model_kind, theta, DataPoint(X[s], float(y[s])))
+                theta = theta + 0.01 * rng.standard_normal(d)
+            accs.append(acc)
+        return mu, accs
+
+    @pytest.mark.parametrize("d", [2, 5, 100])
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_matches_accumulator_intervals(self, model_kind, d):
+        """Three passes over the same rows: each pass's interval is the one
+        its PluginAccumulator's sums give, bit for bit."""
+        t = 300
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((t, d)) / math.sqrt(d)
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(t)
+        else:
+            y = (rng.uniform(size=t) < 0.5).astype(float)
+        mu, accs = self._passes(model_kind, X, y, 3, d)
+        centers = rng.standard_normal((3, d))
+        got = plugin_interval(model_kind, X, y, mu, centers, 0.05)
+        assert len(got) == 3
+        for iv, acc, center in zip(got, accs, centers):
+            want = _sandwich_interval(sandwich_inverse(acc.J_sum / t), acc.V_sum / t, t, center, 0.05)
+            assert iv.lo.tobytes() == want.lo.tobytes()
+            assert iv.hi.tobytes() == want.hi.tobytes()
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_singular_curvature_is_unavailable(self, model_kind):
+        # A coordinate that is zero on every row leaves J singular.
+        X = np.random.default_rng(3).standard_normal((50, 3))
+        X[:, 2] = 0.0
+        y = (X[:, 0] > 0.0).astype(float)
+        mu, _ = self._passes(model_kind, X, y, 2, 3)
+        assert plugin_interval(model_kind, X, y, mu, np.zeros((2, 3)), 0.05) == [None, None]
 
 
 class TestWaldOffline:

@@ -14,12 +14,13 @@ from streamci.model import (
     DataPoint,
     ModelKind,
     ModelSpec,
+    _mean_response,
     covariance_factor,
     loss_grad,
     make_theta_star,
     sample_dataset,
 )
-from streamci.infer import PluginAccumulator, plugin_update
+from streamci.infer import PluginAccumulator, _ordered_outer_sum, plugin_update
 from streamci import optim
 from streamci.optim import (
     ALGORITHM_NAMES,
@@ -29,7 +30,6 @@ from streamci.optim import (
     AlgorithmKind,
     PolynomialStep,
     _implicit_update,
-    _ordered_outer_sum,
     _truncate_rows,
     advance,
     gradient_truncate,
@@ -356,16 +356,19 @@ class _RowNoise:
         return next(self.rows)
 
 
-def _reference_lane(kind, model_kind, X, y, rows, theta0, sched, noise, with_plugin):
+def _reference_lane(kind, model_kind, X, y, rows, theta0, sched, noise):
+    """The lane's final state, the responses psi(x'theta) at each pre-update
+    iterate, and the plug-in sums of plugin_update over the lane."""
     rng = _RowNoise(noise[list(rows)]) if noise is not None else None
     state = init_state(kind, theta0, rng=rng)
     acc = PluginAccumulator(X.shape[1])
+    responses = []
     for i in rows:
         p = DataPoint(X[i], float(y[i]))
-        if with_plugin:
-            plugin_update(acc, model_kind, state.theta, p)
+        responses.append(_mean_response(model_kind, float(X[i] @ state.theta)))
+        plugin_update(acc, model_kind, state.theta, p)
         advance(state, sched, model_kind, p)
-    return state, acc
+    return state, np.array(responses), acc
 
 
 def _bits(a):
@@ -377,9 +380,10 @@ class TestRunLanes:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     @given(data=st.data())
     def test_matches_per_observation_reference(self, name, model_kind, data):
-        """Every lane equals init_state + advance (and plugin_update) on its
-        rows bit for bit, and a subset of the lanes run alone gives the same
-        bits, so results do not depend on the lane count."""
+        """Every lane equals init_state + advance on its rows bit for bit, a
+        recorded lane's responses equal psi(x'theta) at the reference's
+        pre-update iterates, and a subset of the lanes run alone gives the
+        same bits, so results do not depend on the lane count."""
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         # d=20 is the logistic sweep's dimension.
         d = data.draw(st.one_of(st.integers(1, 6), st.just(20)), label="d")
@@ -405,25 +409,23 @@ class TestRunLanes:
                 rows.append(range(start, pool, step)[:length])
             c.append(data.draw(st.sampled_from([0.5, 0.1, 1.5, WARM_START_STEP]), label="c"))
         theta0 = rng.standard_normal((n_lanes, d))
-        plugin = data.draw(st.lists(st.sampled_from(range(n_lanes)), unique=True), label="plugin")
+        record = data.draw(st.lists(st.sampled_from(range(n_lanes)), unique=True), label="record")
 
-        run = run_lanes(kind, model_kind, X, y, rows, theta0, c, gamma, noise=noise, plugin=plugin)
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, c, gamma, noise=noise, record=record)
         for lane in range(n_lanes):
-            state, acc = _reference_lane(
-                kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], gamma), noise,
-                lane in plugin,
+            state, responses, _ = _reference_lane(
+                kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], gamma), noise
             )
             assert _bits(run.theta[lane]) == _bits(state.theta)
             assert _bits(run.avg[lane]) == _bits(state.avg)
-            if lane in plugin:
-                p = plugin.index(lane)
-                assert _bits(run.J_sum[p]) == _bits(acc.J_sum)
-                assert _bits(run.V_sum[p]) == _bits(acc.V_sum)
+            if lane in record:
+                p = record.index(lane)
+                assert _bits(run.responses[p, : len(rows[lane])]) == _bits(responses)
 
         subset = data.draw(st.lists(st.sampled_from(range(n_lanes)), min_size=1, unique=True), label="subset")
         part = run_lanes(
             kind, model_kind, X, y, [rows[i] for i in subset], theta0[subset], [c[i] for i in subset], gamma,
-            noise=noise, plugin=[k for k, i in enumerate(subset) if i in plugin],
+            noise=noise, record=[k for k, i in enumerate(subset) if i in record],
         )
         assert _bits(part.theta) == _bits(run.theta[subset])
         assert _bits(part.avg) == _bits(run.avg[subset])
@@ -431,8 +433,10 @@ class TestRunLanes:
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_plugin_sums_match_reference_at_d100(self, model_kind):
         # The property above draws d <= 6 or 20; the default grid runs the
-        # plug-in at d=100. Two plug-in lanes over different rows, named out
-        # of rank order, next to a lane without the plug-in.
+        # plug-in at d=100. Two recorded lanes over different rows, named out
+        # of rank order, next to a lane that is not recorded. The plug-in
+        # sums taken from the recorded responses, as infer.plugin_interval
+        # takes them, are plugin_update's.
         d, n = 100, 300
         rng = np.random.default_rng(11)
         X = rng.standard_normal((2 * n, d)) / np.sqrt(d)
@@ -444,13 +448,17 @@ class TestRunLanes:
         theta0 = 0.1 * rng.standard_normal((3, d))
         sched = PolynomialStep(0.5)
         kind = AlgorithmKind("asgd")
-        plugin = [2, 0]
-        run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * 3, sched.gamma, plugin=plugin)
-        for p, lane in enumerate(plugin):
-            state, acc = _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], sched, None, True)
+        record = [2, 0]
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * 3, sched.gamma, record=record)
+        for p, lane in enumerate(record):
+            state, responses, acc = _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], sched, None)
             assert _bits(run.avg[lane]) == _bits(state.avg)
-            assert _bits(run.J_sum[p]) == _bits(acc.J_sum)
-            assert _bits(run.V_sum[p]) == _bits(acc.V_sum)
+            m = run.responses[p, : len(rows[lane])]
+            assert _bits(m) == _bits(responses)
+            x, y_lane = X[list(rows[lane])], y[list(rows[lane])]
+            weight = None if model_kind == ModelKind.LINEAR else m * (1.0 - m)
+            assert _bits(_ordered_outer_sum(x, weight)) == _bits(acc.J_sum)
+            assert _bits(_ordered_outer_sum((m - y_lane)[:, None] * x)) == _bits(acc.V_sum)
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_nan_lane_fails_implicit_bisection(self, model_kind):
