@@ -137,11 +137,11 @@ def sigmoid(u):
 
 
 def _sigmoid_scalarwise(u: np.ndarray) -> np.ndarray:
-    """sigmoid of each entry, bit for bit the scalar branch of sigmoid: the
-    exponential is math.exp per entry (numpy's exp rounds differently), the
-    rest of the arithmetic is the same IEEE operations vectorized."""
-    e = np.array([math.exp(-v if v >= 0.0 else v) for v in u.tolist()])
-    return np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """sigmoid of each entry, bit for bit the scalar branch of sigmoid: each
+    entry takes its >= 0 split and math.exp on Python floats (numpy's exp
+    rounds differently)."""
+    exp = math.exp
+    return np.array([1.0 / (1.0 + exp(-v)) if v >= 0.0 else (e := exp(v)) / (1.0 + e) for v in u.tolist()])
 
 
 def sample_dataset(spec: ModelSpec, chol_factor: np.ndarray, rng: RngStream, n: int) -> Dataset:

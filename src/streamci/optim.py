@@ -1,8 +1,8 @@
 """Single-pass stochastic approximation algorithms over a data stream.
 
-All algorithms maintain the running average of their iterates alongside the
-last iterate; which of the two is a run's estimate depends on the algorithm
-(averaged variants report the mean, the rest the final iterate).
+The per-observation state keeps the running average of the iterates beside
+the last iterate; averaged variants report the mean, the rest the final
+iterate, and run_lanes keeps the average only where it is the estimate.
 
 run_lanes advances many independent runs in lockstep and is what the
 harness calls; warm_lanes is its fixed-step burn-in. The per-observation
@@ -294,12 +294,14 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
 class LaneRun:
     """Final state of the lanes of one run_lanes call, in the order given.
 
-    responses[p, :len(rows[record[p]])] holds psi(x'theta) of recorded lane
-    record[p] at each step's pre-update iterate, in step order.
+    avg is the running average of the iterates for the averaged algorithms
+    (asgd, implicit-avg) and None for the rest, which report the last
+    iterate. responses[p, :len(rows[record[p]])] holds psi(x'theta) of
+    recorded lane record[p] at each step's pre-update iterate, in step order.
     """
 
     theta: np.ndarray
-    avg: np.ndarray
+    avg: Optional[np.ndarray]
     responses: np.ndarray
 
     def estimates(self, kind: AlgorithmKind) -> np.ndarray:
@@ -327,9 +329,10 @@ def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
 
 
 def _mean_responses(model_kind: ModelKind, X: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """psi(x'theta) for every lane, bit for bit the scalar path: the batched
-    matmul is one dot product per lane, the one x @ theta computes."""
-    a = (X[:, None, :] @ theta[:, :, None])[:, 0, 0]
+    """psi(x'theta) for every lane, bit for bit the scalar path: np.vecdot
+    over C-contiguous rows takes the dot product x @ theta takes (a strided
+    operand rounds differently)."""
+    a = np.vecdot(X, theta)
     if model_kind == ModelKind.LINEAR:
         return a
     if model_kind == ModelKind.LOGISTIC:
@@ -358,7 +361,8 @@ def run_lanes(
     reads observations X[i], y[i] for i in rows[l] in order, so a
     round-robin bucket is a strided range over its replication's rows and
     no data is copied per lane. Every lane's arithmetic is that of
-    init_state + advance, bit for bit, whatever the number of lanes.
+    init_state + advance, bit for bit, whatever the number of lanes; the
+    running average is kept only where it is the estimate (LaneRun.avg).
 
     noise (same shape as X, noisy-truncated only) is read through the same
     row index: the row a lane observes at step t also supplies its noise.
@@ -366,10 +370,9 @@ def run_lanes(
     pre-update iterate recorded (LaneRun.responses), from which the plug-in
     sums are taken. on_step(t, lanes, theta, grad), when given, is called
     before each update with the active lanes' indices, pre-update iterates
-    and gradients.
+    and gradients, as views that the step then overwrites.
     """
-    name = kind.value
-    if (noise is None) == (name == "noisy-truncated"):
+    if (noise is None) == (kind == AlgorithmKind.NOISY_TRUNCATED):
         raise ValueError("noise is required by noisy-truncated and consumed by nothing else")
     n_lanes = len(rows)
     if len(c) != n_lanes:
@@ -384,14 +387,14 @@ def run_lanes(
     idx = np.array([rows[i].start for i in order], dtype=np.int64)
     stride = np.array([rows[i].step for i in order], dtype=np.int64)
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (n_lanes, d))[order])
-    avg = np.zeros_like(theta)
+    avg = np.zeros_like(theta) if kind.averaged else None
+    # Work arrays, given to the ufuncs as their positional out (the keyword
+    # costs more per call): each step's residuals psi - y, gradients, product.
+    resid, grad, work = np.empty(n_lanes), np.empty_like(theta), np.empty_like(theta)
     # The distinct step constants, and each lane's index into them.
     unique: dict[float, int] = {}
     lane_c = np.array([[unique.setdefault(c[i], len(unique))] for i in order], dtype=np.int64)
     cs = list(unique)
-    if name == "root":
-        v = np.zeros_like(theta)
-        prev = theta.copy()
 
     # Recorded slots sorted by rank; slot_of maps the caller's order to them.
     by_rank = sorted(range(len(record)), key=lambda p: rank[record[p]])
@@ -400,7 +403,39 @@ def run_lanes(
     p_rank = np.array([rank[record[p]] for p in by_rank], dtype=np.int64)
     # mu_rec[slot, t - 1]: psi(x'theta) of a recorded lane at step t.
     mu_rec = np.empty((len(record), int(lengths.max(initial=0))))
-    need_grad = name not in ("implicit-last", "implicit-avg") or bool(record) or on_step is not None
+    implicit = kind in (AlgorithmKind.IMPLICIT_LAST, AlgorithmKind.IMPLICIT_AVG)
+    need_grad = not implicit or bool(record) or on_step is not None
+
+    # The algorithm's update, chosen once and called by the loop below with the
+    # step's t, index k in the block and eta. It reads the loop's current
+    # phase, block and step (th, G, W, Xt, yt, ...) and updates th in place.
+    if kind in (AlgorithmKind.SGD, AlgorithmKind.ASGD):
+        def update(t, k, eta):
+            np.subtract(th, np.multiply(eta, G, W), th)
+    elif implicit:
+        def update(t, k, eta):
+            lane_eta = np.broadcast_to(eta, (active, 1))[:, 0].tolist()
+            s = _implicit_steps(model_kind, np.vecdot(Xt, th).tolist(), nx2_b[k].tolist(), yt.tolist(), lane_eta)
+            np.subtract(th, np.array(s)[:, None] * Xt, th)
+    elif kind == AlgorithmKind.ROOT:
+        v, prev = np.zeros_like(theta), theta.copy()
+
+        def update(t, k, eta):
+            if t == 1:
+                v[:active] = G
+            else:
+                G_prev = (_mean_responses(model_kind, Xt, prev[:active]) - yt)[:, None] * Xt
+                v[:active] = G + _root_weight(t) * (v[:active] - G_prev)
+            prev[:active] = th
+            np.subtract(th, eta * v[:active], th)
+    elif kind == AlgorithmKind.TRUNCATED:
+        def update(t, k, eta):
+            np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), th)
+    else:
+        def update(t, k, eta):
+            scale = NOISE_SIGMA * eta ** (0.5 + NOISE_BETA) if single else (
+                np.array([NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in etas])[lane_col])
+            th[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_b[k]
 
     p_prefix = np.array_equal(p_rank, np.arange(len(p_rank)))
     single = len(cs) == 1
@@ -414,7 +449,9 @@ def run_lanes(
             active = int(np.count_nonzero(lengths >= end))
             n_record = int(np.count_nonzero(p_rank < active))
             p_sel = slice(0, n_record) if p_prefix else p_rank[:n_record]
-            th, av = theta[:active], avg[:active]
+            th, r, G, W = theta[:active], resid[:active], grad[:active], work[:active]
+            r_col = r[:, None]
+            av = avg[:active] if avg is not None else None
             lane_col = lane_c[:active]
             # Rows are gathered a block of steps at a time: X_b[k] holds what
             # the running lanes read at step first + k.
@@ -424,11 +461,13 @@ def run_lanes(
                 at = idx[:active] + np.arange(len(steps))[:, None] * stride[:active]
                 X_b, y_b = X[at], y[at]
                 noise_b = noise[at] if noise is not None else None
+                nx2_b = np.vecdot(X_b, X_b) if implicit else None
                 for k, t in enumerate(steps):
                     Xt, yt = X_b[k], y_b[k]
                     # One Python ** per step (numpy's rounds differently),
-                    # times each distinct c: step_size's arithmetic.
-                    decay = float(t) ** -gamma
+                    # times each distinct c: step_size's arithmetic. float(t)
+                    # is t exactly; the average reuses it.
+                    decay = (ft := float(t)) ** -gamma
                     if single:
                         eta = cs[0] * decay
                     else:
@@ -436,40 +475,19 @@ def run_lanes(
                         eta = np.array(etas)[lane_col]
                     if need_grad:
                         mu = _mean_responses(model_kind, Xt, th)
-                        G = (mu - yt)[:, None] * Xt
+                        np.subtract(mu, yt, r)
+                        np.multiply(r_col, Xt, G)
                     if on_step is not None:
                         on_step(t, order[:active], th, G)
                     if n_record:
                         mu_rec[:n_record, t - 1] = mu[p_sel]
-
-                    if name in ("sgd", "asgd"):
-                        th -= eta * G
-                    elif name in ("implicit-last", "implicit-avg"):
-                        a = (Xt[:, None, :] @ th[:, :, None])[:, 0, 0]
-                        nx2 = (Xt[:, None, :] @ Xt[:, :, None])[:, 0, 0]
-                        lane_eta = np.broadcast_to(eta, (active, 1))[:, 0]
-                        s = _implicit_steps(model_kind, a.tolist(), nx2.tolist(), yt.tolist(), lane_eta.tolist())
-                        th -= np.array(s)[:, None] * Xt
-                    elif name == "root":
-                        if t == 1:
-                            v[:active] = G
-                        else:
-                            G_prev = (_mean_responses(model_kind, Xt, prev[:active]) - yt)[:, None] * Xt
-                            v[:active] = G + _root_weight(t) * (v[:active] - G_prev)
-                        prev[:active] = th
-                        th -= eta * v[:active]
-                    elif name == "truncated":
-                        th -= eta * _truncate_rows(G, TRUNCATION_EPS2)
-                    else:
-                        scale = NOISE_SIGMA * eta ** (0.5 + NOISE_BETA) if single else np.array(
-                            [NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in etas]
-                        )[lane_col]
-                        th[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_b[k]
-                    av *= 1.0 - 1.0 / t
-                    av += th / t
+                    update(t, k, eta)
+                    if av is not None:
+                        av *= 1.0 - 1.0 / ft
+                        av += np.divide(th, ft, W)
                 idx[:active] = at[-1] + stride[:active]
             t0 = end + 1
-    return LaneRun(theta=theta[rank], avg=avg[rank], responses=mu_rec[slot_of])
+    return LaneRun(theta=theta[rank], avg=avg[rank] if avg is not None else None, responses=mu_rec[slot_of])
 
 
 def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequence[range]) -> np.ndarray:

@@ -113,6 +113,29 @@ class TestWarmStart:
         assert_allclose(out[0], [0.002997001], atol=1e-9)
         assert WARM_START_STEP == 0.001
 
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    @pytest.mark.parametrize("d", [5, 100])
+    def test_uneven_lanes_match_reference(self, model_kind, d):
+        # 13 lanes of uneven lengths, three of them empty, over strided rows
+        # as the harness's buckets read them: each is init_state + advance
+        # with the fixed warm-start step, bit for bit.
+        n = 400
+        rng = np.random.default_rng(30 + d)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(n)
+        else:
+            y = (rng.uniform(size=n) < 0.5).astype(float)
+        lengths = [0, 37, 0, 133, 5, 1, 66, 133, 13, 0, 90, 2, 41]
+        rows = [range(lane % 3, n, 1 + lane % 3)[:length] for lane, length in enumerate(lengths)]
+        out = warm_lanes(model_kind, X, y, rows)
+        sched = PolynomialStep(WARM_START_STEP, 0.0)
+        for lane_rows, got in zip(rows, out):
+            state = init_state(AlgorithmKind.SGD, np.zeros(d))
+            for i in lane_rows:
+                advance(state, sched, model_kind, DataPoint(X[i], float(y[i])))
+            assert got.tobytes() == state.theta.tobytes()
+
 
 class TestAdvancePinned:
     def test_sgd_single_step(self):
@@ -417,7 +440,8 @@ class TestRunLanes:
                 kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], gamma), noise
             )
             assert _bits(run.theta[lane]) == _bits(state.theta)
-            assert _bits(run.avg[lane]) == _bits(state.avg)
+            if kind.averaged:
+                assert _bits(run.avg[lane]) == _bits(state.avg)
             if lane in record:
                 p = record.index(lane)
                 assert _bits(run.responses[p, : len(rows[lane])]) == _bits(responses)
@@ -428,7 +452,11 @@ class TestRunLanes:
             noise=noise, record=[k for k, i in enumerate(subset) if i in record],
         )
         assert _bits(part.theta) == _bits(run.theta[subset])
-        assert _bits(part.avg) == _bits(run.avg[subset])
+        if kind.averaged:
+            assert _bits(part.avg) == _bits(run.avg[subset])
+        else:
+            # The kernel keeps no average where the last iterate is the estimate.
+            assert run.avg is None and part.avg is None
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_plugin_sums_match_reference_at_d100(self, model_kind):
@@ -479,6 +507,58 @@ class TestRunLanes:
         with pytest.raises(ValueError):
             run_lanes(AlgorithmKind("sgd"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2), [0.5], 0.505,
                       noise=np.zeros((3, 2)))
+
+
+class TestLaneArithmetic:
+    """The kernel's per-lane dot products, squared norms and sigmoid against
+    the scalar path. d = 16 and 17 cross the block width of OpenBLAS's ddot
+    kernel; the rows are C-contiguous, as the kernel gathers them."""
+
+    DIMS = [*range(1, 34), 64, 100]
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_responses_match_scalar_path(self, model_kind):
+        rng = np.random.default_rng(31)
+        for d in self.DIMS:
+            for lanes in range(1, 21):
+                X = 3.0 * rng.standard_normal((lanes, d))
+                theta = rng.standard_normal((lanes, d))
+                X[1::4, 0] = np.inf
+                X[2::4, -1] = -np.inf
+                X[3::4, d // 2] = np.nan
+                with np.errstate(invalid="ignore"):
+                    got = optim._mean_responses(model_kind, X, theta)
+                    want = [_mean_response(model_kind, float(x @ th)) for x, th in zip(X, theta)]
+                assert _bits(got) == _bits(np.array(want)), (d, lanes)
+
+    def test_block_norms_match_scalar_path(self):
+        # The implicit lanes' ||x||^2 of a gathered block of steps.
+        rng = np.random.default_rng(32)
+        for d in self.DIMS:
+            X = rng.standard_normal((60, d))
+            X_b = X[np.arange(4)[:, None] * 7 + np.arange(0, 60, 5)[None, :7]]
+            want = [[float(x @ x) for x in X_k] for X_k in X_b]
+            assert _bits(np.vecdot(X_b, X_b)) == _bits(np.array(want)), d
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_implicit_lanes_match_reference(self, model_kind):
+        # The kernel's implicit step takes ||x||^2 from the gathered block
+        # and x'theta from the step's rows; each lane is the reference's bit
+        # for bit at every d. The bisection absorbs most last-bit changes of
+        # ||x||^2, so the test above checks the norms themselves.
+        rng = np.random.default_rng(33)
+        kind, sched = AlgorithmKind.IMPLICIT_LAST, PolynomialStep(0.5)
+        rows = [range(0, 24, 3), range(1, 24, 2), range(5)]
+        for d in self.DIMS:
+            X = rng.standard_normal((24, d))
+            y = X @ np.linspace(0.0, 1.0, d) if model_kind == ModelKind.LINEAR else rng.integers(0, 2, 24) * 1.0
+            theta0 = 0.1 * rng.standard_normal((len(rows), d))
+            run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * len(rows), sched.gamma)
+            for lane_rows, start, got in zip(rows, theta0, run.theta):
+                state = init_state(kind, start)
+                for i in lane_rows:
+                    advance(state, sched, model_kind, DataPoint(X[i], float(y[i])))
+                assert got.tobytes() == state.theta.tobytes(), d
 
 
 class TestOrderedOuterSum:
