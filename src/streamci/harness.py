@@ -107,11 +107,14 @@ class ExperimentConfig:
             raise ValueError(f"d must be at least 2, got {self.d}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        # Above 1/2, HulC may draw a single bucket, too few for a t interval.
+        if self.alpha > 0.5 and "tstat" in self.methods:
+            raise ValueError(f"the t interval needs alpha <= 0.5, got {self.alpha}")
         min_t = 10 * math.ceil(math.log2(2.0 / self.alpha))
         if self.t < min_t:
             raise ValueError(f"t must be at least {min_t} so every bucket gets >= 10 points")
-        if not self.c_grid or any(c <= 0.0 for c in self.c_grid):
-            raise ValueError("c_grid must be non-empty with positive entries")
+        if not self.c_grid or not all(math.isfinite(c) and c > 0.0 for c in self.c_grid):
+            raise ValueError(f"c_grid must be non-empty with finite positive entries, got {list(self.c_grid)}")
         if not 0.5 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0.5, 1), got {self.gamma}")
         if self.reps < 1:
@@ -274,7 +277,7 @@ def _chunk_rows(
     # Lanes are c-major: lane ci * len(runs) + run.
     lanes = [(c, run) for c in cfg.c_grid for run in range(len(runs))]
     plugin_lanes = [i for i, (_, run) in enumerate(lanes) if run in plugin_run]
-    result = run_lanes(
+    estimates, responses = run_lanes(
         kind,
         cfg.model,
         X,
@@ -286,11 +289,11 @@ def _chunk_rows(
         noise=noise,
         record=plugin_lanes,
     )
-    estimates = result.estimates(kind)
-    # Per replication, the plug-in interval of every c (None: singular J).
+    # Per replication, the plug-in interval of every c (None: singular J),
+    # centred at the asgd lanes' averages.
     plugin_ivs = [
         plugin_interval(cfg.model, X[i * n : (i + 1) * n], y[i * n : (i + 1) * n],
-                        result.responses[i :: len(reps), :n], result.avg[plugin_run[i] :: len(runs)], cfg.alpha)
+                        responses[i :: len(reps), :n], estimates[plugin_run[i] :: len(runs)], cfg.alpha)
         for i in range(len(reps))
         if with_plugin
     ]
@@ -392,18 +395,27 @@ def _blas_threads(n: Optional[int]) -> Iterator[Optional[int]]:
             lib.shutdown()
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> list[ResultRow]:
     """Run every (config, c, rep) cell, parallel over chunks of replications."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
     chunks = [(cfg, reps) for cfg in cfgs for reps in _rep_chunks(cfg, threads)]
-    if threads <= 1 or len(chunks) == 1:
+    # At most one worker per CPU; the chunks, and so the bytes, do not change.
+    workers = min(threads, len(chunks), _cpu_count())
+    if workers <= 1:
         blocks = [_replication_task((cfg, reps, None)) for cfg, reps in chunks]
     else:
         # Workers fork with one BLAS thread each, so they do not each run a
         # full set of BLAS threads on the same CPUs; their Wald fits run
         # with this process's count, which their rounding depends on.
-        with _blas_threads(1) as wald_threads, ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+        with _blas_threads(1) as wald_threads, ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
     # A task's rows come in runs of d rows, one per (c, rep, method), each in
     # k order, so sorting the runs by their shared head sorts the rows. Runs
@@ -512,7 +524,7 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
             cfg.gamma,
             on_step=accumulate,
         )
-        for avg, xi in zip(run.avg, xi_sum):
+        for avg, xi in zip(run.estimates, xi_sum):
             rem = math.sqrt(t) * (avg - theta_star) + spd_solve(lower, xi) / math.sqrt(t)
             residuals.append(float(math.sqrt(rem @ hess @ rem)))
     return residuals

@@ -175,10 +175,6 @@ def _mean_response(kind: ModelKind, u: float) -> float:
     raise ValueError(f"unsupported model kind: {kind!r}")
 
 
-def _grad_xy(kind: ModelKind, theta: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-    return (_mean_response(kind, float(x @ theta)) - y) * x
-
-
 def loss_value(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> float:
     """Per-observation loss: squared error / 2 or the logistic log loss."""
     u = float(p.x @ theta)
@@ -192,7 +188,7 @@ def loss_value(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> float:
 
 def loss_grad(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> np.ndarray:
     """Per-observation gradient (psi(x'theta) - y) x."""
-    return _grad_xy(kind, np.asarray(theta, dtype=float), p.x, p.y)
+    return (_mean_response(kind, float(p.x @ np.asarray(theta, dtype=float))) - p.y) * p.x
 
 
 def loss_hessian(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> np.ndarray:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import DataPoint, ModelKind, _grad_xy, _mean_response, _sigmoid_scalarwise
+from .model import DataPoint, ModelKind, _sigmoid_scalarwise, loss_grad
 from .statutil import IllConditionedError, RngStream
 
 __all__ = [
@@ -68,8 +68,8 @@ class PolynomialStep:
     gamma: float = 0.505
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"c must be finite and positive, got {self.c}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
@@ -171,49 +171,19 @@ def _root_weight(t: int) -> float:
     return (t - 1.0) / t
 
 
-def _implicit_update(
-    model_kind: ModelKind,
-    theta: np.ndarray,
-    x: np.ndarray,
-    y: float,
-    eta: float,
-) -> np.ndarray:
-    """Solve theta_new = theta - eta * grad(theta_new) for GLM-type losses.
-
-    The gradient is (psi(x'theta) - y) x, so theta_new = theta - s*x with s
-    solving the scalar fixed point s = eta * (psi(x'theta - s*||x||^2) - y).
-    f(s) = s - eta*(...) is strictly increasing with a sign change on
-    [min(0, s0), max(0, s0)] where s0 = eta*(psi(x'theta) - y), so bisection
-    is safe; failure to bracket down to tolerance raises.
-    """
-    a = float(x @ theta)
-    s0 = eta * (_mean_response(model_kind, a) - y)
-    nx2 = float(x @ x)
-    if s0 == 0.0 or nx2 == 0.0:
-        return theta - s0 * x
-    lo, hi = (0.0, s0) if s0 > 0.0 else (s0, 0.0)
-    width_tol = IMPLICIT_TOL * max(1.0, abs(s0))
-    for _ in range(IMPLICIT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid - eta * (_mean_response(model_kind, a - mid * nx2) - y) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= width_tol:
-            break
-    else:
-        raise IllConditionedError("implicit update bisection did not converge")
-    return theta - (0.5 * (lo + hi)) * x
-
-
 def _implicit_steps(
     model_kind: ModelKind, a: list[float], nx2: list[float], y: list[float], eta: list[float]
 ) -> list[float]:
-    """Per lane, the s of _implicit_update (theta_new = theta - s*x) from
-    a = x'theta and nx2 = ||x||^2. It is the same bisection on Python floats,
-    so each s is bit for bit the reference's; the scalar branch of sigmoid
-    is written out because calling it per bisection step cost most of the
-    time."""
+    """Per lane, the s of the implicit update theta_new = theta - s*x, from
+    a = x'theta and nx2 = ||x||^2.
+
+    The gradient is (psi(x'theta) - y) x, so s solves the scalar fixed point
+    s = eta * (psi(a - s*nx2) - y). f(s) = s - eta*(...) is strictly
+    increasing with a sign change on [min(0, s0), max(0, s0)] where
+    s0 = eta*(psi(a) - y), so bisection on Python floats is safe; failure to
+    bracket down to tolerance raises. The scalar branch of sigmoid is written
+    out because calling it per bisection step cost most of the time.
+    """
     logistic = model_kind == ModelKind.LOGISTIC
     exp = math.exp
     out = []
@@ -253,32 +223,38 @@ def _implicit_steps(
     return out
 
 
+def _implicit_update(model_kind: ModelKind, theta: np.ndarray, x: np.ndarray, y: float, eta: float) -> np.ndarray:
+    """Solve theta_new = theta - eta * grad(theta_new) for GLM-type losses,
+    with the kernel's solver on one lane."""
+    (s,) = _implicit_steps(model_kind, [float(x @ theta)], [float(x @ x)], [y], [eta])
+    return theta - s * x
+
+
 def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind, p: DataPoint) -> OptimizerState:
     """Apply exactly one update of state.kind for observation p, in place."""
     t = state.t + 1
     eta = step_size(sched, t)
-    x, y = p.x, p.y
     theta = state.theta
     name = state.kind.value
 
     if name in ("sgd", "asgd"):
-        theta_new = theta - eta * _grad_xy(model_kind, theta, x, y)
+        theta_new = theta - eta * loss_grad(model_kind, theta, p)
     elif name in ("implicit-last", "implicit-avg"):
-        theta_new = _implicit_update(model_kind, theta, x, y, eta)
+        theta_new = _implicit_update(model_kind, theta, p.x, p.y, eta)
     elif name == "root":
-        g = _grad_xy(model_kind, theta, x, y)
+        g = loss_grad(model_kind, theta, p)
         if t == 1:
             v = g
         else:
-            v = g + _root_weight(t) * (state.v - _grad_xy(model_kind, state.prev_theta, x, y))
+            v = g + _root_weight(t) * (state.v - loss_grad(model_kind, state.prev_theta, p))
         state.v = v
         state.prev_theta = theta
         theta_new = theta - eta * v
     elif name == "truncated":
-        _, g_trunc = gradient_truncate(_grad_xy(model_kind, theta, x, y), TRUNCATION_EPS2)
+        _, g_trunc = gradient_truncate(loss_grad(model_kind, theta, p), TRUNCATION_EPS2)
         theta_new = theta - eta * g_trunc
     elif name == "noisy-truncated":
-        _, g_trunc = gradient_truncate(_grad_xy(model_kind, theta, x, y), TRUNCATION_EPS2)
+        _, g_trunc = gradient_truncate(loss_grad(model_kind, theta, p), TRUNCATION_EPS2)
         noise = state.rng.standard_normal(theta.shape[0])
         theta_new = theta - eta * g_trunc + (NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)) * noise
     else:
@@ -290,23 +266,18 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
     return state
 
 
-@dataclass
-class LaneRun:
-    """Final state of the lanes of one run_lanes call, in the order given.
+class LaneRun(NamedTuple):
+    """What one run_lanes call leaves, lanes in the order given.
 
-    avg is the running average of the iterates for the averaged algorithms
-    (asgd, implicit-avg) and None for the rest, which report the last
-    iterate. responses[p, :len(rows[record[p]])] holds psi(x'theta) of
-    recorded lane record[p] at each step's pre-update iterate, in step order.
+    estimates (L, d) holds each lane's estimate: the running average of the
+    iterates for the averaged algorithms (asgd, implicit-avg), the last
+    iterate for the rest. responses[p, :len(rows[record[p]])] holds
+    psi(x'theta) of recorded lane record[p] at each step's pre-update
+    iterate, in step order.
     """
 
-    theta: np.ndarray
-    avg: Optional[np.ndarray]
+    estimates: np.ndarray
     responses: np.ndarray
-
-    def estimates(self, kind: AlgorithmKind) -> np.ndarray:
-        """The (L, d) estimates of algorithm kind: averages or last iterates."""
-        return self.avg if kind.averaged else self.theta
 
 
 def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
@@ -362,7 +333,7 @@ def run_lanes(
     round-robin bucket is a strided range over its replication's rows and
     no data is copied per lane. Every lane's arithmetic is that of
     init_state + advance, bit for bit, whatever the number of lanes; the
-    running average is kept only where it is the estimate (LaneRun.avg).
+    running average is kept only where it is the estimate.
 
     noise (same shape as X, noisy-truncated only) is read through the same
     row index: the row a lane observes at step t also supplies its noise.
@@ -487,11 +458,11 @@ def run_lanes(
                         av += np.divide(th, ft, W)
                 idx[:active] = at[-1] + stride[:active]
             t0 = end + 1
-    return LaneRun(theta=theta[rank], avg=avg[rank] if avg is not None else None, responses=mu_rec[slot_of])
+    return LaneRun((theta if avg is None else avg)[rank], mu_rec[slot_of])
 
 
 def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequence[range]) -> np.ndarray:
     """Fixed-step SGD burn-in from the origin for every lane; (L, d) iterates.
     A lane with no rows stays at the origin."""
     zeros = np.zeros(X.shape[1])
-    return run_lanes(AlgorithmKind.SGD, model_kind, X, y, rows, zeros, [WARM_START_STEP] * len(rows), 0.0).theta
+    return run_lanes(AlgorithmKind.SGD, model_kind, X, y, rows, zeros, [WARM_START_STEP] * len(rows), 0.0).estimates

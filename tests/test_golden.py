@@ -1,8 +1,8 @@
 """Byte-identity of the golden fixture: every algorithm on both models
 (bench/golden.py) must reproduce the stored raw and summary CSVs, and every
-seed-0 benchmark call its stored reference. Also a short traced benchmark
-run, which must still attach to the program, and traced runs, which must
-write the untraced run's bytes."""
+seed-0 benchmark call and a small expansion-residual diagnostic its stored
+reference. Also a short traced benchmark run, which must still attach to
+the program, and traced runs, which must write the untraced run's bytes."""
 
 import subprocess
 import sys
@@ -110,3 +110,16 @@ def test_workloads_match_seed0_references(tmp_path, monkeypatch):
                 if path.read_bytes() != want:
                     changed.append(f"{workload}/{path.name}")
     assert changed == []
+
+
+def test_expansion_residuals_match_reference(tmp_path):
+    """The --diagnostic expansion-residual CSV of a small linear cell writes
+    the bytes of tests/data/expansion_residual_linear_d5.csv. It was
+    recorded with OpenBLAS at 2 threads, as the workloads' references were,
+    so the call runs at 2."""
+    out = tmp_path / "residual.csv"
+    argv = ["--model", "linear", "--d", "5", "--t", "2000", "--cov", "toeplitz", "--algo", "asgd", "--c", "0.5",
+            "--reps", "10", "--seed", "0", "--diagnostic", "expansion-residual", "--out", str(out)]
+    with _blas_threads(2):
+        assert run_cli(argv) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "expansion_residual_linear_d5.csv").read_bytes()

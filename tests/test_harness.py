@@ -96,6 +96,10 @@ class TestExperimentConfig:
             {"gamma": 1.0},
             {"c_grid": ()},
             {"c_grid": (0.5, -1.0)},
+            {"c_grid": (NAN,)},
+            {"c_grid": (INF,)},
+            # The default methods include the t interval, which needs B >= 2.
+            {"alpha": 0.9},
             {"reps": 0},
             {"base_seed": -1},
         ],
@@ -103,6 +107,12 @@ class TestExperimentConfig:
     def test_rejects_bad_fields(self, overrides):
         with pytest.raises(ValueError):
             _cfg(**overrides)
+
+    def test_alpha_above_half_needs_no_t_interval(self):
+        # At alpha <= 1/2 HulC draws B >= 2; above it B may be 1, which
+        # HulC alone allows and the t interval does not (test above).
+        assert _cfg(alpha=0.5).alpha == 0.5
+        assert _cfg(alpha=0.9, methods=("wald", "plugin", "hulc")).alpha == 0.9
 
 
 class TestReplication:
@@ -208,6 +218,7 @@ class TestRunGrid:
                 return super().map(fn, *iterables, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         run_grid([_cfg(reps=2)], threads=2)
         assert seen == [1] * 5
         assert get() == 2
@@ -216,6 +227,28 @@ class TestRunGrid:
         with pytest.raises(RuntimeError, match="task failed"):
             run_grid([_cfg(reps=2)], threads=2)
         assert get() == 2
+
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
+        # More threads than CPUs keeps the chunking (one chunk per
+        # replication here) but not the worker count; one CPU runs the
+        # chunks in this process, with the serial path's bytes.
+        cfg = _cfg(c_grid=(0.1, 0.5), reps=4)
+        assert len(_rep_chunks(cfg, 4)) == 4
+        serial = run_grid([cfg], threads=1)
+        workers = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
+        assert run_grid([cfg], threads=4) == serial
+        assert workers == []
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        assert run_grid([cfg], threads=4) == serial
+        assert workers == [2]
 
     def test_rep_chunks_partition_reps(self):
         cfg = _cfg(reps=7)
@@ -549,6 +582,21 @@ class TestCli:
         out = tmp_path / "x.csv"
         argv = self._argv(out, diagnostic="expansion-residual")
         argv[argv.index("asgd")] = algo
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("c", "nan"), ("c", "0.5,inf"), ("alpha", "0.9")])
+    def test_non_finite_c_or_large_alpha_exits_config(self, tmp_path, capsys, flag, value):
+        # A NaN or infinite step constant would be written into every row's
+        # c column; alpha 0.9 with the default methods can draw one bucket,
+        # too few for the t interval.
+        out = tmp_path / "x.csv"
+        argv = self._argv(out)
+        if flag == "c":
+            argv[argv.index("--c") + 1] = value
+        else:
+            argv += ["--alpha", value]
         assert run_cli(argv) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not out.exists()

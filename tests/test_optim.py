@@ -46,6 +46,16 @@ def _linear_data(n, d, seed, cov=CovarianceKind.IDENTITY):
     return spec, sample_dataset(spec, covariance_factor(spec), RngStream(seed, 0), n)
 
 
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def _declared_estimate(state):
+    """The reference's estimate: the running average for the averaged
+    algorithms, the last iterate for the rest."""
+    return state.avg if state.kind.averaged else state.theta
+
+
 class TestStepSize:
     def test_polynomial_first_step_is_c(self):
         assert step_size(PolynomialStep(0.5), 1) == 0.5
@@ -60,7 +70,7 @@ class TestStepSize:
         with pytest.raises(ValueError):
             step_size(PolynomialStep(0.1, 0.0), 0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_constant_validation(self, bad):
         with pytest.raises(ValueError):
             PolynomialStep(bad, 0.0)
@@ -314,7 +324,7 @@ class TestAveraging:
         state = init_state(kind, np.zeros(2), rng=RngStream(25, 9) if noisy else None)
         for p in data:
             advance(state, sched, ModelKind.LINEAR, p)
-        assert_array_equal(run.estimates(kind)[0], state.avg if kind.averaged else state.theta)
+        assert _bits(run.estimates[0]) == _bits(_declared_estimate(state))
 
 
 class TestNoisyTruncated:
@@ -351,9 +361,8 @@ class TestRunStream:
         rng = np.random.default_rng(28)
         X = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
         y = np.array([float(X[i] @ theta_star) for i in range(40)])
-        kind = AlgorithmKind("asgd")
-        run = run_lanes(kind, ModelKind.LINEAR, X, y, [range(40)], theta_star, [0.5], 0.505)
-        assert_array_equal(run.estimates(kind)[0], theta_star)
+        run = run_lanes(AlgorithmKind.ASGD, ModelKind.LINEAR, X, y, [range(40)], theta_star, [0.5], 0.505)
+        assert_array_equal(run.estimates[0], theta_star)
 
     def test_asgd_converges_across_replications(self):
         spec = ModelSpec(ModelKind.LINEAR, 5, CovarianceKind.IDENTITY)
@@ -363,9 +372,8 @@ class TestRunStream:
         X = np.concatenate([dt.X for dt in data])
         y = np.concatenate([dt.y for dt in data])
         rows = [range(rep * n, (rep + 1) * n) for rep in range(reps)]
-        kind = AlgorithmKind("asgd")
-        run = run_lanes(kind, ModelKind.LINEAR, X, y, rows, np.zeros(5), [0.5] * reps, 0.505)
-        close = np.sum(np.linalg.norm(run.estimates(kind) - spec.theta_star, axis=1) < 0.2)
+        run = run_lanes(AlgorithmKind.ASGD, ModelKind.LINEAR, X, y, rows, np.zeros(5), [0.5] * reps, 0.505)
+        close = np.sum(np.linalg.norm(run.estimates - spec.theta_star, axis=1) < 0.2)
         assert close >= 0.95 * reps
 
 
@@ -392,10 +400,6 @@ def _reference_lane(kind, model_kind, X, y, rows, theta0, sched, noise):
         plugin_update(acc, model_kind, state.theta, p)
         advance(state, sched, model_kind, p)
     return state, np.array(responses), acc
-
-
-def _bits(a):
-    return np.asarray(a).tobytes()
 
 
 class TestRunLanes:
@@ -439,9 +443,7 @@ class TestRunLanes:
             state, responses, _ = _reference_lane(
                 kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], gamma), noise
             )
-            assert _bits(run.theta[lane]) == _bits(state.theta)
-            if kind.averaged:
-                assert _bits(run.avg[lane]) == _bits(state.avg)
+            assert _bits(run.estimates[lane]) == _bits(_declared_estimate(state))
             if lane in record:
                 p = record.index(lane)
                 assert _bits(run.responses[p, : len(rows[lane])]) == _bits(responses)
@@ -451,12 +453,7 @@ class TestRunLanes:
             kind, model_kind, X, y, [rows[i] for i in subset], theta0[subset], [c[i] for i in subset], gamma,
             noise=noise, record=[k for k, i in enumerate(subset) if i in record],
         )
-        assert _bits(part.theta) == _bits(run.theta[subset])
-        if kind.averaged:
-            assert _bits(part.avg) == _bits(run.avg[subset])
-        else:
-            # The kernel keeps no average where the last iterate is the estimate.
-            assert run.avg is None and part.avg is None
+        assert _bits(part.estimates) == _bits(run.estimates[subset])
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_plugin_sums_match_reference_at_d100(self, model_kind):
@@ -480,7 +477,7 @@ class TestRunLanes:
         run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * 3, sched.gamma, record=record)
         for p, lane in enumerate(record):
             state, responses, acc = _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], sched, None)
-            assert _bits(run.avg[lane]) == _bits(state.avg)
+            assert _bits(run.estimates[lane]) == _bits(state.avg)
             m = run.responses[p, : len(rows[lane])]
             assert _bits(m) == _bits(responses)
             x, y_lane = X[list(rows[lane])], y[list(rows[lane])]
@@ -554,7 +551,7 @@ class TestLaneArithmetic:
             y = X @ np.linspace(0.0, 1.0, d) if model_kind == ModelKind.LINEAR else rng.integers(0, 2, 24) * 1.0
             theta0 = 0.1 * rng.standard_normal((len(rows), d))
             run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * len(rows), sched.gamma)
-            for lane_rows, start, got in zip(rows, theta0, run.theta):
+            for lane_rows, start, got in zip(rows, theta0, run.estimates):
                 state = init_state(kind, start)
                 for i in lane_rows:
                     advance(state, sched, model_kind, DataPoint(X[i], float(y[i])))
