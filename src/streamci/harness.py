@@ -23,30 +23,18 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .infer import (
-    IntervalSet,
-    hulc_batch_count,
-    hulc_interval,
-    plugin_interval,
-    tstat_interval,
-    wald_offline,
-)
-from .model import (
-    CovarianceKind,
-    Dataset,
-    ModelKind,
-    ModelSpec,
-    covariance_factor,
-    population_hessian,
-    sample_dataset,
-)
+from .infer import IntervalSet, hulc_batch_count, hulc_interval, plugin_interval, tstat_interval, wald_offline
+from .model import CovarianceKind, Dataset, ModelKind, ModelSpec, covariance_factor, population_hessian, sample_dataset
 from .optim import NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes, warm_lanes
 from .statutil import IllConditionedError, RngStream, spd_factorize, spd_solve
 
 __all__ = [
     "ExperimentConfig",
+    "ResultBlock",
     "ResultRow",
     "Summary",
+    "SummaryBlock",
+    "Table",
     "aggregate",
     "expansion_residuals",
     "nonfinite_counts",
@@ -139,8 +127,8 @@ def _canonical_methods(methods: Sequence[str]) -> tuple[str, ...]:
 
 class ResultRow(NamedTuple):
     """One (replication, method, coordinate) outcome. k is 1-based. The
-    covered/width/center fields are None when the method was unavailable
-    (numerically singular baseline)."""
+    covered/width/center fields are None exactly when the method was
+    unavailable (numerically singular baseline)."""
 
     model: str
     d: int
@@ -155,6 +143,21 @@ class ResultRow(NamedTuple):
     width: Optional[float]
     center: Optional[float]
     unavailable: bool
+
+
+class ResultBlock(NamedTuple):
+    """The ResultRows of one (config, c, rep, method) run as columns: head
+    is their fields before k; covered, width and center are arrays over k,
+    all three None when the method was unavailable."""
+
+    head: tuple
+    k: range
+    covered: Optional[np.ndarray]
+    width: Optional[np.ndarray]
+    center: Optional[np.ndarray]
+
+    def rows(self) -> Iterator[ResultRow]:
+        return (ResultRow._make(self.head + (*entries, self.covered is None)) for entries in _entries(self))
 
 
 class Summary(NamedTuple):
@@ -172,6 +175,57 @@ class Summary(NamedTuple):
     median_width: Optional[float]
     width_ratio: Optional[float]
     n_wald_available: int
+
+
+class SummaryBlock(NamedTuple):
+    """The Summaries of one (grid cell, method) as columns: head is their
+    fields before k; coverage, median_width and width_ratio are arrays over
+    k, each None where all its entries are."""
+
+    head: tuple
+    k: range
+    coverage: Optional[np.ndarray]
+    median_width: Optional[np.ndarray]
+    width_ratio: Optional[np.ndarray]
+    n_wald_available: int
+
+    def rows(self) -> Iterator[Summary]:
+        return (Summary._make(self.head + (*entries, self.n_wald_available)) for entries in _entries(self))
+
+
+def _entries(block: ResultBlock | SummaryBlock) -> Iterator[tuple]:
+    """Per k, k and the block's three column entries (None for a None column)."""
+    return zip(block.k, *[itertools.repeat(None) if col is None else col.tolist() for col in block[2:5]])
+
+
+def _interleaved(blocks: Iterable, items: Callable) -> Iterator:
+    """items(block) of every block in turn; consecutive blocks with the same
+    head (a repeated c or config) interleave theirs by k, as a stable sort
+    of their rows would."""
+    for _, same in itertools.groupby(blocks, key=lambda block: block.head):
+        yield from itertools.chain.from_iterable(zip(*map(items, same)))
+
+
+class Table:
+    """ResultBlocks or SummaryBlocks in output order. Iterating a Table
+    yields the blocks' rows (ResultRows or Summaries) in that order."""
+
+    def __init__(self, blocks: list) -> None:
+        self.blocks = blocks
+
+    def __iter__(self) -> Iterator:
+        return _interleaved(self.blocks, lambda block: block.rows())
+
+    def __len__(self) -> int:
+        return sum(len(block.k) for block in self.blocks)
+
+
+def _result_blocks(rows: Table | Iterable[ResultRow]) -> list[ResultBlock]:
+    """The blocks of a Table, or one block per row of a list of ResultRows."""
+    if isinstance(rows, Table):
+        return rows.blocks
+    return [ResultBlock(r[:8], range(r.k, r.k + 1), *[None if v is None else np.array([v]) for v in r[9:12]])
+            for r in rows]
 
 
 def _stream(cfg: ExperimentConfig, rep: int, role: int) -> RngStream:
@@ -200,20 +254,11 @@ def _initial_iterates(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, runs:
     return np.zeros(cfg.d)
 
 
-def _method_rows(
-    cfg: ExperimentConfig, c: float, rep: int, method: str, iv: Optional[IntervalSet], theta_star: np.ndarray
-) -> list[ResultRow]:
-    """One row per coordinate of a method's intervals, k = 1..d in order; iv
-    None marks the method unavailable in this replication."""
-    head = (cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.value, c, rep, method)
-    if iv is None:
-        return [ResultRow._make(head + (k, None, None, None, True)) for k in range(1, cfg.d + 1)]
-    covered = iv.covers(theta_star).astype(int).tolist()
-    width, center = iv.width.tolist(), iv.center.tolist()
-    return [
-        ResultRow._make(head + (k, cov, w, ctr, False))
-        for k, cov, w, ctr in zip(range(1, cfg.d + 1), covered, width, center)
-    ]
+def _method_block(head: tuple, iv: Optional[IntervalSet], theta_star: np.ndarray) -> ResultBlock:
+    """A method's intervals over k = 1..d as the block of head; iv None
+    marks the method unavailable in this replication."""
+    columns = (None, None, None) if iv is None else (iv.covers(theta_star).astype(int), iv.width, iv.center)
+    return ResultBlock(head, range(1, len(theta_star) + 1), *columns)
 
 
 def _chunk_rows(
@@ -222,8 +267,8 @@ def _chunk_rows(
     X: np.ndarray,
     y: np.ndarray,
     wald_threads: Optional[int] = None,
-) -> list[ResultRow]:
-    """All result rows of a chunk of replications, for every c in cfg.c_grid.
+) -> list[ResultBlock]:
+    """A chunk of replications' result blocks, one per (c, rep, method).
 
     X and y hold the replications' datasets as _sample_reps lays them out.
     Data, warm starts, Wald intervals and HulC batch counts do not depend on
@@ -298,37 +343,39 @@ def _chunk_rows(
         if with_plugin
     ]
 
-    rows: list[ResultRow] = []
+    cell = (cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.value)
+    blocks: list[ResultBlock] = []
     for ci, c in enumerate(cfg.c_grid):
         lane0 = ci * len(runs)
         for i, rep in enumerate(reps):
+            head = cell + (c, rep)
             if "wald" in cfg.methods:
-                rows += _method_rows(cfg, c, rep, "wald", wald[i], theta_star)
+                blocks.append(_method_block(head + ("wald",), wald[i], theta_star))
             if with_plugin:
-                rows += _method_rows(cfg, c, rep, "plugin", plugin_ivs[i][ci], theta_star)
+                blocks.append(_method_block(head + ("plugin",), plugin_ivs[i][ci], theta_star))
             if with_buckets:
                 buckets = estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop]
                 if "hulc" in cfg.methods:
-                    rows += _method_rows(cfg, c, rep, "hulc", hulc_interval(buckets), theta_star)
+                    blocks.append(_method_block(head + ("hulc",), hulc_interval(buckets), theta_star))
                 if "tstat" in cfg.methods:
-                    rows += _method_rows(cfg, c, rep, "tstat", tstat_interval(buckets, cfg.alpha), theta_star)
-    return rows
+                    blocks.append(_method_block(head + ("tstat",), tstat_interval(buckets, cfg.alpha), theta_star))
+    return blocks
 
 
 def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
     """Contiguous replication ranges of near-equal size: at least one per
-    worker (up to one per replication), each within CHUNK_FLOATS."""
+    worker that runs them (up to one per replication), each within CHUNK_FLOATS."""
     per_rep = cfg.t * cfg.d + len(cfg.c_grid) * (cfg.t + 2 * cfg.d * cfg.d)
-    n = max(min(threads, cfg.reps), math.ceil(cfg.reps * per_rep / CHUNK_FLOATS))
+    n = max(min(threads, _cpu_count(), cfg.reps), math.ceil(cfg.reps * per_rep / CHUNK_FLOATS))
     n = min(n, cfg.reps)
     size, extra = divmod(cfg.reps, n)
     bounds = [i * size + min(i, extra) for i in range(n + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _replication_task(task: tuple[ExperimentConfig, range, Optional[int]]) -> list[ResultRow]:
-    """Pool task: every row of one chunk of replications, with the Wald fits
-    at the given BLAS thread count (None: the current one)."""
+def _replication_task(task: tuple[ExperimentConfig, range, Optional[int]]) -> list[ResultBlock]:
+    """Pool task: every result block of one chunk of replications, with the
+    Wald fits at the given BLAS thread count (None: the current one)."""
     cfg, reps, wald_threads = task
     return _chunk_rows(cfg, reps, *_sample_reps(cfg, reps), wald_threads)
 
@@ -402,85 +449,63 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> list[ResultRow]:
-    """Run every (config, c, rep) cell, parallel over chunks of replications."""
+def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
+    """Run every (config, c, rep) cell, parallel over chunks of replications.
+    The Table's ResultBlocks are sorted by head; iterating it yields the
+    ResultRows sorted by (config fields, c, rep, method, k)."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
     chunks = [(cfg, reps) for cfg in cfgs for reps in _rep_chunks(cfg, threads)]
     # At most one worker per CPU; the chunks, and so the bytes, do not change.
     workers = min(threads, len(chunks), _cpu_count())
     if workers <= 1:
-        blocks = [_replication_task((cfg, reps, None)) for cfg, reps in chunks]
+        tasks = [_replication_task((cfg, reps, None)) for cfg, reps in chunks]
     else:
         # Workers fork with one BLAS thread each, so they do not each run a
         # full set of BLAS threads on the same CPUs; their Wald fits run
         # with this process's count, which their rounding depends on.
         with _blas_threads(1) as wald_threads, ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
-    # A task's rows come in runs of d rows, one per (c, rep, method), each in
-    # k order, so sorting the runs by their shared head sorts the rows. Runs
-    # with the same head (a repeated c or config) interleave by k, as a
-    # stable sort of the rows would.
-    runs = [
-        block[i : i + cfg.d] for (cfg, _), block in zip(chunks, blocks) for i in range(0, len(block), cfg.d)
-    ]
-    runs.sort(key=_run_head)
-    rows: list[ResultRow] = []
-    for _, same in itertools.groupby(runs, key=_run_head):
-        rows += (row for rows_k in zip(*same) for row in rows_k)
-    return rows
+            tasks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
+    # A block's rows are in k order, so sorting the blocks by head sorts the
+    # rows; blocks with the same head keep their order, which the Table
+    # interleaves by k.
+    return Table(sorted((block for task in tasks for block in task), key=lambda block: block.head))
 
 
-def _run_head(run: list[ResultRow]) -> tuple:
-    """The fields a run's rows share: all of the sort key but k."""
-    return run[0][:8]
+def _lower_median(values) -> np.ndarray:
+    """Median over axis 0, the lower middle value on even counts (no
+    interpolation convention), NaN where any value is NaN. Of ties (0.0 and
+    -0.0) the stable sort picks the one sorted() picks."""
+    ordered = np.sort(values, axis=0, kind="stable")
+    return np.where(np.isnan(values).any(axis=0), np.nan, ordered[(len(ordered) - 1) // 2])
 
 
-def _lower_median(values: list[float]) -> float:
-    """Median with the lower of the two middle values on even counts, so
-    aggregates are reproducible without interpolation conventions; NaN when
-    any value is NaN (sorted() leaves a NaN where the input order puts it)."""
-    if any(map(math.isnan, values)):
-        return math.nan
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
-def aggregate(rows: Sequence[ResultRow]) -> list[Summary]:
-    """Coverage, median width, and width ratio per (grid cell, method, k)."""
-    # (cell, method, k) -> the covered flags and widths of its available
-    # rows; cell -> the replications with an available Wald row.
-    groups: dict[tuple, tuple[list[int], list[float]]] = {}
+def aggregate(rows: Table | Sequence[ResultRow]) -> Table:
+    """Coverage, median width, and width ratio per (grid cell, method, k), as
+    a Table of SummaryBlocks: one per (grid cell, method) of a run_grid
+    Table, one per (grid cell, method, k) of a list of ResultRows."""
+    # (cell, method, first k, end k) -> its available blocks; cell -> the
+    # replications with an available Wald block.
+    groups: dict[tuple, list[ResultBlock]] = {}
     wald_reps: dict[tuple, set[int]] = {}
-    for model, d, t, cov, algo, c, rep, method, k, covered, width, _, unavailable in rows:
-        key = (model, d, t, cov, algo, c, method, k)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = ([], [])
-        if not unavailable:
-            group[0].append(covered)
-            group[1].append(width)
+    for block in _result_blocks(rows):
+        cell, rep, method = block.head[:6], block.head[6], block.head[7]
+        available = groups.setdefault(cell + (method, block.k.start, block.k.stop), [])
+        if block.covered is not None:
+            available.append(block)
             if method == "wald":
-                wald_reps.setdefault(key[:6], set()).add(rep)
+                wald_reps.setdefault(cell, set()).add(rep)
 
-    wald_median = {
-        key[:6] + key[7:]: _lower_median(widths)
-        for key, (_, widths) in groups.items()
-        if key[6] == "wald" and widths
-    }
-    summaries: list[Summary] = []
-    for key in sorted(groups):
-        covered, widths = groups[key]
-        cell = key[:6]
-        coverage = median_width = width_ratio = None
-        if widths:
-            coverage = sum(covered) / len(covered)
-            median_width = _lower_median(widths)
-            baseline = wald_median.get(cell + key[7:])
-            if baseline is not None:
-                width_ratio = median_width / baseline
-        summaries.append(Summary._make(key + (coverage, median_width, width_ratio, len(wald_reps.get(cell, ())))))
-    return summaries
+    medians = {key: _lower_median(np.array([b.width for b in blocks])) for key, blocks in groups.items() if blocks}
+    summaries: list[SummaryBlock] = []
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or infinite Wald median
+        for key in sorted(groups):
+            blocks, median, baseline = groups[key], medians.get(key), medians.get(key[:6] + ("wald",) + key[7:])
+            coverage = np.array([b.covered for b in blocks]).sum(axis=0) / len(blocks) if blocks else None
+            ratio = None if median is None or baseline is None else median / baseline
+            n_wald = len(wald_reps.get(key[:6], ()))
+            summaries.append(SummaryBlock(key[:7], range(*key[7:]), coverage, median, ratio, n_wald))
+    return Table(summaries)
 
 
 def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
@@ -513,17 +538,8 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
             xi_sum[lanes] += grad - (hess[None] @ (theta - theta_star)[:, :, None])[:, :, 0]
 
         rows = [range(i * t, (i + 1) * t) for i in range(len(reps))]
-        run = run_lanes(
-            cfg.algorithm,
-            cfg.model,
-            X,
-            y,
-            rows,
-            _initial_iterates(cfg, X, y, rows),
-            [cfg.c_grid[0]] * len(rows),
-            cfg.gamma,
-            on_step=accumulate,
-        )
+        run = run_lanes(cfg.algorithm, cfg.model, X, y, rows, _initial_iterates(cfg, X, y, rows),
+                        [cfg.c_grid[0]] * len(rows), cfg.gamma, on_step=accumulate)
         for avg, xi in zip(run.estimates, xi_sum):
             rem = math.sqrt(t) * (avg - theta_star) + spd_solve(lower, xi) / math.sqrt(t)
             residuals.append(float(math.sqrt(rem @ hess @ rem)))
@@ -540,11 +556,6 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
 # field is quoted, because none can hold a comma, quote or newline: model,
 # cov, algo and method are enum values and every other field is a number.
 
-def _opt(value: Optional[float]) -> str:
-    """A field that may be missing: "" for None, repr otherwise."""
-    return "" if value is None else repr(value)
-
-
 def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
     """The header and the lines as one text, in one write."""
     text = "\n".join([header, *lines, ""])
@@ -552,28 +563,23 @@ def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
         handle.write(text)
 
 
-def write_rows_csv(rows: Sequence[ResultRow], path: str) -> None:
-    _write_csv(
-        path,
-        RAW_HEADER,
-        (
-            f"{r.model},{r.d},{r.t},{r.cov},{r.algo},{r.c!r},{r.rep},{r.method},{r.k},"
-            f"{_opt(r.covered)},{_opt(r.width)},{_opt(r.center)},{r.unavailable:d}"
-            for r in rows
-        ),
-    )
+def _block_lines(block: ResultBlock | SummaryBlock, columns: Sequence[Optional[np.ndarray]], tail: object) -> list[str]:
+    """Per k: the head (a float's str is its repr), k, three columns' fields
+    ("" for a None column) and tail."""
+    head = ",".join(map(str, block.head))
+    fields = [itertools.repeat("") if col is None else map(repr, col.tolist()) for col in columns]
+    return [f"{head},{k},{a},{b},{c},{tail}" for k, a, b, c in zip(block.k, *fields)]
 
 
-def write_summary_csv(summaries: Sequence[Summary], path: str) -> None:
-    _write_csv(
-        path,
-        SUMMARY_HEADER,
-        (
-            f"{s.model},{s.d},{s.t},{s.cov},{s.algo},{s.c!r},{s.method},{s.k},"
-            f"{_opt(s.coverage)},{_opt(s.median_width)},{_opt(s.width_ratio)},{s.n_wald_available}"
-            for s in summaries
-        ),
-    )
+def write_rows_csv(rows: Table | Sequence[ResultRow], path: str) -> None:
+    lines = _interleaved(_result_blocks(rows), lambda b: _block_lines(b, b[2:], f"{b.covered is None:d}"))
+    _write_csv(path, RAW_HEADER, lines)
+
+
+def write_summary_csv(summaries: Table, path: str) -> None:
+    """Write aggregate's Table of SummaryBlocks as the summary CSV."""
+    lines = _interleaved(summaries.blocks, lambda s: _block_lines(s, s[2:5], s.n_wald_available))
+    _write_csv(path, SUMMARY_HEADER, lines)
 
 
 def write_residuals_csv(rows: Sequence[tuple], path: str) -> None:
@@ -604,24 +610,18 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def nonfinite_counts(rows: Sequence[ResultRow]) -> dict[str, int]:
+def nonfinite_counts(rows: Table | Sequence[ResultRow]) -> dict[str, int]:
     """Per method, the number of available rows whose width or center is
     not finite (divergent runs)."""
     counts: dict[str, int] = {}
-    for r in rows:
-        bad = not r.unavailable and not (math.isfinite(r.width) and math.isfinite(r.center))
-        counts[r.method] = counts.get(r.method, 0) + bad
+    for b in _result_blocks(rows):
+        bad = 0 if b.covered is None else len(b.k) - int(np.count_nonzero(np.isfinite(b.width) & np.isfinite(b.center)))
+        counts[b.head[7]] = counts.get(b.head[7], 0) + bad
     return counts
 
 
-def write_manifest(
-    cfgs: Sequence[ExperimentConfig],
-    path: str,
-    *,
-    threads: int,
-    wall_clock_seconds: float,
-    rows: Sequence[ResultRow],
-) -> None:
+def write_manifest(cfgs: Sequence[ExperimentConfig], path: str, *, threads: int, wall_clock_seconds: float,
+                   rows: Table | Sequence[ResultRow]) -> None:
     from . import __version__
 
     doc = {

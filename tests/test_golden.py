@@ -1,13 +1,16 @@
 """Byte-identity of the golden fixture: every algorithm on both models
 (bench/golden.py) must reproduce the stored raw and summary CSVs, and every
-seed-0 benchmark call and a small expansion-residual diagnostic its stored
-reference. Also a short traced benchmark run, which must still attach to
-the program, and traced runs, which must write the untraced run's bytes."""
+seed-0 benchmark call, three edge-case grids and a small expansion-residual
+diagnostic its stored reference. Also a short traced benchmark run, which
+must still attach to the program, and traced runs, which must write the
+untraced run's bytes."""
 
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from streamci.cli import run_cli
 from streamci.harness import _blas_threads
@@ -110,6 +113,56 @@ def test_workloads_match_seed0_references(tmp_path, monkeypatch):
                 if path.read_bytes() != want:
                     changed.append(f"{workload}/{path.name}")
     assert changed == []
+
+
+# Calls whose cases no seed-0 workload has, recorded under tests/data/ with
+# OpenBLAS at 2 threads: a repeated c (its raw rows interleave by k, its
+# summary groups merge), two stream lengths (configs sorted by t), and a
+# logistic cell in which 3 of the 4 Wald fits are unavailable.
+EDGE_GRIDS = {
+    "edge_repeated_c": ["--model", "linear", "--d", "3", "--t", "200", "--cov", "toeplitz", "--algo", "asgd",
+                        "--c", "0.5,0.1,0.5", "--reps", "3", "--seed", "5"],
+    "edge_two_lengths": ["--model", "linear", "--d", "3", "--t", "400,200", "--cov", "identity", "--algo", "sgd",
+                         "--c", "0.3", "--reps", "2", "--seed", "5"],
+    "edge_wald_unavailable": ["--model", "logistic", "--d", "20", "--t", "60", "--cov", "identity", "--algo", "sgd",
+                              "--c", "0.5", "--reps", "4", "--seed", "5", "--methods", "wald,hulc,tstat"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_GRIDS))
+def test_edge_grids_match_reference(tmp_path, name):
+    with _blas_threads(2):
+        assert run_cli(EDGE_GRIDS[name] + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+    raw, summary = ((ROOT / "tests" / "data" / f"{name}{suffix}.csv").read_bytes() for suffix in ("", "_summary"))
+    assert (tmp_path / f"{name}.csv").read_bytes() == raw
+    assert (tmp_path / f"{name}_summary.csv").read_bytes() == summary
+    if name == "edge_wald_unavailable":
+        assert raw.count(b",,,,1\n") == 3 * 20  # three unavailable Wald blocks of d=20 rows
+        assert summary.count(b",1\n") == 3 * 20  # n_wald_available 1 on every line
+
+
+def test_bench_tracer_times_the_result_path(tmp_path, monkeypatch):
+    # The tracer finds aggregate and the writers by name and reads the
+    # writers' path argument for harness.write.bytes; if either stops
+    # matching, the result path's per-layer metrics read 0.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layertrace
+
+    out = tmp_path / "rows.csv"
+    argv = ["--model", "linear", "--d", "3", "--t", "200", "--cov", "identity", "--algo", "asgd", "--c", "0.5,0.1",
+            "--reps", "2", "--out", str(out)]
+    tracer = layertrace.Tracer().install()
+    try:
+        start = time.perf_counter()
+        assert run_cli(argv) == 0
+        wall_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert [names.count(n) for n in ("harness.aggregate", "harness.write_rows_csv", "harness.write_summary_csv")] == [
+        1, 1, 1]
+    written = sum(p.stat().st_size for p in (out, tmp_path / "rows_summary.csv", tmp_path / "rows.csv.manifest.json"))
+    assert layertrace.layer_metrics(tracer, wall_s)["harness.write.bytes"][0] == written > 0
 
 
 def test_expansion_residuals_match_reference(tmp_path):

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import streamci.harness as harness
@@ -19,8 +21,11 @@ from streamci.harness import (
     RESIDUAL_HEADER,
     SUMMARY_HEADER,
     ExperimentConfig,
+    ResultBlock,
     ResultRow,
     Summary,
+    SummaryBlock,
+    Table,
     _blas_threads,
     _openblas,
     _chunk_rows,
@@ -52,6 +57,11 @@ def _cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _rows(blocks):
+    """The ResultRows of a list of result blocks, in order."""
+    return list(Table(blocks))
 
 
 def _noiseless_dataset(d, n, seed):
@@ -120,7 +130,7 @@ class TestReplication:
         d = 3
         data, theta_star = _noiseless_dataset(d, 60, seed=41)
         monkeypatch.setattr(harness, "_initial_iterates", lambda cfg, X, y, runs: theta_star)
-        rows = _chunk_rows(_cfg(d=d), [0], data.X, data.y)
+        rows = _rows(_chunk_rows(_cfg(d=d), [0], data.X, data.y))
         by_method = {}
         for r in rows:
             by_method.setdefault(r.method, []).append(r)
@@ -134,8 +144,8 @@ class TestReplication:
 
     def test_replication_is_deterministic(self):
         cfg = _cfg()
-        first = _chunk_rows(cfg, [3], *_sample_reps(cfg, [3]))
-        assert first == _chunk_rows(cfg, [3], *_sample_reps(cfg, [3]))
+        first = _rows(_chunk_rows(cfg, [3], *_sample_reps(cfg, [3])))
+        assert first == _rows(_chunk_rows(cfg, [3], *_sample_reps(cfg, [3])))
 
     def test_dataset_keyed_by_rep_not_c(self):
         cfg = _cfg(c_grid=(0.1, 0.9))
@@ -150,7 +160,7 @@ class TestReplication:
         X = np.ones((n, 2))
         y = np.random.default_rng(42).standard_normal(n)
         cfg = _cfg()
-        rows = _chunk_rows(cfg, [0], X, y)
+        rows = _rows(_chunk_rows(cfg, [0], X, y))
         status = {r.method: r.unavailable for r in rows}
         assert status == {"wald": True, "plugin": True, "hulc": False, "tstat": False}
         for r in rows:
@@ -158,7 +168,7 @@ class TestReplication:
                 assert r.covered is None and r.width is None and r.center is None
         # Every c of the replication shares the singular J sum, so the
         # plug-in is unavailable for each.
-        rows = _chunk_rows(replace(cfg, c_grid=(0.5, 2.0)), [0], X, y)
+        rows = _rows(_chunk_rows(replace(cfg, c_grid=(0.5, 2.0)), [0], X, y))
         status = {(r.c, r.method): r.unavailable for r in rows}
         assert status == {
             (c, method): method in ("wald", "plugin") for c in (0.5, 2.0) for method in harness.METHOD_ORDER
@@ -166,7 +176,7 @@ class TestReplication:
 
     def test_plugin_needs_averaged_sgd(self):
         cfg = _cfg(algorithm=AlgorithmKind("sgd"))
-        rows = _chunk_rows(cfg, [0], *_sample_reps(cfg, [0]))
+        rows = _rows(_chunk_rows(cfg, [0], *_sample_reps(cfg, [0])))
         assert "plugin" not in {r.method for r in rows}
 
 
@@ -186,8 +196,9 @@ def two_blas_threads():
 
 
 class TestRunGrid:
-    def test_worker_count_does_not_change_rows(self, tmp_path, two_blas_threads):
-        # reps=7 splits unevenly into replication chunks (3+2+2 at 3 workers).
+    def test_worker_count_does_not_change_rows(self, tmp_path, monkeypatch, two_blas_threads):
+        # reps=7 splits unevenly into replication chunks (3+2+2 at 3 workers,
+        # which a 3-CPU count lets start).
         # In the logistic cell the Newton Wald's Hessian product rounds
         # differently with one BLAS thread than with two (at this t and d),
         # so the workers must fit it with the caller's count.
@@ -197,6 +208,7 @@ class TestRunGrid:
             (_cfg(model=ModelKind.LOGISTIC, d=20, t=3000, algorithm=AlgorithmKind("implicit-avg"), reps=3),
              (1, 2, 3)),
         )
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
         for i, (cfg, threads) in enumerate(cells):
             outputs = []
             for n in threads:
@@ -229,12 +241,11 @@ class TestRunGrid:
         assert get() == 2
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
-        # More threads than CPUs keeps the chunking (one chunk per
-        # replication here) but not the worker count; one CPU runs the
-        # chunks in this process, with the serial path's bytes.
+        # More threads than CPUs starts one worker per CPU, with a chunk
+        # each; one CPU runs the grid in this process. Either way the rows
+        # are the serial path's.
         cfg = _cfg(c_grid=(0.1, 0.5), reps=4)
-        assert len(_rep_chunks(cfg, 4)) == 4
-        serial = run_grid([cfg], threads=1)
+        serial = list(run_grid([cfg], threads=1))
         workers = []
 
         class Pool(ProcessPoolExecutor):
@@ -244,13 +255,15 @@ class TestRunGrid:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
-        assert run_grid([cfg], threads=4) == serial
+        assert list(run_grid([cfg], threads=4)) == serial
         assert workers == []
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-        assert run_grid([cfg], threads=4) == serial
+        assert len(_rep_chunks(cfg, 4)) == 2
+        assert list(run_grid([cfg], threads=4)) == serial
         assert workers == [2]
 
-    def test_rep_chunks_partition_reps(self):
+    def test_rep_chunks_partition_reps(self, monkeypatch):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 16)
         cfg = _cfg(reps=7)
         assert [len(r) for r in _rep_chunks(cfg, 3)] == [3, 2, 2]
         assert _rep_chunks(cfg, 1) == [range(7)]
@@ -258,6 +271,13 @@ class TestRunGrid:
         # One replication of this cell alone nearly fills a chunk's data bound.
         chunks = _rep_chunks(_cfg(d=100, t=10_000, reps=10), 1)
         assert chunks == [range(i, i + 1) for i in range(10)]
+
+    def test_rep_chunks_follow_the_cpus(self, monkeypatch):
+        # Chunks are sized for the workers that will run them: 200 threads
+        # on 2 CPUs make 2 chunks, not 200 one-replication chunks that each
+        # redo sampling, warm start and a kernel pass.
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        assert _rep_chunks(_cfg(reps=200), 200) == [range(100), range(100, 200)]
 
     def test_divergent_plugin_lane_is_counted_without_warnings(self):
         # c=2.0 at d=100 drives the plug-in pass to overflow; its rows stay
@@ -280,7 +300,7 @@ class TestRunGrid:
             row
             for c in cfg.c_grid
             for rep in range(cfg.reps)
-            for row in _chunk_rows(replace(cfg, c_grid=(c,)), [rep], *_sample_reps(cfg, [rep]))
+            for row in _rows(_chunk_rows(replace(cfg, c_grid=(c,)), [rep], *_sample_reps(cfg, [rep])))
         ]
         single.sort(key=lambda r: (r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k))
         write_rows_csv(run_grid(cfg), str(tmp_path / "grid.csv"))
@@ -318,7 +338,80 @@ def _row(method, rep, covered, width, *, unavailable=False, k=1):
     )
 
 
+def _oracle_aggregate(rows):
+    """aggregate as a loop over ResultRows: one dict group per (cell,
+    method, k) and the lower median of sorted(). The width ratio divides as
+    IEEE floats do, where Python's float division raises on a zero
+    baseline."""
+    groups, wald_reps = {}, {}
+    for model, d, t, cov, algo, c, rep, method, k, covered, width, _, unavailable in rows:
+        key = (model, d, t, cov, algo, c, method, k)
+        group = groups.setdefault(key, ([], []))
+        if not unavailable:
+            group[0].append(covered)
+            group[1].append(width)
+            if method == "wald":
+                wald_reps.setdefault(key[:6], set()).add(rep)
+
+    def lower_median(values):
+        return math.nan if any(map(math.isnan, values)) else sorted(values)[(len(values) - 1) // 2]
+
+    wald_median = {key[:6] + key[7:]: lower_median(w) for key, (_, w) in groups.items() if key[6] == "wald" and w}
+    summaries = []
+    for key in sorted(groups):
+        covered, widths = groups[key]
+        coverage = median = ratio = None
+        if widths:
+            coverage = sum(covered) / len(covered)
+            median = lower_median(widths)
+            baseline = wald_median.get(key[:6] + key[7:])
+            if baseline is not None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = float(np.float64(median) / baseline)
+        summaries.append(Summary._make(key + (coverage, median, ratio, len(wald_reps.get(key[:6], ())))))
+    return summaries
+
+
+# Result blocks of a d=3 cell over a few heads, so heads repeat (a repeated c
+# or replication), with widths that tie (0.0 and -0.0), are infinite or NaN,
+# and unavailable blocks.
+_WIDTHS = st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 0.5, 1.0, 2.0])
+_BLOCKS = st.lists(
+    st.builds(
+        lambda cov, c, rep, method, available, covered, width: ResultBlock(
+            ("linear", 3, 60, cov, "asgd", c, rep, method), range(1, 4),
+            *((np.array(covered), np.array(width), np.zeros(3)) if available else (None, None, None)),
+        ),
+        st.sampled_from(["identity", "toeplitz"]),
+        st.sampled_from([0.5, 0.1]),
+        st.integers(0, 3),
+        st.sampled_from(harness.METHOD_ORDER),
+        st.booleans(),
+        st.lists(st.integers(0, 1), min_size=3, max_size=3),
+        st.lists(_WIDTHS, min_size=3, max_size=3),
+    ),
+    max_size=30,
+)
+
+
 class TestAggregate:
+    @given(_BLOCKS)
+    def test_matches_row_oracle(self, blocks):
+        # Stacked blocks and hand-built rows (one block each) both give the
+        # row loop's summaries; repr compares NaN and the sign of zero too.
+        rows = list(Table(blocks))
+        want = [repr(s) for s in _oracle_aggregate(rows)]
+        assert [repr(s) for s in aggregate(Table(blocks))] == want
+        assert [repr(s) for s in aggregate(rows)] == want
+
+    def test_grid_matches_row_oracle(self):
+        # A repeated c, and a logistic cell in which 2 of the 4 Wald fits
+        # are unavailable (separated samples at t=60, d=20).
+        for cfg in (_cfg(d=3, c_grid=(0.5, 0.1, 0.5), reps=3),
+                    _cfg(model=ModelKind.LOGISTIC, d=20, algorithm=AlgorithmKind("sgd"), reps=4)):
+            table = run_grid(cfg)
+            assert [repr(s) for s in aggregate(table)] == [repr(s) for s in _oracle_aggregate(table)]
+
     def test_coverage_median_and_ratio(self):
         rows = [_row("wald", r, 1, 2.0) for r in range(4)]
         rows += [_row("hulc", r, c, w) for r, (c, w) in
@@ -449,12 +542,16 @@ class TestCsvWriters:
         )
 
     def test_summary_special_values(self, tmp_path):
-        summaries = [
-            Summary("linear", 5, 1000, "identity", "implicit-last", 2.0, "plugin", 1, 0.0, NAN, NAN, 0),
-            Summary("linear", 5, 1000, "equicorr", "implicit-last", 1e-05, "hulc", 2, 0.95, INF, -INF, 200),
-            Summary("logistic", 20, 10000, "toeplitz", "implicit-last", 1e16, "tstat", 3, 1.0, 5e-324, -0.0, 1),
-            Summary("logistic", 20, 10000, "toeplitz", "implicit-last", 0.5, "wald", 4, None, None, None, 0),
-        ]
+        def block(head, k, coverage, median, ratio, n_wald):
+            columns = [None if v is None else np.array([v]) for v in (coverage, median, ratio)]
+            return SummaryBlock(head, range(k, k + 1), *columns, n_wald)
+
+        summaries = Table([
+            block(("linear", 5, 1000, "identity", "implicit-last", 2.0, "plugin"), 1, 0.0, NAN, NAN, 0),
+            block(("linear", 5, 1000, "equicorr", "implicit-last", 1e-05, "hulc"), 2, 0.95, INF, -INF, 200),
+            block(("logistic", 20, 10000, "toeplitz", "implicit-last", 1e16, "tstat"), 3, 1.0, 5e-324, -0.0, 1),
+            block(("logistic", 20, 10000, "toeplitz", "implicit-last", 0.5, "wald"), 4, None, None, None, 0),
+        ])
         path = tmp_path / "summary.csv"
         write_summary_csv(summaries, str(path))
         assert path.read_bytes() == (
@@ -564,6 +661,20 @@ class TestCli:
         algo = RESIDUAL_HEADER.split(",").index("algo")
         rows = resid.read_text().splitlines()[1:]
         assert len(rows) == 2 and all(row.split(",")[algo] == "asgd" for row in rows)
+
+    def test_cli_builds_no_result_rows(self, tmp_path, monkeypatch):
+        # The CLI aggregates, counts and writes from result blocks; only
+        # iterating run_grid's Table builds a ResultRow per coordinate.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ResultRow was built")
+
+        monkeypatch.setattr(ResultRow, "__new__", refuse)
+        monkeypatch.setattr(ResultRow, "_make", refuse)
+        with pytest.raises(AssertionError, match="ResultRow"):
+            list(run_grid(_cfg(reps=1, methods=("hulc",))))
+        argv = self._argv(tmp_path / "rows.csv")
+        argv[argv.index("--c") + 1] = "0.5,0.1,0.5"
+        assert run_cli(argv) == EXIT_OK
 
     def test_empty_methods_exits_config(self, tmp_path, capsys):
         assert run_cli(self._argv(tmp_path / "x.csv", methods="")) == EXIT_CONFIG
