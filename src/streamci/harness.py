@@ -9,9 +9,7 @@ across reruns and worker counts.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import itertools
 import json
 import math
@@ -403,6 +401,9 @@ class _OpenBlas:
 @functools.cache
 def _openblas() -> Optional[_OpenBlas]:
     """numpy's OpenBLAS, or None when no such library is found."""
+    import ctypes
+    import glob
+
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
     for lib in sorted(glob.glob(libs)):
         handle = ctypes.CDLL(lib)
@@ -428,8 +429,8 @@ def _blas_threads(n: Optional[int]) -> Iterator[Optional[int]]:
     started: after their last job they spin for a while, on a CPU that
     another pool worker needs.
     """
-    lib = _openblas()
-    if n is None or lib is None:
+    lib = None if n is None else _openblas()
+    if lib is None:
         yield None
         return
     before = lib.get()

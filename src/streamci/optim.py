@@ -181,45 +181,60 @@ def _implicit_steps(
     s = eta * (psi(a - s*nx2) - y). f(s) = s - eta*(...) is strictly
     increasing with a sign change on [min(0, s0), max(0, s0)] where
     s0 = eta*(psi(a) - y), so bisection on Python floats is safe; failure to
-    bracket down to tolerance raises. The scalar branch of sigmoid is written
-    out because calling it per bisection step cost most of the time.
+    bracket down to tolerance raises. Each model has its own loop, and the
+    logistic one writes out the scalar branch of sigmoid, because calls and
+    branches per bisection step cost most of the time.
     """
-    logistic = model_kind == ModelKind.LOGISTIC
-    exp = math.exp
     out = []
-    for a_l, nx2_l, y_l, eta_l in zip(a, nx2, y, eta):
-        if not logistic:
-            psi = a_l
-        elif a_l >= 0.0:
-            psi = 1.0 / (1.0 + exp(-a_l))
-        else:
-            e = exp(a_l)
-            psi = e / (1.0 + e)
-        s0 = eta_l * (psi - y_l)
-        if s0 == 0.0 or nx2_l == 0.0:
-            out.append(s0)
-            continue
-        lo, hi = (0.0, s0) if s0 > 0.0 else (s0, 0.0)
-        width_tol = IMPLICIT_TOL * max(1.0, abs(s0))
-        for _ in range(IMPLICIT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            u = a_l - mid * nx2_l
-            if not logistic:
-                psi = u
-            elif u >= 0.0:
-                psi = 1.0 / (1.0 + exp(-u))
+    if model_kind == ModelKind.LOGISTIC:
+        exp = math.exp
+        for a_l, nx2_l, y_l, eta_l in zip(a, nx2, y, eta):
+            if a_l >= 0.0:
+                s0 = eta_l * (1.0 / (1.0 + exp(-a_l)) - y_l)
             else:
-                e = exp(u)
-                psi = e / (1.0 + e)
-            if mid - eta_l * (psi - y_l) < 0.0:
-                lo = mid
+                e = exp(a_l)
+                s0 = eta_l * (e / (1.0 + e) - y_l)
+            if s0 == 0.0 or nx2_l == 0.0:
+                out.append(s0)
+                continue
+            lo, hi = (0.0, s0) if s0 > 0.0 else (s0, 0.0)
+            width_tol = IMPLICIT_TOL * max(1.0, abs(s0))
+            for _ in range(IMPLICIT_MAX_ITER):
+                mid = 0.5 * (lo + hi)
+                u = a_l - mid * nx2_l
+                if u >= 0.0:
+                    psi = 1.0 / (1.0 + exp(-u))
+                else:
+                    e = exp(u)
+                    psi = e / (1.0 + e)
+                if mid - eta_l * (psi - y_l) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= width_tol:
+                    break
             else:
-                hi = mid
-            if hi - lo <= width_tol:
-                break
-        else:
-            raise IllConditionedError("implicit update bisection did not converge")
-        out.append(0.5 * (lo + hi))
+                raise IllConditionedError("implicit update bisection did not converge")
+            out.append(0.5 * (lo + hi))
+    else:
+        for a_l, nx2_l, y_l, eta_l in zip(a, nx2, y, eta):
+            s0 = eta_l * (a_l - y_l)
+            if s0 == 0.0 or nx2_l == 0.0:
+                out.append(s0)
+                continue
+            lo, hi = (0.0, s0) if s0 > 0.0 else (s0, 0.0)
+            width_tol = IMPLICIT_TOL * max(1.0, abs(s0))
+            for _ in range(IMPLICIT_MAX_ITER):
+                mid = 0.5 * (lo + hi)
+                if mid - eta_l * ((a_l - mid * nx2_l) - y_l) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= width_tol:
+                    break
+            else:
+                raise IllConditionedError("implicit update bisection did not converge")
+            out.append(0.5 * (lo + hi))
     return out
 
 
@@ -299,15 +314,17 @@ def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
     return np.where(np.abs(G) < kappa[:, None], 0.0, G)
 
 
-def _mean_responses(model_kind: ModelKind, X: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """psi(x'theta) for every lane, bit for bit the scalar path: np.vecdot
-    over C-contiguous rows takes the dot product x @ theta takes (a strided
-    operand rounds differently)."""
-    a = np.vecdot(X, theta)
+def _mean_responses(
+    model_kind: ModelKind, X: np.ndarray, theta: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """psi(x'theta) for every lane, written to out when it is given, bit for
+    bit the scalar path: np.vecdot over C-contiguous rows takes the dot
+    product x @ theta takes (a strided operand rounds differently)."""
+    a = np.vecdot(X, theta, out)
     if model_kind == ModelKind.LINEAR:
         return a
     if model_kind == ModelKind.LOGISTIC:
-        return _sigmoid_scalarwise(a)
+        return _sigmoid_scalarwise(a, a)
     raise ValueError(f"unsupported model kind: {model_kind!r}")
 
 
@@ -341,7 +358,7 @@ def run_lanes(
     pre-update iterate recorded (LaneRun.responses), from which the plug-in
     sums are taken. on_step(t, lanes, theta, grad), when given, is called
     before each update with the active lanes' indices, pre-update iterates
-    and gradients, as views that the step then overwrites.
+    and gradients, as views that later steps overwrite.
     """
     if (noise is None) == (kind == AlgorithmKind.NOISY_TRUNCATED):
         raise ValueError("noise is required by noisy-truncated and consumed by nothing else")
@@ -372,22 +389,26 @@ def run_lanes(
     slot_of = np.empty(len(record), dtype=np.int64)
     slot_of[by_rank] = np.arange(len(record))
     p_rank = np.array([rank[record[p]] for p in by_rank], dtype=np.int64)
+    longest = int(lengths.max(initial=0))
     # mu_rec[slot, t - 1]: psi(x'theta) of a recorded lane at step t.
-    mu_rec = np.empty((len(record), int(lengths.max(initial=0))))
+    mu_rec = np.empty((len(record), longest))
+    # Each step's t as a float, by which a block's iterates are divided.
+    t_div = np.arange(1.0, longest + 1.0)[:, None, None] if avg is not None else None
     implicit = kind in (AlgorithmKind.IMPLICIT_LAST, AlgorithmKind.IMPLICIT_AVG)
     need_grad = not implicit or bool(record) or on_step is not None
 
     # The algorithm's update, chosen once and called by the loop below with the
     # step's t, index k in the block and eta. It reads the loop's current
-    # phase, block and step (th, G, W, Xt, yt, ...) and updates th in place.
+    # phase, block and step (th, G, W, Xt, yt, ...) and writes the new
+    # iterates to nxt, which is th itself unless the average needs them.
     if kind in (AlgorithmKind.SGD, AlgorithmKind.ASGD):
         def update(t, k, eta):
-            np.subtract(th, np.multiply(eta, G, W), th)
+            np.subtract(th, np.multiply(eta, G, W), nxt)
     elif implicit:
         def update(t, k, eta):
-            lane_eta = np.broadcast_to(eta, (active, 1))[:, 0].tolist()
+            lane_eta = [eta] * active if single else eta[:, 0].tolist()
             s = _implicit_steps(model_kind, np.vecdot(Xt, th).tolist(), nx2_b[k].tolist(), yt.tolist(), lane_eta)
-            np.subtract(th, np.array(s)[:, None] * Xt, th)
+            np.subtract(th, np.array(s)[:, None] * Xt, nxt)
     elif kind == AlgorithmKind.ROOT:
         v, prev = np.zeros_like(theta), theta.copy()
 
@@ -398,35 +419,40 @@ def run_lanes(
                 G_prev = (_mean_responses(model_kind, Xt, prev[:active]) - yt)[:, None] * Xt
                 v[:active] = G + _root_weight(t) * (v[:active] - G_prev)
             prev[:active] = th
-            np.subtract(th, eta * v[:active], th)
+            np.subtract(th, eta * v[:active], nxt)
     elif kind == AlgorithmKind.TRUNCATED:
         def update(t, k, eta):
-            np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), th)
+            np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), nxt)
     else:
         def update(t, k, eta):
             scale = NOISE_SIGMA * eta ** (0.5 + NOISE_BETA) if single else (
                 np.array([NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in etas])[lane_col])
-            th[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_b[k]
+            nxt[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_b[k]
 
     p_prefix = np.array_equal(p_rank, np.arange(len(p_rank)))
     single = len(cs) == 1
     t0 = 1
+    th = theta
     # Divergent lanes overflow to inf and NaN; they stay in the results, where
     # the harness counts them.
     with np.errstate(over="ignore", invalid="ignore"):
         # One phase per distinct lane length: the running lanes are the
-        # prefix theta[:active], which only shrinks between phases.
+        # prefix th[:active], which only shrinks between phases.
         for end in sorted(set(lengths.tolist()) - {0}):
             active = int(np.count_nonzero(lengths >= end))
             n_record = int(np.count_nonzero(p_rank < active))
             p_sel = slice(0, n_record) if p_prefix else p_rank[:n_record]
-            th, r, G, W = theta[:active], resid[:active], grad[:active], work[:active]
+            th, r, G, W = th[:active], resid[:active], grad[:active], work[:active]
             r_col = r[:, None]
             av = avg[:active] if avg is not None else None
             lane_col = lane_c[:active]
             # Rows are gathered a block of steps at a time: X_b[k] holds what
-            # the running lanes read at step first + k.
-            block = max(1, BLOCK_FLOATS // (active * d))
+            # the running lanes read at step first + k. Step k writes its
+            # responses to mu_b[k] and, when the average needs them, its new
+            # iterates to it_b[k]; both are folded in after the block.
+            block = min(max(1, BLOCK_FLOATS // (active * d)), end + 1 - t0)
+            mu_b = np.empty((block, active))
+            it_b, q_b = np.empty((2, block, active, d)) if av is not None else (None, None)
             for first in range(t0, end + 1, block):
                 steps = range(first, min(first + block, end + 1))
                 at = idx[:active] + np.arange(len(steps))[:, None] * stride[:active]
@@ -437,25 +463,32 @@ def run_lanes(
                     Xt, yt = X_b[k], y_b[k]
                     # One Python ** per step (numpy's rounds differently),
                     # times each distinct c: step_size's arithmetic. float(t)
-                    # is t exactly; the average reuses it.
-                    decay = (ft := float(t)) ** -gamma
+                    # is t exactly.
+                    decay = float(t) ** -gamma
                     if single:
                         eta = cs[0] * decay
                     else:
                         etas = [c_j * decay for c_j in cs]
                         eta = np.array(etas)[lane_col]
                     if need_grad:
-                        mu = _mean_responses(model_kind, Xt, th)
+                        mu = _mean_responses(model_kind, Xt, th, mu_b[k])
                         np.subtract(mu, yt, r)
                         np.multiply(r_col, Xt, G)
                     if on_step is not None:
                         on_step(t, order[:active], th, G)
-                    if n_record:
-                        mu_rec[:n_record, t - 1] = mu[p_sel]
+                    nxt = th if av is None else it_b[k]
                     update(t, k, eta)
-                    if av is not None:
-                        av *= 1.0 - 1.0 / ft
-                        av += np.divide(th, ft, W)
+                    th = nxt
+                # The block's steps, as columns of mu_rec and rows of t_div.
+                n, done = len(steps), slice(first - 1, steps.stop - 1)
+                if n_record:
+                    mu_rec[:n_record, done] = mu_b[:n, p_sel].T
+                if av is not None:
+                    # The reference's (1 - 1/t) * avg + theta / t, step by step.
+                    np.divide(it_b[:n], t_div[done], q_b[:n])
+                    for t, q in zip(steps, q_b):
+                        av *= 1.0 - 1.0 / t
+                        av += q
                 idx[:active] = at[-1] + stride[:active]
             t0 = end + 1
     return LaneRun((theta if avg is None else avg)[rank], mu_rec[slot_of])

@@ -240,6 +240,18 @@ class TestRunGrid:
             run_grid([_cfg(reps=2)], threads=2)
         assert get() == 2
 
+    def test_serial_run_does_not_load_blas(self, monkeypatch):
+        # The serial path fits Wald at the current thread count, so it never
+        # looks for the OpenBLAS library.
+        def no_openblas():
+            raise AssertionError("the serial path loaded OpenBLAS")
+
+        monkeypatch.setattr(harness, "_openblas", no_openblas)
+        with _blas_threads(None) as before:
+            assert before is None
+        rows = list(run_grid([_cfg(reps=2)], threads=1))
+        assert "wald" in {row.method for row in rows}
+
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
         # More threads than CPUs starts one worker per CPU, with a chunk
         # each; one CPU runs the grid in this process. Either way the rows

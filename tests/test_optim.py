@@ -2,6 +2,9 @@
 implicit fixed-point accuracy, cross-algorithm consistency checks, and the
 lane kernel against the per-observation reference."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,6 +32,9 @@ from streamci.optim import (
     WARM_START_STEP,
     AlgorithmKind,
     PolynomialStep,
+    IMPLICIT_MAX_ITER,
+    IMPLICIT_TOL,
+    _implicit_steps,
     _implicit_update,
     _truncate_rows,
     advance,
@@ -252,7 +258,85 @@ class TestGradientTruncate:
             assert float((row * row).sum()) == total
 
 
+def _oracle_implicit_steps(model_kind, a, nx2, y, eta):
+    """The implicit step's bisection as one loop for both models, kept as
+    the oracle that optim._implicit_steps must match bit for bit."""
+    logistic = model_kind == ModelKind.LOGISTIC
+    exp = math.exp
+    out = []
+    for a_l, nx2_l, y_l, eta_l in zip(a, nx2, y, eta):
+        if not logistic:
+            psi = a_l
+        elif a_l >= 0.0:
+            psi = 1.0 / (1.0 + exp(-a_l))
+        else:
+            e = exp(a_l)
+            psi = e / (1.0 + e)
+        s0 = eta_l * (psi - y_l)
+        if s0 == 0.0 or nx2_l == 0.0:
+            out.append(s0)
+            continue
+        lo, hi = (0.0, s0) if s0 > 0.0 else (s0, 0.0)
+        width_tol = IMPLICIT_TOL * max(1.0, abs(s0))
+        for _ in range(IMPLICIT_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            u = a_l - mid * nx2_l
+            if not logistic:
+                psi = u
+            elif u >= 0.0:
+                psi = 1.0 / (1.0 + exp(-u))
+            else:
+                e = exp(u)
+                psi = e / (1.0 + e)
+            if mid - eta_l * (psi - y_l) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= width_tol:
+                break
+        else:
+            raise IllConditionedError("implicit update bisection did not converge")
+        out.append(0.5 * (lo + hi))
+    return out
+
+
+def _solve_or_raise(solver, model_kind, *lane):
+    try:
+        return _bits(solver(model_kind, *[[v] for v in lane]))
+    except IllConditionedError:
+        return "raised"
+
+
 class TestImplicitUpdate:
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_solver_matches_oracle(self, model_kind):
+        # Random lanes, then every combination of edge values: s0 = 0
+        # (psi(a) == y), ||x||^2 = 0, NaN and +-inf a, |a| up to 1e3 and
+        # beyond exp's range, eta from 1e-6 to 10. Each lane alone either
+        # raises in both solvers or gives the same bits; the finite lanes
+        # together give the same list.
+        rng = np.random.default_rng(34)
+        n = 3000
+        a = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        nx2 = np.where(rng.uniform(size=n) < 0.05, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, n))
+        y = rng.integers(0, 2, n) * 1.0
+        if model_kind == ModelKind.LINEAR:
+            y = np.where(rng.uniform(size=n) < 0.5, y, a + rng.standard_normal(n))
+        eta = 10.0 ** rng.uniform(-6.0, 1.0, n)
+        lanes = [a.tolist(), nx2.tolist(), y.tolist(), eta.tolist()]
+        assert _bits(_implicit_steps(model_kind, *lanes)) == _bits(_oracle_implicit_steps(model_kind, *lanes))
+
+        edges_a = [0.0, -0.0, 1e-300, 1.0, -1.0, 37.0, -37.0, 40.0, -40.0, 710.0, -710.0, 1e3, -1e3,
+                   math.nan, math.inf, -math.inf]
+        for lane in itertools.product(edges_a, [0.0, 1e-300, 1.0, 1e3], [0.0, 1.0, 1e3], [1e-6, 0.1, 1.0, 10.0]):
+            want = _solve_or_raise(_oracle_implicit_steps, model_kind, *lane)
+            assert _solve_or_raise(_implicit_steps, model_kind, *lane) == want, lane
+        # Linear lanes with y == a have s0 = 0.
+        for a_l in edges_a:
+            lane = (a_l, 1.0, a_l, 0.5)
+            assert _solve_or_raise(_implicit_steps, model_kind, *lane) == _solve_or_raise(
+                _oracle_implicit_steps, model_kind, *lane), lane
+
     def test_linear_closed_form(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
@@ -496,6 +580,40 @@ class TestRunLanes:
             _implicit_update(model_kind, theta0[1], X[0], float(y[0]), 0.5)
         with pytest.raises(IllConditionedError):
             run_lanes(AlgorithmKind("implicit-last"), model_kind, X, y, [range(2)] * 2, theta0, [0.5] * 2, 0.505)
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_block_boundaries_match_reference(self, name, model_kind, monkeypatch):
+        # The property above gathers each phase as one block. Here blocks
+        # hold 1, 2 or 3 steps, in the first phase (every lane running) or
+        # the last (one lane), so phases end mid-block and the responses and
+        # the running average are folded in across block boundaries.
+        d, pool = 3, 60
+        rng = np.random.default_rng(35)
+        X = rng.standard_normal((pool, d))
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(pool)
+        else:
+            y = (rng.uniform(size=pool) < 0.5).astype(float)
+        noise = rng.standard_normal((pool, d)) if name == "noisy-truncated" else None
+        kind = AlgorithmKind(name)
+        # Lengths 10, 17, 7 and 11; the recorded lanes are named out of rank order.
+        rows = [range(1, pool, 3)[:10], range(0, pool, 3)[:17], range(2, pool, 4)[:7], range(5, pool, 5)]
+        c = [0.5, 0.1, 0.5, 0.5]
+        theta0 = 0.1 * rng.standard_normal((len(rows), d))
+        record = [2, 0, 1]
+        want = [
+            _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], 0.505), noise)
+            for lane in range(len(rows))
+        ]
+        for steps, lanes in itertools.product((1, 2, 3), (1, len(rows))):
+            monkeypatch.setattr(optim, "BLOCK_FLOATS", steps * lanes * d)
+            run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise, record=record)
+            for lane, (state, responses, _) in enumerate(want):
+                assert _bits(run.estimates[lane]) == _bits(_declared_estimate(state)), (steps, lanes, lane)
+                if lane in record:
+                    got = run.responses[record.index(lane), : len(rows[lane])]
+                    assert _bits(got) == _bits(responses), (steps, lanes, lane)
 
     def test_noise_required_only_by_noisy_truncated(self):
         X, y = np.ones((3, 2)), np.zeros(3)
