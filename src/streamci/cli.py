@@ -86,6 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_configs(args) -> list[ExperimentConfig]:
+    if len(set(args.t)) < len(args.t):
+        raise ValueError(f"--t must not repeat a value, got {args.t}")
     c_grid = args.c if args.c is not None else default_c_grid(args.algo, args.model, args.d)
     return [
         ExperimentConfig(

@@ -101,6 +101,10 @@ class ExperimentConfig:
             raise ValueError(f"t must be at least {min_t} so every bucket gets >= 10 points")
         if not self.c_grid or not all(math.isfinite(c) and c > 0.0 for c in self.c_grid):
             raise ValueError(f"c_grid must be non-empty with finite positive entries, got {list(self.c_grid)}")
+        if len(set(self.c_grid)) < len(self.c_grid):
+            raise ValueError(f"c_grid must not repeat a value, got {list(self.c_grid)}")
+        if self.methods == ("plugin",) and self.algorithm != AlgorithmKind.ASGD:
+            raise ValueError(f"the plug-in alone gives no rows: it is for asgd only, not {self.algorithm.value!r}")
         if not 0.5 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0.5, 1), got {self.gamma}")
         if self.reps < 1:
@@ -145,11 +149,10 @@ class ResultRow(NamedTuple):
 
 class ResultBlock(NamedTuple):
     """The ResultRows of one (config, c, rep, method) run as columns: head
-    is their fields before k; covered, width and center are arrays over k,
-    all three None when the method was unavailable."""
+    is their fields before k; covered, width and center are arrays over
+    k = 1..d, all three None when the method was unavailable."""
 
     head: tuple
-    k: range
     covered: Optional[np.ndarray]
     width: Optional[np.ndarray]
     center: Optional[np.ndarray]
@@ -178,10 +181,9 @@ class Summary(NamedTuple):
 class SummaryBlock(NamedTuple):
     """The Summaries of one (grid cell, method) as columns: head is their
     fields before k; coverage, median_width and width_ratio are arrays over
-    k, each None where all its entries are."""
+    k = 1..d, each None where all its entries are."""
 
     head: tuple
-    k: range
     coverage: Optional[np.ndarray]
     median_width: Optional[np.ndarray]
     width_ratio: Optional[np.ndarray]
@@ -193,37 +195,23 @@ class SummaryBlock(NamedTuple):
 
 def _entries(block: ResultBlock | SummaryBlock) -> Iterator[tuple]:
     """Per k, k and the block's three column entries (None for a None column)."""
-    return zip(block.k, *[itertools.repeat(None) if col is None else col.tolist() for col in block[2:5]])
-
-
-def _interleaved(blocks: Iterable, items: Callable) -> Iterator:
-    """items(block) of every block in turn; consecutive blocks with the same
-    head (a repeated c or config) interleave theirs by k, as a stable sort
-    of their rows would."""
-    for _, same in itertools.groupby(blocks, key=lambda block: block.head):
-        yield from itertools.chain.from_iterable(zip(*map(items, same)))
+    columns = [itertools.repeat(None) if col is None else col.tolist() for col in block[1:4]]
+    return zip(range(1, block.head[1] + 1), *columns)
 
 
 class Table:
-    """ResultBlocks or SummaryBlocks in output order. Iterating a Table
-    yields the blocks' rows (ResultRows or Summaries) in that order."""
+    """ResultBlocks or SummaryBlocks in output order, no two with the same
+    head. Iterating a Table yields the blocks' rows (ResultRows or
+    Summaries) in that order."""
 
     def __init__(self, blocks: list) -> None:
         self.blocks = blocks
 
     def __iter__(self) -> Iterator:
-        return _interleaved(self.blocks, lambda block: block.rows())
+        return itertools.chain.from_iterable(block.rows() for block in self.blocks)
 
     def __len__(self) -> int:
-        return sum(len(block.k) for block in self.blocks)
-
-
-def _result_blocks(rows: Table | Iterable[ResultRow]) -> list[ResultBlock]:
-    """The blocks of a Table, or one block per row of a list of ResultRows."""
-    if isinstance(rows, Table):
-        return rows.blocks
-    return [ResultBlock(r[:8], range(r.k, r.k + 1), *[None if v is None else np.array([v]) for v in r[9:12]])
-            for r in rows]
+        return sum(block.head[1] for block in self.blocks)
 
 
 def _stream(cfg: ExperimentConfig, rep: int, role: int) -> RngStream:
@@ -256,7 +244,7 @@ def _method_block(head: tuple, iv: Optional[IntervalSet], theta_star: np.ndarray
     """A method's intervals over k = 1..d as the block of head; iv None
     marks the method unavailable in this replication."""
     columns = (None, None, None) if iv is None else (iv.covers(theta_star).astype(int), iv.width, iv.center)
-    return ResultBlock(head, range(1, len(theta_star) + 1), *columns)
+    return ResultBlock(head, *columns)
 
 
 def _chunk_rows(
@@ -453,9 +441,13 @@ def _cpu_count() -> int:
 def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     """Run every (config, c, rep) cell, parallel over chunks of replications.
     The Table's ResultBlocks are sorted by head; iterating it yields the
-    ResultRows sorted by (config fields, c, rep, method, k)."""
+    ResultRows sorted by (config fields, c, rep, method, k). Two configs
+    of one (model, d, t, cov, algorithm) raise ValueError before any run."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
+    cells = [(cfg.model, cfg.d, cfg.t, cfg.cov, cfg.algorithm) for cfg in cfgs]
+    if len(set(cells)) < len(cells):
+        raise ValueError("configs must differ in (model, d, t, cov, algorithm)")
     chunks = [(cfg, reps) for cfg in cfgs for reps in _rep_chunks(cfg, threads)]
     # At most one worker per CPU; the chunks, and so the bytes, do not change.
     workers = min(threads, len(chunks), _cpu_count())
@@ -467,9 +459,8 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
         # with this process's count, which their rounding depends on.
         with _blas_threads(1) as wald_threads, ProcessPoolExecutor(max_workers=workers) as pool:
             tasks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
-    # A block's rows are in k order, so sorting the blocks by head sorts the
-    # rows; blocks with the same head keep their order, which the Table
-    # interleaves by k.
+    # A block's rows are in k order and no two blocks share a head, so
+    # sorting the blocks by head sorts the rows.
     return Table(sorted((block for task in tasks for block in task), key=lambda block: block.head))
 
 
@@ -481,17 +472,17 @@ def _lower_median(values) -> np.ndarray:
     return np.where(np.isnan(values).any(axis=0), np.nan, ordered[(len(ordered) - 1) // 2])
 
 
-def aggregate(rows: Table | Sequence[ResultRow]) -> Table:
-    """Coverage, median width, and width ratio per (grid cell, method, k), as
-    a Table of SummaryBlocks: one per (grid cell, method) of a run_grid
-    Table, one per (grid cell, method, k) of a list of ResultRows."""
-    # (cell, method, first k, end k) -> its available blocks; cell -> the
-    # replications with an available Wald block.
+def aggregate(rows: Table) -> Table:
+    """Coverage, median width, and width ratio per (grid cell, method, k) of
+    a run_grid Table, as a Table of SummaryBlocks, one per (grid cell,
+    method)."""
+    # (cell, method) -> its available blocks; cell -> the replications with
+    # an available Wald block.
     groups: dict[tuple, list[ResultBlock]] = {}
     wald_reps: dict[tuple, set[int]] = {}
-    for block in _result_blocks(rows):
+    for block in rows.blocks:
         cell, rep, method = block.head[:6], block.head[6], block.head[7]
-        available = groups.setdefault(cell + (method, block.k.start, block.k.stop), [])
+        available = groups.setdefault(cell + (method,), [])
         if block.covered is not None:
             available.append(block)
             if method == "wald":
@@ -501,11 +492,11 @@ def aggregate(rows: Table | Sequence[ResultRow]) -> Table:
     summaries: list[SummaryBlock] = []
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero or infinite Wald median
         for key in sorted(groups):
-            blocks, median, baseline = groups[key], medians.get(key), medians.get(key[:6] + ("wald",) + key[7:])
+            blocks, median, baseline = groups[key], medians.get(key), medians.get(key[:6] + ("wald",))
             coverage = np.array([b.covered for b in blocks]).sum(axis=0) / len(blocks) if blocks else None
             ratio = None if median is None or baseline is None else median / baseline
             n_wald = len(wald_reps.get(key[:6], ()))
-            summaries.append(SummaryBlock(key[:7], range(*key[7:]), coverage, median, ratio, n_wald))
+            summaries.append(SummaryBlock(key, coverage, median, ratio, n_wald))
     return Table(summaries)
 
 
@@ -569,17 +560,18 @@ def _block_lines(block: ResultBlock | SummaryBlock, columns: Sequence[Optional[n
     ("" for a None column) and tail."""
     head = ",".join(map(str, block.head))
     fields = [itertools.repeat("") if col is None else map(repr, col.tolist()) for col in columns]
-    return [f"{head},{k},{a},{b},{c},{tail}" for k, a, b, c in zip(block.k, *fields)]
+    return [f"{head},{k},{a},{b},{c},{tail}" for k, a, b, c in zip(range(1, block.head[1] + 1), *fields)]
 
 
-def write_rows_csv(rows: Table | Sequence[ResultRow], path: str) -> None:
-    lines = _interleaved(_result_blocks(rows), lambda b: _block_lines(b, b[2:], f"{b.covered is None:d}"))
+def write_rows_csv(rows: Table, path: str) -> None:
+    """Write run_grid's Table of ResultBlocks as the raw CSV."""
+    lines = itertools.chain.from_iterable(_block_lines(b, b[1:], f"{b.covered is None:d}") for b in rows.blocks)
     _write_csv(path, RAW_HEADER, lines)
 
 
 def write_summary_csv(summaries: Table, path: str) -> None:
     """Write aggregate's Table of SummaryBlocks as the summary CSV."""
-    lines = _interleaved(summaries.blocks, lambda s: _block_lines(s, s[2:5], s.n_wald_available))
+    lines = itertools.chain.from_iterable(_block_lines(s, s[1:4], s.n_wald_available) for s in summaries.blocks)
     _write_csv(path, SUMMARY_HEADER, lines)
 
 
@@ -611,18 +603,18 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def nonfinite_counts(rows: Table | Sequence[ResultRow]) -> dict[str, int]:
+def nonfinite_counts(rows: Table) -> dict[str, int]:
     """Per method, the number of available rows whose width or center is
     not finite (divergent runs)."""
     counts: dict[str, int] = {}
-    for b in _result_blocks(rows):
-        bad = 0 if b.covered is None else len(b.k) - int(np.count_nonzero(np.isfinite(b.width) & np.isfinite(b.center)))
+    for b in rows.blocks:
+        bad = 0 if b.covered is None else int(np.count_nonzero(~np.isfinite(b.width) | ~np.isfinite(b.center)))
         counts[b.head[7]] = counts.get(b.head[7], 0) + bad
     return counts
 
 
 def write_manifest(cfgs: Sequence[ExperimentConfig], path: str, *, threads: int, wall_clock_seconds: float,
-                   rows: Table | Sequence[ResultRow]) -> None:
+                   rows: Table) -> None:
     from . import __version__
 
     doc = {

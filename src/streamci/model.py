@@ -81,23 +81,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Population description of one experiment's data stream."""
+    """Population description of one experiment's data stream; its target
+    theta_star is make_theta_star(d)."""
 
     kind: ModelKind
     d: int
     cov: CovarianceKind
-    theta_star: np.ndarray = field(default=None)  # type: ignore[assignment]
+    theta_star: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"d must be at least 2, got {self.d}")
-        theta = self.theta_star
-        if theta is None:
-            theta = make_theta_star(self.d)
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.d,):
-            raise ValueError(f"theta_star must have shape ({self.d},)")
-        object.__setattr__(self, "theta_star", theta)
+        object.__setattr__(self, "theta_star", make_theta_star(self.d))
 
 
 def make_theta_star(d: int) -> np.ndarray:

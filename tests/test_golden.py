@@ -1,6 +1,6 @@
 """Byte-identity of the golden fixture: every algorithm on both models
 (bench/golden.py) must reproduce the stored raw and summary CSVs, and every
-seed-0 benchmark call, three edge-case grids and a small expansion-residual
+seed-0 benchmark call, two edge-case grids and a small expansion-residual
 diagnostic its stored reference. Also a short traced benchmark run, which
 must still attach to the program, and traced runs, which must write the
 untraced run's bytes."""
@@ -116,12 +116,9 @@ def test_workloads_match_seed0_references(tmp_path, monkeypatch):
 
 
 # Calls whose cases no seed-0 workload has, recorded under tests/data/ with
-# OpenBLAS at 2 threads: a repeated c (its raw rows interleave by k, its
-# summary groups merge), two stream lengths (configs sorted by t), and a
+# OpenBLAS at 2 threads: two stream lengths (configs sorted by t), and a
 # logistic cell in which 3 of the 4 Wald fits are unavailable.
 EDGE_GRIDS = {
-    "edge_repeated_c": ["--model", "linear", "--d", "3", "--t", "200", "--cov", "toeplitz", "--algo", "asgd",
-                        "--c", "0.5,0.1,0.5", "--reps", "3", "--seed", "5"],
     "edge_two_lengths": ["--model", "linear", "--d", "3", "--t", "400,200", "--cov", "identity", "--algo", "sgd",
                          "--c", "0.3", "--reps", "2", "--seed", "5"],
     "edge_wald_unavailable": ["--model", "logistic", "--d", "20", "--t", "60", "--cov", "identity", "--algo", "sgd",

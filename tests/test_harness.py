@@ -112,6 +112,10 @@ class TestExperimentConfig:
             {"alpha": 0.9},
             {"reps": 0},
             {"base_seed": -1},
+            # A repeated c would only repeat rows; the plug-in alone gives
+            # no rows on any algorithm but asgd.
+            {"c_grid": (0.5, 0.5)},
+            {"algorithm": "sgd", "methods": ("plugin",)},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
@@ -308,13 +312,15 @@ class TestRunGrid:
         # replication alone. c=2.0 is criterion 05's divergent step, whose
         # plug-in intervals explode. Bytes are compared, since NaN != NaN.
         cfg = _cfg(d=5, t=1000, c_grid=(0.1, 0.5, 2.0), reps=2)
-        single = [
-            row
-            for c in cfg.c_grid
-            for rep in range(cfg.reps)
-            for row in _rows(_chunk_rows(replace(cfg, c_grid=(c,)), [rep], *_sample_reps(cfg, [rep])))
-        ]
-        single.sort(key=lambda r: (r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k))
+        single = Table(sorted(
+            (
+                block
+                for c in cfg.c_grid
+                for rep in range(cfg.reps)
+                for block in _chunk_rows(replace(cfg, c_grid=(c,)), [rep], *_sample_reps(cfg, [rep]))
+            ),
+            key=lambda block: block.head,
+        ))
         write_rows_csv(run_grid(cfg), str(tmp_path / "grid.csv"))
         write_rows_csv(single, str(tmp_path / "single.csv"))
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
@@ -332,22 +338,28 @@ class TestRunGrid:
         keys = [(r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k) for r in rows]
         assert keys == sorted(keys)
 
-    def test_repeated_c_rows_interleave_by_k(self):
-        # A repeated c gives two runs of rows with the same (c, rep, method);
-        # they interleave by coordinate, as a stable sort of the rows does.
-        rows = run_grid([_cfg(c_grid=(0.5, 0.1, 0.5), reps=2, methods=("hulc", "wald"))])
-        keys = [(r.model, r.d, r.t, r.cov, r.algo, r.c, r.rep, r.method, r.k) for r in rows]
-        assert keys == sorted(keys) and (len(keys), len(set(keys))) == (24, 16)
+    def test_rejects_configs_of_one_cell(self, monkeypatch):
+        # Two configs that differ only outside (model, d, t, cov, algorithm)
+        # would write rows with the same fields; they are refused before
+        # any replication runs.
+        monkeypatch.setattr(harness, "_replication_task", _failing_task)
+        with pytest.raises(ValueError, match="differ"):
+            run_grid([_cfg(), _cfg(gamma=0.6)])
 
 
-def _row(method, rep, covered, width, *, unavailable=False, k=1):
-    return ResultRow(
-        "linear", 2, 60, "identity", "asgd", 0.5, rep, method, k,
-        None if unavailable else covered,
-        None if unavailable else width,
-        None if unavailable else 0.0,
-        unavailable,
-    )
+def _block(method, rep, covered, width):
+    """A result block of the d=2 asgd cell at c=0.5. covered and width hold
+    both coordinates' values (one value for both, or a pair); both None
+    mark the method unavailable."""
+    head = ("linear", 2, 60, "identity", "asgd", 0.5, rep, method)
+    if covered is None:
+        return ResultBlock(head, None, None, None)
+    return ResultBlock(head, np.full(2, covered), np.full(2, width, dtype=float), np.zeros(2))
+
+
+def _first_k(blocks):
+    """aggregate's Summaries at k = 1 of a Table of the blocks."""
+    return [s for s in aggregate(Table(blocks)) if s.k == 1]
 
 
 def _oracle_aggregate(rows):
@@ -384,14 +396,13 @@ def _oracle_aggregate(rows):
     return summaries
 
 
-# Result blocks of a d=3 cell over a few heads, so heads repeat (a repeated c
-# or replication), with widths that tie (0.0 and -0.0), are infinite or NaN,
-# and unavailable blocks.
+# Result blocks of a d=3 cell, no two with the same head, with widths that
+# tie (0.0 and -0.0), are infinite or NaN, and unavailable blocks.
 _WIDTHS = st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 0.5, 1.0, 2.0])
 _BLOCKS = st.lists(
     st.builds(
         lambda cov, c, rep, method, available, covered, width: ResultBlock(
-            ("linear", 3, 60, cov, "asgd", c, rep, method), range(1, 4),
+            ("linear", 3, 60, cov, "asgd", c, rep, method),
             *((np.array(covered), np.array(width), np.zeros(3)) if available else (None, None, None)),
         ),
         st.sampled_from(["identity", "toeplitz"]),
@@ -403,32 +414,31 @@ _BLOCKS = st.lists(
         st.lists(_WIDTHS, min_size=3, max_size=3),
     ),
     max_size=30,
+    unique_by=lambda block: block.head,
 )
 
 
 class TestAggregate:
     @given(_BLOCKS)
     def test_matches_row_oracle(self, blocks):
-        # Stacked blocks and hand-built rows (one block each) both give the
-        # row loop's summaries; repr compares NaN and the sign of zero too.
-        rows = list(Table(blocks))
-        want = [repr(s) for s in _oracle_aggregate(rows)]
-        assert [repr(s) for s in aggregate(Table(blocks))] == want
-        assert [repr(s) for s in aggregate(rows)] == want
+        # Stacked blocks give the row loop's summaries; repr compares NaN
+        # and the sign of zero too.
+        table = Table(blocks)
+        assert [repr(s) for s in aggregate(table)] == [repr(s) for s in _oracle_aggregate(table)]
 
     def test_grid_matches_row_oracle(self):
-        # A repeated c, and a logistic cell in which 2 of the 4 Wald fits
+        # Three c values, and a logistic cell in which 2 of the 4 Wald fits
         # are unavailable (separated samples at t=60, d=20).
-        for cfg in (_cfg(d=3, c_grid=(0.5, 0.1, 0.5), reps=3),
+        for cfg in (_cfg(d=3, c_grid=(0.5, 0.1, 0.3), reps=3),
                     _cfg(model=ModelKind.LOGISTIC, d=20, algorithm=AlgorithmKind("sgd"), reps=4)):
             table = run_grid(cfg)
             assert [repr(s) for s in aggregate(table)] == [repr(s) for s in _oracle_aggregate(table)]
 
     def test_coverage_median_and_ratio(self):
-        rows = [_row("wald", r, 1, 2.0) for r in range(4)]
-        rows += [_row("hulc", r, c, w) for r, (c, w) in
-                 enumerate(zip([1, 1, 0, 1], [1.0, 2.0, 3.0, 4.0]))]
-        hulc, wald = aggregate(rows)
+        blocks = [_block("wald", r, 1, 2.0) for r in range(4)]
+        blocks += [_block("hulc", r, c, w) for r, (c, w) in
+                   enumerate(zip([1, 1, 0, 1], [1.0, 2.0, 3.0, 4.0]))]
+        hulc, wald = _first_k(blocks)
         assert (hulc.method, wald.method) == ("hulc", "wald")
         assert hulc.coverage == 0.75
         # Lower median of [1, 2, 3, 4].
@@ -438,24 +448,23 @@ class TestAggregate:
         assert hulc.n_wald_available == wald.n_wald_available == 4
 
     def test_odd_count_median(self):
-        rows = [_row("wald", r, 1, 2.0) for r in range(3)]
-        rows += [_row("hulc", r, 1, w) for r, w in enumerate([1.0, 2.0, 3.0])]
-        hulc, _ = aggregate(rows)
+        blocks = [_block("wald", r, 1, 2.0) for r in range(3)]
+        blocks += [_block("hulc", r, 1, w) for r, w in enumerate([1.0, 2.0, 3.0])]
+        hulc, _ = _first_k(blocks)
         assert hulc.median_width == 2.0 and hulc.width_ratio == 1.0
 
     def test_unavailable_baseline_leaves_ratio_empty(self):
-        rows = [_row("wald", r, None, None, unavailable=True) for r in range(2)]
-        rows += [_row("hulc", r, 1, w) for r, w in enumerate([1.0, 3.0])]
-        hulc, wald = aggregate(rows)
+        blocks = [_block("wald", r, None, None) for r in range(2)]
+        blocks += [_block("hulc", r, 1, w) for r, w in enumerate([1.0, 3.0])]
+        hulc, wald = _first_k(blocks)
         assert hulc.coverage == 1.0 and hulc.median_width == 1.0
         assert hulc.width_ratio is None and hulc.n_wald_available == 0
         assert wald.coverage is None and wald.median_width is None
 
     def test_ratio_uses_available_wald_only(self):
-        rows = [_row("wald", 0, 1, 2.0), _row("wald", 1, None, None, unavailable=True),
-                _row("wald", 2, 1, 4.0)]
-        rows += [_row("hulc", r, 1, 3.0) for r in range(3)]
-        hulc, wald = aggregate(rows)
+        blocks = [_block("wald", 0, 1, 2.0), _block("wald", 1, None, None), _block("wald", 2, 1, 4.0)]
+        blocks += [_block("hulc", r, 1, 3.0) for r in range(3)]
+        hulc, wald = _first_k(blocks)
         assert hulc.width_ratio == 1.5
         assert wald.n_wald_available == 2
 
@@ -468,8 +477,7 @@ class TestAggregate:
         assert harness._lower_median([INF, 1.0, -INF]) == 1.0
 
     def test_coordinates_aggregate_separately(self):
-        rows = [_row("hulc", 0, 1, 1.0, k=1), _row("hulc", 0, 0, 9.0, k=2)]
-        first, second = aggregate(rows)
+        first, second = aggregate(Table([_block("hulc", 0, [1, 0], [1.0, 9.0])]))
         assert (first.k, first.coverage, second.k, second.coverage) == (1, 1.0, 2, 0.0)
 
 
@@ -511,67 +519,64 @@ class TestExpansionResidual:
 
 class TestCsvWriters:
     def test_raw_rows_round_trip(self, tmp_path):
-        rows = [
-            _row("hulc", 0, 1, 1.0 / 3.0),
-            _row("wald", 0, None, None, unavailable=True),
-        ]
         path = tmp_path / "rows.csv"
-        write_rows_csv(rows, str(path))
+        write_rows_csv(Table([_block("hulc", 0, 1, 1.0 / 3.0), _block("wald", 0, None, None)]), str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == RAW_HEADER
         assert lines[1] == "linear,2,60,identity,asgd,0.5,0,hulc,1,1,0.3333333333333333,0.0,0"
-        assert lines[2] == "linear,2,60,identity,asgd,0.5,0,wald,1,,,,1"
+        assert lines[2] == "linear,2,60,identity,asgd,0.5,0,hulc,2,1,0.3333333333333333,0.0,0"
+        assert lines[3:] == ["linear,2,60,identity,asgd,0.5,0,wald,1,,,,1", "linear,2,60,identity,asgd,0.5,0,wald,2,,,,1"]
         assert float(lines[1].split(",")[10]) == 1.0 / 3.0
 
     def test_summary_header(self, tmp_path):
         path = tmp_path / "summary.csv"
-        write_summary_csv(aggregate([_row("hulc", 0, 1, 1.0)]), str(path))
+        write_summary_csv(aggregate(Table([_block("hulc", 0, 1, 1.0)])), str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == SUMMARY_HEADER
-        assert len(lines) == 2
+        assert len(lines) == 3
 
-    # Rows with special floats (NaN, +-inf, -0.0, exponent forms, the least
-    # subnormal), unavailable values and the implicit-last name. Each
-    # expected line is what the csv module wrote before the writers were
-    # hand-formatted: repr for floats, "" for None, 0/1 for bools.
+    # Blocks with special floats (NaN, +-inf, -0.0, exponent forms, the
+    # least subnormal), unavailable values and the implicit-last name. Each
+    # expected line is what the csv module writes for the row: repr for
+    # floats, "" for None, 0/1 for bools.
     def test_raw_special_values(self, tmp_path):
-        head = ("linear", 5, 1000, "identity", "implicit-last")
-        rows = [
-            ResultRow(*head, 2.0, 0, "plugin", 1, 0, NAN, NAN, False),
-            ResultRow(*head, 2.0, 0, "plugin", 2, 0, INF, -INF, False),
-            ResultRow("logistic", 20, 10000, "toeplitz", "implicit-last", 1e-05, 12, "tstat", 20, 1, 5e-324, -0.0,
-                      False),
-            ResultRow("logistic", 20, 10000, "toeplitz", "implicit-last", 1e16, 3, "wald", 7, None, None, None, True),
-        ]
+        rows = Table([
+            ResultBlock(("linear", 2, 1000, "identity", "implicit-last", 2.0, 0, "plugin"),
+                        np.array([0, 0]), np.array([NAN, INF]), np.array([NAN, -INF])),
+            ResultBlock(("logistic", 2, 10000, "toeplitz", "implicit-last", 1e-05, 12, "tstat"),
+                        np.array([1, 0]), np.array([5e-324, 1e300]), np.array([-0.0, 2.5e-07])),
+            ResultBlock(("logistic", 2, 10000, "toeplitz", "implicit-last", 1e16, 3, "wald"), None, None, None),
+        ])
         path = tmp_path / "rows.csv"
         write_rows_csv(rows, str(path))
         assert path.read_bytes() == (
             b"model,d,t,cov,algo,c,rep,method,k,covered,width,center,unavailable\n"
-            b"linear,5,1000,identity,implicit-last,2.0,0,plugin,1,0,nan,nan,0\n"
-            b"linear,5,1000,identity,implicit-last,2.0,0,plugin,2,0,inf,-inf,0\n"
-            b"logistic,20,10000,toeplitz,implicit-last,1e-05,12,tstat,20,1,5e-324,-0.0,0\n"
-            b"logistic,20,10000,toeplitz,implicit-last,1e+16,3,wald,7,,,,1\n"
+            b"linear,2,1000,identity,implicit-last,2.0,0,plugin,1,0,nan,nan,0\n"
+            b"linear,2,1000,identity,implicit-last,2.0,0,plugin,2,0,inf,-inf,0\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e-05,12,tstat,1,1,5e-324,-0.0,0\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e-05,12,tstat,2,0,1e+300,2.5e-07,0\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e+16,3,wald,1,,,,1\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e+16,3,wald,2,,,,1\n"
         )
 
     def test_summary_special_values(self, tmp_path):
-        def block(head, k, coverage, median, ratio, n_wald):
-            columns = [None if v is None else np.array([v]) for v in (coverage, median, ratio)]
-            return SummaryBlock(head, range(k, k + 1), *columns, n_wald)
-
         summaries = Table([
-            block(("linear", 5, 1000, "identity", "implicit-last", 2.0, "plugin"), 1, 0.0, NAN, NAN, 0),
-            block(("linear", 5, 1000, "equicorr", "implicit-last", 1e-05, "hulc"), 2, 0.95, INF, -INF, 200),
-            block(("logistic", 20, 10000, "toeplitz", "implicit-last", 1e16, "tstat"), 3, 1.0, 5e-324, -0.0, 1),
-            block(("logistic", 20, 10000, "toeplitz", "implicit-last", 0.5, "wald"), 4, None, None, None, 0),
+            SummaryBlock(("linear", 2, 1000, "identity", "implicit-last", 2.0, "plugin"),
+                         np.array([0.0, 0.95]), np.array([NAN, INF]), np.array([NAN, -INF]), 0),
+            SummaryBlock(("logistic", 2, 10000, "toeplitz", "implicit-last", 1e-05, "tstat"),
+                         np.array([1.0, 0.5]), np.array([5e-324, 2.5e-07]), np.array([-0.0, 1e300]), 1),
+            SummaryBlock(("logistic", 2, 10000, "toeplitz", "implicit-last", 1e16, "wald"), None, None, None, 200),
         ])
         path = tmp_path / "summary.csv"
         write_summary_csv(summaries, str(path))
         assert path.read_bytes() == (
             b"model,d,t,cov,algo,c,method,k,coverage,median_width,width_ratio,n_wald_available\n"
-            b"linear,5,1000,identity,implicit-last,2.0,plugin,1,0.0,nan,nan,0\n"
-            b"linear,5,1000,equicorr,implicit-last,1e-05,hulc,2,0.95,inf,-inf,200\n"
-            b"logistic,20,10000,toeplitz,implicit-last,1e+16,tstat,3,1.0,5e-324,-0.0,1\n"
-            b"logistic,20,10000,toeplitz,implicit-last,0.5,wald,4,,,,0\n"
+            b"linear,2,1000,identity,implicit-last,2.0,plugin,1,0.0,nan,nan,0\n"
+            b"linear,2,1000,identity,implicit-last,2.0,plugin,2,0.95,inf,-inf,0\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e-05,tstat,1,1.0,5e-324,-0.0,1\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e-05,tstat,2,0.5,2.5e-07,1e+300,1\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e+16,wald,1,,,,200\n"
+            b"logistic,2,10000,toeplitz,implicit-last,1e+16,wald,2,,,,200\n"
         )
 
     def test_residual_special_values(self, tmp_path):
@@ -685,7 +690,7 @@ class TestCli:
         with pytest.raises(AssertionError, match="ResultRow"):
             list(run_grid(_cfg(reps=1, methods=("hulc",))))
         argv = self._argv(tmp_path / "rows.csv")
-        argv[argv.index("--c") + 1] = "0.5,0.1,0.5"
+        argv[argv.index("--c") + 1] = "0.5,0.1,0.3"
         assert run_cli(argv) == EXIT_OK
 
     def test_empty_methods_exits_config(self, tmp_path, capsys):
@@ -723,6 +728,32 @@ class TestCli:
         assert run_cli(argv) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,diagnostic", [
+        pytest.param("c", "0.5,0.1,0.5", None, id="c"),
+        pytest.param("t", "200,200", None, id="t"),
+        pytest.param("t", "2000,2000", "expansion-residual", id="diagnostic-t"),
+    ])
+    def test_repeated_c_or_t_exits_config(self, tmp_path, capsys, flag, value, diagnostic):
+        # A repeated value would only repeat rows, so it is refused before
+        # any run, on the grid path and on the diagnostic path.
+        out = tmp_path / "x.csv"
+        argv = self._argv(out)
+        argv[argv.index(f"--{flag}") + 1] = value
+        if diagnostic:
+            argv += ["--diagnostic", diagnostic]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "must not repeat" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_plugin_alone_on_other_algorithm_exits_config(self, tmp_path, capsys):
+        # The plug-in is defined for asgd only; alone on sgd it would write
+        # CSVs with headers only.
+        argv = self._argv(tmp_path / "x.csv", methods="plugin")
+        argv[argv.index("asgd")] = "sgd"
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "asgd only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_config(self, tmp_path, capsys, threads):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import streamci.model
 from streamci.model import (
     CovarianceKind,
     DataPoint,
@@ -39,13 +40,11 @@ class TestThetaStar:
         with pytest.raises(ValueError):
             make_theta_star(1)
 
-    def test_modelspec_default_and_override(self):
+    def test_modelspec_target(self):
         spec = ModelSpec(ModelKind.LINEAR, 4, CovarianceKind.IDENTITY)
         assert_allclose(spec.theta_star, make_theta_star(4))
-        spec = ModelSpec(ModelKind.LINEAR, 2, CovarianceKind.IDENTITY, theta_star=[3.0, -1.0])
-        assert_allclose(spec.theta_star, [3.0, -1.0])
         with pytest.raises(ValueError):
-            ModelSpec(ModelKind.LINEAR, 3, CovarianceKind.IDENTITY, theta_star=[1.0])
+            ModelSpec(ModelKind.LINEAR, 1, CovarianceKind.IDENTITY)
 
 
 class TestCovariance:
@@ -82,9 +81,11 @@ class TestSampling:
         assert np.all(data.X[:, 0] == 1.0)
         assert set(np.unique(data.y)) <= {0.0, 1.0}
 
-    def test_logistic_balanced_at_zero_target(self):
+    def test_logistic_balanced_at_zero_target(self, monkeypatch):
         # theta_star = 0 makes sigma(x'theta) = 1/2 for every x.
-        spec = ModelSpec(ModelKind.LOGISTIC, 3, CovarianceKind.IDENTITY, theta_star=np.zeros(3))
+        monkeypatch.setattr(streamci.model, "make_theta_star", np.zeros)
+        spec = ModelSpec(ModelKind.LOGISTIC, 3, CovarianceKind.IDENTITY)
+        assert_allclose(spec.theta_star, np.zeros(3))
         data = sample_dataset(spec, covariance_factor(spec), RngStream(6, 0), 10**5)
         assert data.y.mean() == pytest.approx(0.5, abs=0.01)
 
