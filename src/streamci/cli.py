@@ -124,6 +124,13 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    summary_path = args.summary or str(Path(args.out).with_name(Path(args.out).stem + "_summary.csv"))
+    manifest_path = args.out + ".manifest.json"
+    if args.diagnostic is None and len({Path(p).resolve() for p in (args.out, summary_path, manifest_path)}) < 3:
+        print(f"error: the raw CSV {args.out}, the summary {summary_path} and the manifest {manifest_path} "
+              "must be three different files", file=sys.stderr)
+        return EXIT_CONFIG
+
     started = time.monotonic()
     if args.diagnostic == "expansion-residual":
         try:
@@ -147,8 +154,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
     rows = run_grid(cfgs, threads=args.threads)
     summaries = aggregate(rows)
-    summary_path = args.summary or str(Path(args.out).with_name(Path(args.out).stem + "_summary.csv"))
-    manifest_path = args.out + ".manifest.json"
     elapsed = time.monotonic() - started
     try:
         write_rows_csv(rows, args.out)

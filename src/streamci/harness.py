@@ -258,9 +258,9 @@ def _chunk_rows(
 
     X and y hold the replications' datasets as _sample_reps lays them out.
     Data, warm starts, Wald intervals and HulC batch counts do not depend on
-    c, so each is computed once per replication; every (c, run) pair is then
-    one lane of a single run_lanes pass, where a run is the full-stream
-    plug-in pass or one HulC bucket.
+    c, so each is computed once per replication. The runs, one run_lanes
+    pass over cfg.c_grid, are the full-stream plug-in pass of every
+    replication (run i for replication i), then every HulC bucket.
 
     The Wald fits run with wald_threads BLAS threads when it is given: how
     OpenBLAS splits a matrix product over its threads changes the product's
@@ -275,9 +275,9 @@ def _chunk_rows(
     n = cfg.t
     noise = np.empty_like(X) if kind == AlgorithmKind.NOISY_TRUNCATED else None
 
-    runs: list[range] = []
-    plugin_run: list[Optional[int]] = []
-    bucket_runs: list[range] = []
+    n_passes = len(reps) if with_plugin else 0
+    runs = [range(i * n, (i + 1) * n) for i in range(n_passes)]
+    bucket_runs: list[slice] = []
     wald: list[Optional[IntervalSet]] = []
     for i, rep in enumerate(reps):
         base = i * n
@@ -290,9 +290,6 @@ def _chunk_rows(
             except IllConditionedError:
                 pass
         wald.append(wald_iv)
-        plugin_run.append(len(runs) if with_plugin else None)
-        if with_plugin:
-            runs.append(range(base, base + n))
         first = len(runs)
         if with_buckets:
             b = hulc_batch_count(cfg.alpha, float(_stream(cfg, rep, ROLE_HULC_U).uniform()))
@@ -302,37 +299,21 @@ def _chunk_rows(
                 if noise is not None:
                     draws = _stream(cfg, rep, ROLE_NOISE_BUCKET + j).standard_normal((len(bucket), cfg.d))
                     noise[bucket.start : bucket.stop : b] = draws
-        bucket_runs.append(range(first, len(runs)))
+        bucket_runs.append(slice(first, len(runs)))
 
-    initial = np.broadcast_to(_initial_iterates(cfg, X, y, runs), (len(runs), cfg.d))
-    # Lanes are c-major: lane ci * len(runs) + run.
-    lanes = [(c, run) for c in cfg.c_grid for run in range(len(runs))]
-    plugin_lanes = [i for i, (_, run) in enumerate(lanes) if run in plugin_run]
-    estimates, responses = run_lanes(
-        kind,
-        cfg.model,
-        X,
-        y,
-        [runs[run] for _, run in lanes],
-        initial[[run for _, run in lanes]],
-        [c for c, _ in lanes],
-        cfg.gamma,
-        noise=noise,
-        record=plugin_lanes,
-    )
+    estimates, responses = run_lanes(kind, cfg.model, X, y, runs, _initial_iterates(cfg, X, y, runs), cfg.c_grid,
+                                     cfg.gamma, noise=noise, record=n_passes)
     # Per replication, the plug-in interval of every c (None: singular J),
-    # centred at the asgd lanes' averages.
+    # centred at the asgd passes' averages.
     plugin_ivs = [
-        plugin_interval(cfg.model, X[i * n : (i + 1) * n], y[i * n : (i + 1) * n],
-                        responses[i :: len(reps), :n], estimates[plugin_run[i] :: len(runs)], cfg.alpha)
-        for i in range(len(reps))
-        if with_plugin
+        plugin_interval(cfg.model, X[i * n : (i + 1) * n], y[i * n : (i + 1) * n], responses[:, i], estimates[:, i],
+                        cfg.alpha)
+        for i in range(n_passes)
     ]
 
     cell = (cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.value)
     blocks: list[ResultBlock] = []
     for ci, c in enumerate(cfg.c_grid):
-        lane0 = ci * len(runs)
         for i, rep in enumerate(reps):
             head = cell + (c, rep)
             if "wald" in cfg.methods:
@@ -340,7 +321,7 @@ def _chunk_rows(
             if with_plugin:
                 blocks.append(_method_block(head + ("plugin",), plugin_ivs[i][ci], theta_star))
             if with_buckets:
-                buckets = estimates[lane0 + bucket_runs[i].start : lane0 + bucket_runs[i].stop]
+                buckets = estimates[ci, bucket_runs[i]]
                 if "hulc" in cfg.methods:
                     blocks.append(_method_block(head + ("hulc",), hulc_interval(buckets), theta_star))
                 if "tstat" in cfg.methods:
@@ -507,8 +488,8 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
 
     Accumulates xi_s = grad_s - J(theta^(s-1) - theta_star) online and
     returns || sqrt(t)(avg - theta_star) + (1/sqrt(t)) J^-1 sum xi_s ||_J.
-    The replications run as the lanes of one run_lanes pass per chunk of
-    _rep_chunks.
+    Each chunk of _rep_chunks is one run_lanes pass, with a run per
+    replication.
     """
     if cfg.model != ModelKind.LINEAR:
         raise ValueError("expansion residual is defined for the linear model only")
@@ -530,9 +511,9 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
             xi_sum[lanes] += grad - (hess[None] @ (theta - theta_star)[:, :, None])[:, :, 0]
 
         rows = [range(i * t, (i + 1) * t) for i in range(len(reps))]
-        run = run_lanes(cfg.algorithm, cfg.model, X, y, rows, _initial_iterates(cfg, X, y, rows),
-                        [cfg.c_grid[0]] * len(rows), cfg.gamma, on_step=accumulate)
-        for avg, xi in zip(run.estimates, xi_sum):
+        run = run_lanes(cfg.algorithm, cfg.model, X, y, rows, _initial_iterates(cfg, X, y, rows), cfg.c_grid,
+                        cfg.gamma, on_step=accumulate)
+        for avg, xi in zip(run.estimates[0], xi_sum):
             rem = math.sqrt(t) * (avg - theta_star) + spd_solve(lower, xi) / math.sqrt(t)
             residuals.append(float(math.sqrt(rem @ hess @ rem)))
     return residuals

@@ -157,15 +157,13 @@ def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndar
     """Sum over t of outer(a[t], a[t]), each term scaled by w[t] when w is
     given, bit for bit the loop out += outer(a[t], a[t]) * w[t] of
     plugin_update: numpy's einsum loop (no optimize) adds the terms in t
-    order, each with its own multiply and add. With a single column it would
-    sum t in an unrolled loop instead, so that case gets a zero column first.
+    order, each with its own multiply and add. a has at least two columns:
+    with one, einsum would sum t in an unrolled loop instead.
 
     Where a NaN term meets a NaN sum, the result keeps the term's NaN and the
     loop the sum's. They differ only if NaNs of different sign or payload
     meet, which takes a NaN in the input: arithmetic makes one kind.
     """
-    if a.shape[1] == 1:
-        return _ordered_outer_sum(np.hstack([a, np.zeros_like(a)]), w)[:1, :1]
     if w is None:
         return np.einsum("ti,tj->ij", a, a)
     return np.einsum("ti,tj,t->ij", a, a, w)

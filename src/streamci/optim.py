@@ -282,13 +282,15 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
 
 
 class LaneRun(NamedTuple):
-    """What one run_lanes call leaves, lanes in the order given.
+    """What one run_lanes call leaves: lane j * len(runs) + r is run r at
+    step constant c[j].
 
-    estimates (L, d) holds each lane's estimate: the running average of the
-    iterates for the averaged algorithms (asgd, implicit-avg), the last
-    iterate for the rest. responses[p, :len(rows[record[p]])] holds
-    psi(x'theta) of recorded lane record[p] at each step's pre-update
-    iterate, in step order.
+    estimates[j, r] (an array of shape (len(c), len(runs), d)) is that lane's
+    estimate: the running average of the iterates for the averaged
+    algorithms (asgd, implicit-avg), the last iterate for the rest.
+    responses[j, r] (shape (len(c), record, longest run)) holds psi(x'theta)
+    of recorded run r at c[j] at each step's pre-update iterate, in step
+    order.
     """
 
     estimates: np.ndarray
@@ -333,69 +335,65 @@ def run_lanes(
     model_kind: ModelKind,
     X: np.ndarray,
     y: np.ndarray,
-    rows: Sequence[range],
+    runs: Sequence[range],
     theta0: np.ndarray,
     c: Sequence[float],
     gamma: float,
     *,
     noise: Optional[np.ndarray] = None,
-    record: Sequence[int] = (),
+    record: int = 0,
     on_step: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> LaneRun:
-    """Advance independent runs ("lanes") of one algorithm in lockstep over t.
+    """Advance independent runs of one algorithm in lockstep over t, each at
+    every step constant in c: lane j * len(runs) + r is run r at c[j].
 
-    Lane l starts at theta0[l] (or a shared (d,) theta0), steps with
-    eta_t = c[l] * t**(-gamma) (gamma = 0: the constant step c[l]), and
-    reads observations X[i], y[i] for i in rows[l] in order, so a
-    round-robin bucket is a strided range over its replication's rows and
-    no data is copied per lane. Every lane's arithmetic is that of
+    Run r starts at theta0[r] (or a shared (d,) theta0) and reads
+    observations X[i], y[i] for i in runs[r] in order, so a round-robin
+    bucket is a strided range over its replication's rows and no data is
+    copied per lane. At c[j] it steps with eta_t = c[j] * t**(-gamma)
+    (gamma = 0: the constant step c[j]). Every lane's arithmetic is that of
     init_state + advance, bit for bit, whatever the number of lanes; the
     running average is kept only where it is the estimate.
 
     noise (same shape as X, noisy-truncated only) is read through the same
     row index: the row a lane observes at step t also supplies its noise.
-    The lanes named in record get their responses psi(x'theta) at each
-    pre-update iterate recorded (LaneRun.responses), from which the plug-in
-    sums are taken. on_step(t, lanes, theta, grad), when given, is called
-    before each update with the active lanes' indices, pre-update iterates
-    and gradients, as views that later steps overwrite.
+    The first record runs, each at least as long as every other run, get
+    their responses psi(x'theta) at each pre-update iterate recorded
+    (LaneRun.responses), from which the plug-in sums are taken.
+    on_step(t, lanes, theta, grad), when given, is called before each update
+    with the running lanes' indices, pre-update iterates and gradients, as
+    views that later steps overwrite.
     """
     if (noise is None) == (kind == AlgorithmKind.NOISY_TRUNCATED):
         raise ValueError("noise is required by noisy-truncated and consumed by nothing else")
-    n_lanes = len(rows)
-    if len(c) != n_lanes:
-        raise ValueError(f"{n_lanes} lanes need {n_lanes} step constants, got {len(c)}")
-    d = X.shape[1]
-    # Longest lanes first, so the lanes still running at step t are a prefix.
-    lengths = np.array([len(r) for r in rows], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    rank = np.empty(n_lanes, dtype=np.int64)
-    rank[order] = np.arange(n_lanes)
-    lengths = lengths[order]
-    idx = np.array([rows[i].start for i in order], dtype=np.int64)
-    stride = np.array([rows[i].step for i in order], dtype=np.int64)
-    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (n_lanes, d))[order])
+    n_runs, d = len(runs), X.shape[1]
+    run_lengths = np.array([len(r) for r in runs], dtype=np.int64)
+    longest = int(run_lengths.max(initial=0))
+    if not 0 <= record <= n_runs or run_lengths[:record].min(initial=longest) < longest:
+        raise ValueError(f"the {record} recorded runs must lead and be the longest, got lengths {run_lengths.tolist()}")
+    lane_run = np.tile(np.arange(n_runs), len(c))
+    # Longest lanes first, so the lanes still running at step t are a prefix;
+    # of equal length the recorded ones first, so that they are the first
+    # len(c) * record ranks, c-major.
+    order = np.argsort(2 * -run_lengths[lane_run] + (lane_run >= record), kind="stable")
+    run_of = lane_run[order]
+    lengths = run_lengths[run_of]
+    idx = np.array([runs[r].start for r in run_of], dtype=np.int64)
+    stride = np.array([runs[r].step for r in run_of], dtype=np.int64)
+    theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (n_runs, d))[run_of])
     avg = np.zeros_like(theta) if kind.averaged else None
     # Work arrays, given to the ufuncs as their positional out (the keyword
     # costs more per call): each step's residuals psi - y, gradients, product.
-    resid, grad, work = np.empty(n_lanes), np.empty_like(theta), np.empty_like(theta)
-    # The distinct step constants, and each lane's index into them.
-    unique: dict[float, int] = {}
-    lane_c = np.array([[unique.setdefault(c[i], len(unique))] for i in order], dtype=np.int64)
-    cs = list(unique)
-
-    # Recorded slots sorted by rank; slot_of maps the caller's order to them.
-    by_rank = sorted(range(len(record)), key=lambda p: rank[record[p]])
-    slot_of = np.empty(len(record), dtype=np.int64)
-    slot_of[by_rank] = np.arange(len(record))
-    p_rank = np.array([rank[record[p]] for p in by_rank], dtype=np.int64)
-    longest = int(lengths.max(initial=0))
-    # mu_rec[slot, t - 1]: psi(x'theta) of a recorded lane at step t.
-    mu_rec = np.empty((len(record), longest))
+    resid, grad, work = np.empty(len(order)), np.empty_like(theta), np.empty_like(theta)
+    # Each lane's index into c.
+    lane_c = (order // n_runs)[:, None]
+    n_record = len(c) * record
+    # mu_rec[p, t - 1]: psi(x'theta) of the recorded lane of rank p at step t.
+    mu_rec = np.empty((n_record, longest))
     # Each step's t as a float, by which a block's iterates are divided.
     t_div = np.arange(1.0, longest + 1.0)[:, None, None] if avg is not None else None
     implicit = kind in (AlgorithmKind.IMPLICIT_LAST, AlgorithmKind.IMPLICIT_AVG)
-    need_grad = not implicit or bool(record) or on_step is not None
+    need_grad = not implicit or n_record > 0 or on_step is not None
 
     # The algorithm's update, chosen once and called by the loop below with the
     # step's t, index k in the block and eta. It reads the loop's current
@@ -429,8 +427,7 @@ def run_lanes(
                 np.array([NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in etas])[lane_col])
             nxt[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_b[k]
 
-    p_prefix = np.array_equal(p_rank, np.arange(len(p_rank)))
-    single = len(cs) == 1
+    single = len(c) == 1
     t0 = 1
     th = theta
     # Divergent lanes overflow to inf and NaN; they stay in the results, where
@@ -440,8 +437,6 @@ def run_lanes(
         # prefix th[:active], which only shrinks between phases.
         for end in sorted(set(lengths.tolist()) - {0}):
             active = int(np.count_nonzero(lengths >= end))
-            n_record = int(np.count_nonzero(p_rank < active))
-            p_sel = slice(0, n_record) if p_prefix else p_rank[:n_record]
             th, r, G, W = th[:active], resid[:active], grad[:active], work[:active]
             r_col = r[:, None]
             av = avg[:active] if avg is not None else None
@@ -462,13 +457,12 @@ def run_lanes(
                 for k, t in enumerate(steps):
                     Xt, yt = X_b[k], y_b[k]
                     # One Python ** per step (numpy's rounds differently),
-                    # times each distinct c: step_size's arithmetic. float(t)
-                    # is t exactly.
+                    # times each c: step_size's arithmetic. float(t) is t exactly.
                     decay = float(t) ** -gamma
                     if single:
-                        eta = cs[0] * decay
+                        eta = c[0] * decay
                     else:
-                        etas = [c_j * decay for c_j in cs]
+                        etas = [c_j * decay for c_j in c]
                         eta = np.array(etas)[lane_col]
                     if need_grad:
                         mu = _mean_responses(model_kind, Xt, th, mu_b[k])
@@ -479,10 +473,11 @@ def run_lanes(
                     nxt = th if av is None else it_b[k]
                     update(t, k, eta)
                     th = nxt
-                # The block's steps, as columns of mu_rec and rows of t_div.
+                # The block's steps, as columns of mu_rec and rows of t_div;
+                # the recorded lanes, being the longest, run in every phase.
                 n, done = len(steps), slice(first - 1, steps.stop - 1)
                 if n_record:
-                    mu_rec[:n_record, done] = mu_b[:n, p_sel].T
+                    mu_rec[:, done] = mu_b[:n, :n_record].T
                 if av is not None:
                     # The reference's (1 - 1/t) * avg + theta / t, step by step.
                     np.divide(it_b[:n], t_div[done], q_b[:n])
@@ -491,11 +486,12 @@ def run_lanes(
                         av += q
                 idx[:active] = at[-1] + stride[:active]
             t0 = end + 1
-    return LaneRun((theta if avg is None else avg)[rank], mu_rec[slot_of])
+    estimates = (theta if avg is None else avg)[np.argsort(order)]
+    return LaneRun(estimates.reshape(len(c), n_runs, d), mu_rec.reshape(len(c), record, longest))
 
 
-def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, rows: Sequence[range]) -> np.ndarray:
-    """Fixed-step SGD burn-in from the origin for every lane; (L, d) iterates.
-    A lane with no rows stays at the origin."""
+def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, runs: Sequence[range]) -> np.ndarray:
+    """Fixed-step SGD burn-in from the origin for every run; (len(runs), d)
+    iterates. A run with no rows stays at the origin."""
     zeros = np.zeros(X.shape[1])
-    return run_lanes(AlgorithmKind.SGD, model_kind, X, y, rows, zeros, [WARM_START_STEP] * len(rows), 0.0).estimates
+    return run_lanes(AlgorithmKind.SGD, model_kind, X, y, runs, zeros, [WARM_START_STEP], 0.0).estimates[0]

@@ -1,6 +1,6 @@
 """Byte-identity of the golden fixture: every algorithm on both models
 (bench/golden.py) must reproduce the stored raw and summary CSVs, and every
-seed-0 benchmark call, two edge-case grids and a small expansion-residual
+seed-0 benchmark call, three edge-case grids and a small expansion-residual
 diagnostic its stored reference. Also a short traced benchmark run, which
 must still attach to the program, and traced runs, which must write the
 untraced run's bytes."""
@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 from streamci.cli import run_cli
-from streamci.harness import _blas_threads
+from streamci.harness import ROLE_HULC_U, STREAM_SPACING, _blas_threads
+from streamci.infer import hulc_batch_count
 from streamci.optim import ALGORITHM_NAMES
+from streamci.statutil import RngStream
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,13 +118,18 @@ def test_workloads_match_seed0_references(tmp_path, monkeypatch):
 
 
 # Calls whose cases no seed-0 workload has, recorded under tests/data/ with
-# OpenBLAS at 2 threads: two stream lengths (configs sorted by t), and a
-# logistic cell in which 3 of the 4 Wald fits are unavailable.
+# OpenBLAS at 2 threads: two stream lengths (configs sorted by t), a logistic
+# cell in which 3 of the 4 Wald fits are unavailable, and an alpha above 1/2
+# at which HulC draws a single bucket, as long as the plug-in pass, on
+# replications 1 and 3.
 EDGE_GRIDS = {
     "edge_two_lengths": ["--model", "linear", "--d", "3", "--t", "400,200", "--cov", "identity", "--algo", "sgd",
                          "--c", "0.3", "--reps", "2", "--seed", "5"],
     "edge_wald_unavailable": ["--model", "logistic", "--d", "20", "--t", "60", "--cov", "identity", "--algo", "sgd",
                               "--c", "0.5", "--reps", "4", "--seed", "5", "--methods", "wald,hulc,tstat"],
+    "edge_single_bucket": ["--model", "linear", "--d", "3", "--t", "300", "--cov", "identity", "--algo", "asgd",
+                           "--c", "0.5,2.0", "--reps", "4", "--seed", "4", "--alpha", "0.9",
+                           "--methods", "wald,plugin,hulc"],
 }
 
 
@@ -136,6 +143,18 @@ def test_edge_grids_match_reference(tmp_path, name):
     if name == "edge_wald_unavailable":
         assert raw.count(b",,,,1\n") == 3 * 20  # three unavailable Wald blocks of d=20 rows
         assert summary.count(b",1\n") == 3 * 20  # n_wald_available 1 on every line
+    if name == "edge_single_bucket":
+        # A single bucket is the whole stream, so its HulC center is the
+        # plug-in pass's asgd average, bit for bit; two buckets give another.
+        draws = [RngStream(4, rep * STREAM_SPACING + ROLE_HULC_U).uniform() for rep in range(4)]
+        single = [str(rep) for rep, u in enumerate(draws) if hulc_batch_count(0.9, float(u)) == 1]
+        assert single == ["1", "3"]
+        fields = [line.split(",") for line in raw.decode().splitlines()[1:]]
+        # (c, rep, k) -> center, per method.
+        centers = {m: {(f[5], f[6], f[8]): f[11] for f in fields if f[7] == m} for m in ("hulc", "plugin")}
+        assert len(centers["hulc"]) == 2 * 4 * 3
+        for key, center in centers["hulc"].items():
+            assert (center == centers["plugin"][key]) == (key[1] in single), key
 
 
 def test_bench_tracer_times_the_result_path(tmp_path, monkeypatch):

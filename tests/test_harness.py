@@ -653,6 +653,18 @@ class TestCli:
         assert run_cli(argv) == EXIT_UNWRITABLE
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("summary", ["f/a.csv", "./f/a.csv", "f/a.csv.manifest.json"],
+                             ids=["summary-is-out", "dot-alias", "summary-is-manifest"])
+    def test_colliding_output_paths_exit_config(self, tmp_path, capsys, monkeypatch, summary):
+        # The raw CSV, the summary and the manifest <out>.manifest.json must
+        # be three files; otherwise one write would replace another.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").mkdir()
+        argv = self._argv("f/a.csv", methods="hulc", summary=summary)
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert list((tmp_path / "f").iterdir()) == []
+
     def test_help_exits_ok(self, capsys):
         assert run_cli(["--help"]) == EXIT_OK
         capsys.readouterr()

@@ -408,7 +408,7 @@ class TestAveraging:
         state = init_state(kind, np.zeros(2), rng=RngStream(25, 9) if noisy else None)
         for p in data:
             advance(state, sched, ModelKind.LINEAR, p)
-        assert _bits(run.estimates[0]) == _bits(_declared_estimate(state))
+        assert _bits(run.estimates[0, 0]) == _bits(_declared_estimate(state))
 
 
 class TestNoisyTruncated:
@@ -446,7 +446,7 @@ class TestRunStream:
         X = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
         y = np.array([float(X[i] @ theta_star) for i in range(40)])
         run = run_lanes(AlgorithmKind.ASGD, ModelKind.LINEAR, X, y, [range(40)], theta_star, [0.5], 0.505)
-        assert_array_equal(run.estimates[0], theta_star)
+        assert_array_equal(run.estimates[0, 0], theta_star)
 
     def test_asgd_converges_across_replications(self):
         spec = ModelSpec(ModelKind.LINEAR, 5, CovarianceKind.IDENTITY)
@@ -456,8 +456,8 @@ class TestRunStream:
         X = np.concatenate([dt.X for dt in data])
         y = np.concatenate([dt.y for dt in data])
         rows = [range(rep * n, (rep + 1) * n) for rep in range(reps)]
-        run = run_lanes(AlgorithmKind.ASGD, ModelKind.LINEAR, X, y, rows, np.zeros(5), [0.5] * reps, 0.505)
-        close = np.sum(np.linalg.norm(run.estimates - spec.theta_star, axis=1) < 0.2)
+        run = run_lanes(AlgorithmKind.ASGD, ModelKind.LINEAR, X, y, rows, np.zeros(5), [0.5], 0.505)
+        close = np.sum(np.linalg.norm(run.estimates[0] - spec.theta_star, axis=1) < 0.2)
         assert close >= 0.95 * reps
 
 
@@ -491,14 +491,15 @@ class TestRunLanes:
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     @given(data=st.data())
     def test_matches_per_observation_reference(self, name, model_kind, data):
-        """Every lane equals init_state + advance on its rows bit for bit, a
-        recorded lane's responses equal psi(x'theta) at the reference's
-        pre-update iterates, and a subset of the lanes run alone gives the
-        same bits, so results do not depend on the lane count."""
+        """Every lane equals init_state + advance on its run's rows at its
+        step constant bit for bit, a recorded run's responses equal
+        psi(x'theta) at the reference's pre-update iterates, and a subset of
+        the runs and step constants run alone gives the same bits, so
+        results do not depend on the lane count."""
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         # d=20 is the logistic sweep's dimension.
         d = data.draw(st.one_of(st.integers(1, 6), st.just(20)), label="d")
-        n_lanes = data.draw(st.integers(1, 5), label="lanes")
+        n_runs = data.draw(st.integers(1, 5), label="runs")
         rng = np.random.default_rng(seed)
         pool = 48
         X = rng.standard_normal((pool, d))
@@ -509,43 +510,52 @@ class TestRunLanes:
         noise = rng.standard_normal((pool, d)) if name == "noisy-truncated" else None
         kind = AlgorithmKind(name)
         gamma = data.draw(st.sampled_from([0.505, 0.7, 0.0]), label="gamma")
-        rows, c = [], []
-        for _ in range(n_lanes):
-            if rows and data.draw(st.booleans(), label="same rows as the previous lane"):
+        c = data.draw(st.lists(st.sampled_from([0.5, 0.1, 1.5, WARM_START_STEP]), min_size=1, max_size=3), label="c")
+        # The first record runs are the longest; a run after them may be as
+        # long (a tie) or shorter.
+        record = data.draw(st.integers(0, n_runs), label="record")
+        longest = data.draw(st.integers(0, pool), label="longest")
+        rows = []
+        for r in range(n_runs):
+            if rows and data.draw(st.booleans(), label="same rows as the previous run"):
                 rows.append(rows[-1])
-            else:
-                start = data.draw(st.integers(0, pool - 1), label="start")
-                step = data.draw(st.integers(1, 6), label="step")
-                length = data.draw(st.integers(0, len(range(start, pool, step))), label="length")
-                rows.append(range(start, pool, step)[:length])
-            c.append(data.draw(st.sampled_from([0.5, 0.1, 1.5, WARM_START_STEP]), label="c"))
-        theta0 = rng.standard_normal((n_lanes, d))
-        record = data.draw(st.lists(st.sampled_from(range(n_lanes)), unique=True), label="record")
+                continue
+            tie = r < record or data.draw(st.booleans(), label="as long as the longest")
+            length = longest if tie else data.draw(st.integers(0, longest), label="length")
+            step = data.draw(st.integers(1, min(6, (pool - 1) // max(length - 1, 1))), label="step")
+            start = data.draw(st.integers(0, pool - 1 - max(length - 1, 0) * step), label="start")
+            rows.append(range(start, pool, step)[:length])
+        theta0 = rng.standard_normal((n_runs, d))
 
         run = run_lanes(kind, model_kind, X, y, rows, theta0, c, gamma, noise=noise, record=record)
-        for lane in range(n_lanes):
+        assert run.estimates.shape == (len(c), n_runs, d)
+        assert run.responses.shape == (len(c), record, max(map(len, rows)))
+        for j, r in itertools.product(range(len(c)), range(n_runs)):
             state, responses, _ = _reference_lane(
-                kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], gamma), noise
+                kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(c[j], gamma), noise
             )
-            assert _bits(run.estimates[lane]) == _bits(_declared_estimate(state))
-            if lane in record:
-                p = record.index(lane)
-                assert _bits(run.responses[p, : len(rows[lane])]) == _bits(responses)
+            assert _bits(run.estimates[j, r]) == _bits(_declared_estimate(state))
+            if r < record:
+                assert _bits(run.responses[j, r]) == _bits(responses)
 
-        subset = data.draw(st.lists(st.sampled_from(range(n_lanes)), min_size=1, unique=True), label="subset")
+        runs_part = data.draw(st.lists(st.sampled_from(range(n_runs)), min_size=1, unique=True), label="run subset")
+        runs_part.sort(key=lambda r: r >= record)  # its recorded runs lead
+        c_part = data.draw(st.lists(st.sampled_from(range(len(c))), min_size=1, unique=True), label="c subset")
+        record_part = sum(r < record for r in runs_part)
         part = run_lanes(
-            kind, model_kind, X, y, [rows[i] for i in subset], theta0[subset], [c[i] for i in subset], gamma,
-            noise=noise, record=[k for k, i in enumerate(subset) if i in record],
+            kind, model_kind, X, y, [rows[r] for r in runs_part], theta0[runs_part], [c[j] for j in c_part], gamma,
+            noise=noise, record=record_part,
         )
-        assert _bits(part.estimates) == _bits(run.estimates[subset])
+        assert _bits(part.estimates) == _bits(run.estimates[c_part][:, runs_part])
+        assert _bits(part.responses) == _bits(run.responses[c_part][:, runs_part[:record_part]])
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_plugin_sums_match_reference_at_d100(self, model_kind):
         # The property above draws d <= 6 or 20; the default grid runs the
-        # plug-in at d=100. Two recorded lanes over different rows, named out
-        # of rank order, next to a lane that is not recorded. The plug-in
-        # sums taken from the recorded responses, as infer.plugin_interval
-        # takes them, are plugin_update's.
+        # plug-in at d=100. Two recorded runs over different rows, the
+        # longest, next to a shorter run that is not recorded, at two step
+        # constants. The plug-in sums taken from the recorded responses, as
+        # infer.plugin_interval takes them, are plugin_update's.
         d, n = 100, 300
         rng = np.random.default_rng(11)
         X = rng.standard_normal((2 * n, d)) / np.sqrt(d)
@@ -555,19 +565,31 @@ class TestRunLanes:
             y = (rng.uniform(size=2 * n) < 0.5).astype(float)
         rows = [range(n), range(1, 2 * n, 2), range(0, 2 * n, 2)[:250]]
         theta0 = 0.1 * rng.standard_normal((3, d))
-        sched = PolynomialStep(0.5)
+        c = [0.5, 0.1]
         kind = AlgorithmKind("asgd")
-        record = [2, 0]
-        run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * 3, sched.gamma, record=record)
-        for p, lane in enumerate(record):
-            state, responses, acc = _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], sched, None)
-            assert _bits(run.estimates[lane]) == _bits(state.avg)
-            m = run.responses[p, : len(rows[lane])]
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, record=2)
+        for j, r in itertools.product(range(len(c)), range(2)):
+            state, responses, acc = _reference_lane(
+                kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(c[j]), None
+            )
+            assert _bits(run.estimates[j, r]) == _bits(state.avg)
+            m = run.responses[j, r]
             assert _bits(m) == _bits(responses)
-            x, y_lane = X[list(rows[lane])], y[list(rows[lane])]
+            x, y_run = X[list(rows[r])], y[list(rows[r])]
             weight = None if model_kind == ModelKind.LINEAR else m * (1.0 - m)
             assert _bits(_ordered_outer_sum(x, weight)) == _bits(acc.J_sum)
-            assert _bits(_ordered_outer_sum((m - y_lane)[:, None] * x)) == _bits(acc.V_sum)
+            assert _bits(_ordered_outer_sum((m - y_run)[:, None] * x)) == _bits(acc.V_sum)
+
+    def test_recorded_runs_must_be_the_longest(self):
+        # The recorded runs lead and run to the last step; a recorded run
+        # shorter than another run is refused.
+        X, y = np.ones((6, 2)), np.zeros(6)
+        sgd = AlgorithmKind("sgd")
+        run = run_lanes(sgd, ModelKind.LINEAR, X, y, [range(3), range(3, 6)], np.zeros(2), [0.5, 0.1], 0.505, record=2)
+        assert run.responses.shape == (2, 2, 3)
+        for rows, record in [([range(2), range(2, 5)], 1), ([range(3), range(3, 6)], 3)]:
+            with pytest.raises(ValueError):
+                run_lanes(sgd, ModelKind.LINEAR, X, y, rows, np.zeros(2), [0.5], 0.505, record=record)
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_nan_lane_fails_implicit_bisection(self, model_kind):
@@ -579,15 +601,16 @@ class TestRunLanes:
         with pytest.raises(IllConditionedError):
             _implicit_update(model_kind, theta0[1], X[0], float(y[0]), 0.5)
         with pytest.raises(IllConditionedError):
-            run_lanes(AlgorithmKind("implicit-last"), model_kind, X, y, [range(2)] * 2, theta0, [0.5] * 2, 0.505)
+            run_lanes(AlgorithmKind("implicit-last"), model_kind, X, y, [range(2)] * 2, theta0, [0.5], 0.505)
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_block_boundaries_match_reference(self, name, model_kind, monkeypatch):
         # The property above gathers each phase as one block. Here blocks
         # hold 1, 2 or 3 steps, in the first phase (every lane running) or
-        # the last (one lane), so phases end mid-block and the responses and
-        # the running average are folded in across block boundaries.
+        # the last (the three longest runs at both step constants), so phases
+        # end mid-block and the responses and the running average are folded
+        # in across block boundaries.
         d, pool = 3, 60
         rng = np.random.default_rng(35)
         X = rng.standard_normal((pool, d))
@@ -597,23 +620,23 @@ class TestRunLanes:
             y = (rng.uniform(size=pool) < 0.5).astype(float)
         noise = rng.standard_normal((pool, d)) if name == "noisy-truncated" else None
         kind = AlgorithmKind(name)
-        # Lengths 10, 17, 7 and 11; the recorded lanes are named out of rank order.
-        rows = [range(1, pool, 3)[:10], range(0, pool, 3)[:17], range(2, pool, 4)[:7], range(5, pool, 5)]
-        c = [0.5, 0.1, 0.5, 0.5]
+        # Lengths 17, 17, 17, 10, 7 and 11; the first two are recorded, the
+        # third ties with them.
+        rows = [range(0, pool, 3)[:17], range(4, pool, 3)[:17], range(1, pool, 3)[:17], range(1, pool, 3)[:10],
+                range(2, pool, 4)[:7], range(5, pool, 5)]
+        c = [0.5, 0.1]
         theta0 = 0.1 * rng.standard_normal((len(rows), d))
-        record = [2, 0, 1]
-        want = [
-            _reference_lane(kind, model_kind, X, y, rows[lane], theta0[lane], PolynomialStep(c[lane], 0.505), noise)
-            for lane in range(len(rows))
-        ]
-        for steps, lanes in itertools.product((1, 2, 3), (1, len(rows))):
+        want = {
+            (j, r): _reference_lane(kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(c[j], 0.505), noise)
+            for j, r in itertools.product(range(len(c)), range(len(rows)))
+        }
+        for steps, lanes in itertools.product((1, 2, 3), (3 * len(c), len(rows) * len(c))):
             monkeypatch.setattr(optim, "BLOCK_FLOATS", steps * lanes * d)
-            run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise, record=record)
-            for lane, (state, responses, _) in enumerate(want):
-                assert _bits(run.estimates[lane]) == _bits(_declared_estimate(state)), (steps, lanes, lane)
-                if lane in record:
-                    got = run.responses[record.index(lane), : len(rows[lane])]
-                    assert _bits(got) == _bits(responses), (steps, lanes, lane)
+            run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise, record=2)
+            for (j, r), (state, responses, _) in want.items():
+                assert _bits(run.estimates[j, r]) == _bits(_declared_estimate(state)), (steps, lanes, j, r)
+                if r < 2:
+                    assert _bits(run.responses[j, r]) == _bits(responses), (steps, lanes, j, r)
 
     def test_noise_required_only_by_noisy_truncated(self):
         X, y = np.ones((3, 2)), np.zeros(3)
@@ -668,8 +691,8 @@ class TestLaneArithmetic:
             X = rng.standard_normal((24, d))
             y = X @ np.linspace(0.0, 1.0, d) if model_kind == ModelKind.LINEAR else rng.integers(0, 2, 24) * 1.0
             theta0 = 0.1 * rng.standard_normal((len(rows), d))
-            run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c] * len(rows), sched.gamma)
-            for lane_rows, start, got in zip(rows, theta0, run.estimates):
+            run = run_lanes(kind, model_kind, X, y, rows, theta0, [sched.c], sched.gamma)
+            for lane_rows, start, got in zip(rows, theta0, run.estimates[0]):
                 state = init_state(kind, start)
                 for i in lane_rows:
                     advance(state, sched, model_kind, DataPoint(X[i], float(y[i])))
@@ -679,7 +702,7 @@ class TestLaneArithmetic:
 class TestOrderedOuterSum:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("step", [1, 3])
-    @pytest.mark.parametrize("d", [1, 2, 5, 20, 100])
+    @pytest.mark.parametrize("d", [2, 5, 20, 100])
     def test_matches_sequential_loop(self, d, step, weighted):
         """Bit for bit the per-step loop, also past a row whose products
         overflow, rows holding inf and NaN, and a row whose products are
@@ -702,7 +725,7 @@ class TestOrderedOuterSum:
         assert not np.isfinite(got).all()
         assert _bits(got) == _bits(want)
 
-    @pytest.mark.parametrize("d", [1, 2, 5, 20, 100])
+    @pytest.mark.parametrize("d", [2, 5, 20, 100])
     def test_finite_rows_match_sequential_loop(self, d):
         # Long sums of finite terms, where an unrolled or pairwise sum would
         # round differently from the sequential one.
