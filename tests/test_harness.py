@@ -7,6 +7,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from streamci.model import CovarianceKind, Dataset, ModelKind, make_theta_star
 from streamci.optim import ALGORITHM_NAMES, AlgorithmKind
 
 INF, NAN = float("inf"), float("nan")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _cfg(**overrides):
@@ -605,6 +607,17 @@ class TestCsvWriters:
                         float(field)
 
 
+# Two asgd calls whose manifests are stored under tests/data/: one stream
+# length at the defaults, and two lengths with every other flag set.
+MANIFEST_CALLS = {
+    "manifest_one_length": ["--model", "linear", "--d", "2", "--t", "60", "--cov", "identity", "--algo", "asgd",
+                            "--c", "0.5", "--reps", "2"],
+    "manifest_two_lengths": ["--model", "linear", "--d", "3", "--t", "200,100", "--cov", "toeplitz", "--algo", "asgd",
+                             "--c", "0.5,2.0", "--reps", "2", "--seed", "7", "--gamma", "0.6", "--alpha", "0.1",
+                             "--methods", "tstat,wald", "--no-warm-start"],
+}
+
+
 class TestCli:
     def _argv(self, out, **extra):
         argv = [
@@ -635,6 +648,15 @@ class TestCli:
         assert run_cli(argv) == EXIT_OK
         manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
         assert [g["t"] for g in manifest["grid"]] == [60, 70]
+
+    @pytest.mark.parametrize("name", MANIFEST_CALLS)
+    def test_manifest_matches_reference(self, tmp_path, name):
+        # The manifest text as recorded under tests/data/, less its
+        # wall_clock_seconds line: every key, value and their order.
+        assert run_cli(MANIFEST_CALLS[name] + ["--out", str(tmp_path / "rows.csv")]) == EXIT_OK
+        text = (tmp_path / "rows.csv.manifest.json").read_text()
+        kept = [line for line in text.splitlines(keepends=True) if '"wall_clock_seconds"' not in line]
+        assert "".join(kept) == (DATA / f"{name}.txt").read_text()
 
     def test_bad_flag_value_exits_config(self, tmp_path, capsys):
         argv = self._argv(tmp_path / "x.csv")
