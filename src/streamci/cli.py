@@ -7,6 +7,7 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -62,6 +63,7 @@ def _comma_list(convert, noun):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    default = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
     parser = argparse.ArgumentParser(
         prog="streamci",
         description="Coverage/width experiments for streaming estimators.",
@@ -72,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cov", required=True, choices=[c.value for c in CovarianceKind])
     parser.add_argument("--algo", required=True, choices=list(ALGORITHM_NAMES))
     parser.add_argument("--c", type=_comma_list(float, "numbers"), default=None, help="step constants, comma list (default: packaged grid)")
-    parser.add_argument("--gamma", type=float, default=0.505)
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--reps", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0, help="base seed (uint64)")
-    parser.add_argument("--methods", type=_comma_list(str.strip, "method names"), default=["wald", "plugin", "hulc", "tstat"])
+    parser.add_argument("--gamma", type=float, default=default["gamma"])
+    parser.add_argument("--alpha", type=float, default=default["alpha"])
+    parser.add_argument("--reps", type=int, default=default["reps"])
+    parser.add_argument("--seed", type=int, default=default["base_seed"], help="base seed (uint64)")
+    parser.add_argument("--methods", type=_comma_list(str.strip, "method names"), default=default["methods"])
     parser.add_argument("--no-warm-start", action="store_true")
     parser.add_argument("--out", required=True, help="raw result CSV path")
     parser.add_argument("--summary", default=None, help="summary CSV path (default: <out stem>_summary.csv)")
@@ -134,19 +136,12 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     if args.diagnostic == "expansion-residual":
         try:
-            residual_rows = [
-                (
-                    cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.value,
-                    cfg.c_grid[0], rep, residual,
-                )
-                for cfg in cfgs
-                for rep, residual in enumerate(expansion_residuals(cfg))
-            ]
+            residuals = [expansion_residuals(cfg) for cfg in cfgs]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         try:
-            write_residuals_csv(residual_rows, args.out)
+            write_residuals_csv(cfgs, residuals, args.out)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_UNWRITABLE

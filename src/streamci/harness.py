@@ -9,6 +9,7 @@ across reruns and worker counts.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -16,7 +17,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -58,14 +58,14 @@ STREAM_SPACING = 1 << 20
 # The warm start consumes the first 1/WARM_FRACTION of the stream it seeds.
 WARM_FRACTION = 3
 
-# A task steps a chunk of replications together; its data and plug-in state
-# (per plug-in lane, a response per step and the J and V sums) take about
-# reps * (t*d + |c grid|*(t + 2*d*d)) floats, kept below this bound unless
-# one replication alone exceeds it.
+# A task steps a chunk of replications together; its data, the plug-in
+# lanes' responses (t per c value) and plugin_interval's J and V sums (d*d
+# each per c value) take about reps * (t*d + |c grid|*(t + 2*d*d)) floats,
+# kept below this bound unless one replication alone exceeds it.
 CHUNK_FLOATS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """One grid cell: a model/covariance/algorithm triple at one stream
     length, swept over a grid of step-size constants."""
@@ -88,7 +88,7 @@ class ExperimentConfig:
         object.__setattr__(self, "cov", CovarianceKind(self.cov))
         object.__setattr__(self, "algorithm", AlgorithmKind(self.algorithm))
         object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
-        object.__setattr__(self, "methods", _canonical_methods(self.methods))
+        object.__setattr__(self, "methods", _canonical_methods(self.methods, self.algorithm))
         if self.d < 2:
             raise ValueError(f"d must be at least 2, got {self.d}")
         if not 0.0 < self.alpha < 1.0:
@@ -103,8 +103,6 @@ class ExperimentConfig:
             raise ValueError(f"c_grid must be non-empty with finite positive entries, got {list(self.c_grid)}")
         if len(set(self.c_grid)) < len(self.c_grid):
             raise ValueError(f"c_grid must not repeat a value, got {list(self.c_grid)}")
-        if self.methods == ("plugin",) and self.algorithm != AlgorithmKind.ASGD:
-            raise ValueError(f"the plug-in alone gives no rows: it is for asgd only, not {self.algorithm.value!r}")
         if not 0.5 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0.5, 1), got {self.gamma}")
         if self.reps < 1:
@@ -112,19 +110,28 @@ class ExperimentConfig:
         if not 0 <= self.base_seed < 2**64:
             raise ValueError(f"base_seed must be a uint64, got {self.base_seed}")
 
+    @property
+    def head(self) -> tuple:
+        """(model, d, t, cov, algo) as rows write them: the fields that lead
+        every row of this config."""
+        return (self.model.value, self.d, self.t, self.cov.value, self.algorithm.value)
+
     def model_spec(self) -> ModelSpec:
         return ModelSpec(self.model, self.d, self.cov)
 
 
-def _canonical_methods(methods: Sequence[str]) -> tuple[str, ...]:
-    seen = set()
+def _canonical_methods(methods: Sequence[str], algorithm: AlgorithmKind) -> tuple[str, ...]:
+    """methods in METHOD_ORDER without repeats, less the plug-in on any
+    algorithm but asgd: it follows the one averaged full-stream pass."""
     for m in methods:
         if m not in METHOD_ORDER:
             raise ValueError(f"unknown method {m!r}; expected a subset of {METHOD_ORDER}")
-        seen.add(m)
-    if not seen:
+    if not methods:
         raise ValueError("methods must be non-empty")
-    return tuple(m for m in METHOD_ORDER if m in seen)
+    kept = tuple(m for m in METHOD_ORDER if m in methods and (m != "plugin" or algorithm == AlgorithmKind.ASGD))
+    if not kept:
+        raise ValueError(f"the plug-in alone gives no rows: it is for asgd only, not {algorithm.value!r}")
+    return kept
 
 
 class ResultRow(NamedTuple):
@@ -268,9 +275,7 @@ def _chunk_rows(
     """
     theta_star = cfg.model_spec().theta_star
     kind = cfg.algorithm
-    # The plug-in interval follows the single full-stream averaged pass; it is
-    # defined only for the averaged-SGD estimator.
-    with_plugin = "plugin" in cfg.methods and kind == AlgorithmKind.ASGD
+    with_plugin = "plugin" in cfg.methods
     with_buckets = "hulc" in cfg.methods or "tstat" in cfg.methods
     n = cfg.t
     noise = np.empty_like(X) if kind == AlgorithmKind.NOISY_TRUNCATED else None
@@ -311,11 +316,10 @@ def _chunk_rows(
         for i in range(n_passes)
     ]
 
-    cell = (cfg.model.value, cfg.d, cfg.t, cfg.cov.value, cfg.algorithm.value)
     blocks: list[ResultBlock] = []
     for ci, c in enumerate(cfg.c_grid):
         for i, rep in enumerate(reps):
-            head = cell + (c, rep)
+            head = cfg.head + (c, rep)
             if "wald" in cfg.methods:
                 blocks.append(_method_block(head + ("wald",), wald[i], theta_star))
             if with_plugin:
@@ -356,7 +360,7 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _OpenBlas:
     """Thread controls of the OpenBLAS that numpy loaded. shutdown joins the
     helper threads (OpenBLAS restarts them on its next threaded call); None
@@ -426,8 +430,7 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     of one (model, d, t, cov, algorithm) raise ValueError before any run."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
-    cells = [(cfg.model, cfg.d, cfg.t, cfg.cov, cfg.algorithm) for cfg in cfgs]
-    if len(set(cells)) < len(cells):
+    if len({cfg.head for cfg in cfgs}) < len(cfgs):
         raise ValueError("configs must differ in (model, d, t, cov, algorithm)")
     chunks = [(cfg, reps) for cfg in cfgs for reps in _rep_chunks(cfg, threads)]
     # At most one worker per CPU; the chunks, and so the bytes, do not change.
@@ -457,17 +460,13 @@ def aggregate(rows: Table) -> Table:
     """Coverage, median width, and width ratio per (grid cell, method, k) of
     a run_grid Table, as a Table of SummaryBlocks, one per (grid cell,
     method)."""
-    # (cell, method) -> its available blocks; cell -> the replications with
-    # an available Wald block.
+    # (cell, method) -> its available blocks. No two blocks share a head, so
+    # a cell's available Wald blocks are one per replication with a fit.
     groups: dict[tuple, list[ResultBlock]] = {}
-    wald_reps: dict[tuple, set[int]] = {}
     for block in rows.blocks:
-        cell, rep, method = block.head[:6], block.head[6], block.head[7]
-        available = groups.setdefault(cell + (method,), [])
+        available = groups.setdefault(block.head[:6] + block.head[7:], [])
         if block.covered is not None:
             available.append(block)
-            if method == "wald":
-                wald_reps.setdefault(cell, set()).add(rep)
 
     medians = {key: _lower_median(np.array([b.width for b in blocks])) for key, blocks in groups.items() if blocks}
     summaries: list[SummaryBlock] = []
@@ -476,7 +475,7 @@ def aggregate(rows: Table) -> Table:
             blocks, median, baseline = groups[key], medians.get(key), medians.get(key[:6] + ("wald",))
             coverage = np.array([b.covered for b in blocks]).sum(axis=0) / len(blocks) if blocks else None
             ratio = None if median is None or baseline is None else median / baseline
-            n_wald = len(wald_reps.get(key[:6], ()))
+            n_wald = len(groups.get(key[:6] + ("wald",), ()))
             summaries.append(SummaryBlock(key, coverage, median, ratio, n_wald))
     return Table(summaries)
 
@@ -536,52 +535,41 @@ def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
         handle.write(text)
 
 
-def _block_lines(block: ResultBlock | SummaryBlock, columns: Sequence[Optional[np.ndarray]], tail: object) -> list[str]:
-    """Per k: the head (a float's str is its repr), k, three columns' fields
-    ("" for a None column) and tail."""
+def _block_lines(block: ResultBlock | SummaryBlock, tail: object) -> list[str]:
+    """Per k: the head (a float's str is its repr), k, the block's three
+    column fields ("" for a None column) and tail."""
     head = ",".join(map(str, block.head))
-    fields = [itertools.repeat("") if col is None else map(repr, col.tolist()) for col in columns]
+    fields = [itertools.repeat("") if col is None else map(repr, col.tolist()) for col in block[1:4]]
     return [f"{head},{k},{a},{b},{c},{tail}" for k, a, b, c in zip(range(1, block.head[1] + 1), *fields)]
 
 
 def write_rows_csv(rows: Table, path: str) -> None:
     """Write run_grid's Table of ResultBlocks as the raw CSV."""
-    lines = itertools.chain.from_iterable(_block_lines(b, b[1:], f"{b.covered is None:d}") for b in rows.blocks)
+    lines = itertools.chain.from_iterable(_block_lines(b, f"{b.covered is None:d}") for b in rows.blocks)
     _write_csv(path, RAW_HEADER, lines)
 
 
 def write_summary_csv(summaries: Table, path: str) -> None:
     """Write aggregate's Table of SummaryBlocks as the summary CSV."""
-    lines = itertools.chain.from_iterable(_block_lines(s, s[1:4], s.n_wald_available) for s in summaries.blocks)
+    lines = itertools.chain.from_iterable(_block_lines(s, s.n_wald_available) for s in summaries.blocks)
     _write_csv(path, SUMMARY_HEADER, lines)
 
 
-def write_residuals_csv(rows: Sequence[tuple], path: str) -> None:
-    """Rows are (model, d, t, cov, algo, c, rep, residual) tuples."""
-    _write_csv(
-        path,
-        RESIDUAL_HEADER,
-        (f"{model},{d},{t},{cov},{algo},{c!r},{rep},{residual!r}" for model, d, t, cov, algo, c, rep, residual in rows),
-    )
+def write_residuals_csv(cfgs: Sequence[ExperimentConfig], residuals: Sequence[Sequence[float]], path: str) -> None:
+    """Write expansion_residuals of each config (residuals[i] of cfgs[i],
+    one per replication) as the residual CSV."""
+    lines = (f"{','.join(map(str, cfg.head))},{cfg.c_grid[0]!r},{rep},{residual!r}"
+             for cfg, values in zip(cfgs, residuals) for rep, residual in enumerate(values))
+    _write_csv(path, RESIDUAL_HEADER, lines)
 
 
 def config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "model": cfg.model.value,
-        "d": cfg.d,
-        "t": cfg.t,
-        "cov": cfg.cov.value,
-        "algo": cfg.algorithm.value,
-        "eps2": TRUNCATION_EPS2,
-        "sigma": NOISE_SIGMA,
-        "beta": NOISE_BETA,
-        "c_grid": list(cfg.c_grid),
-        "gamma": cfg.gamma,
-        "alpha": cfg.alpha,
-        "reps": cfg.reps,
-        "methods": list(cfg.methods),
-        "warm_start": cfg.warm_start,
-    }
+    """The config as the manifest lists it: every field but base_seed (the
+    manifest's own), algorithm as algo, and the truncation and noise
+    constants the algorithms use."""
+    echo = {field.name: getattr(cfg, field.name) for field in dataclasses.fields(cfg) if field.name != "base_seed"}
+    echo["algo"] = echo.pop("algorithm")
+    return {**echo, "eps2": TRUNCATION_EPS2, "sigma": NOISE_SIGMA, "beta": NOISE_BETA}
 
 
 def nonfinite_counts(rows: Table) -> dict[str, int]:

@@ -4,6 +4,8 @@ streams with known exact answers, aggregation arithmetic, and the CLI."""
 import itertools
 import json
 import math
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -40,11 +42,13 @@ from streamci.harness import (
     write_rows_csv,
     write_summary_csv,
 )
-from streamci.model import CovarianceKind, Dataset, ModelKind, make_theta_star
-from streamci.optim import ALGORITHM_NAMES, AlgorithmKind
+from streamci.infer import hulc_interval
+from streamci.model import CovarianceKind, DataPoint, Dataset, ModelKind, make_theta_star
+from streamci.optim import ALGORITHM_NAMES, AlgorithmKind, PolynomialStep, advance, init_state
 
 INF, NAN = float("inf"), float("nan")
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _cfg(**overrides):
@@ -512,8 +516,9 @@ class TestExpansionResidual:
         together = expansion_residuals(cfg)
         monkeypatch.setattr(harness, "CHUNK_FLOATS", 1)
         alone = expansion_residuals(cfg)
-        # A replication's share of the chunk bound: t*d data floats and the
-        # t + 2*d*d floats of its one c value.
+        # A replication's share of the chunk bound as _rep_chunks charges
+        # it: t*d data floats and t + 2*d*d for its one c value, though the
+        # diagnostic records no plug-in responses and forms no J or V sum.
         monkeypatch.setattr(harness, "CHUNK_FLOATS", 2 * (300 * 4 + 300 + 2 * 4 * 4))
         chunked = expansion_residuals(cfg)
         assert [r.hex() for r in together] == [r.hex() for r in alone] == [r.hex() for r in chunked]
@@ -582,16 +587,15 @@ class TestCsvWriters:
         )
 
     def test_residual_special_values(self, tmp_path):
-        head = ("linear", 5, 1000, "identity", "implicit-last")
-        rows = [(*head, 1e-05, 0, NAN), (*head, 1e16, 1, INF), (*head, 0.5, 2, -0.0), (*head, 2.0, 3, 5e-324)]
+        cfgs = [_cfg(d=5, t=1000, algorithm="implicit-last", c_grid=(c,)) for c in (1e-05, 1e16)]
         path = tmp_path / "residuals.csv"
-        write_residuals_csv(rows, str(path))
+        write_residuals_csv(cfgs, [[NAN, INF], [-0.0, 5e-324]], str(path))
         assert path.read_bytes() == (
             b"model,d,t,cov,algo,c,rep,residual\n"
             b"linear,5,1000,identity,implicit-last,1e-05,0,nan\n"
-            b"linear,5,1000,identity,implicit-last,1e+16,1,inf\n"
-            b"linear,5,1000,identity,implicit-last,0.5,2,-0.0\n"
-            b"linear,5,1000,identity,implicit-last,2.0,3,5e-324\n"
+            b"linear,5,1000,identity,implicit-last,1e-05,1,inf\n"
+            b"linear,5,1000,identity,implicit-last,1e+16,0,-0.0\n"
+            b"linear,5,1000,identity,implicit-last,1e+16,1,5e-324\n"
         )
 
     def test_pipeline_writes_plain_numbers(self, tmp_path):
@@ -663,6 +667,10 @@ class TestCli:
         argv[argv.index("linear")] = "probit"
         assert run_cli(argv) == EXIT_CONFIG
         capsys.readouterr()
+        argv = self._argv(tmp_path / "x.csv")
+        argv[argv.index("--c") + 1] = "0.5,abc"
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "expected a comma list of numbers" in capsys.readouterr().err
 
     def test_invalid_config_exits_config(self, tmp_path, capsys):
         argv = self._argv(tmp_path / "x.csv")
@@ -674,6 +682,9 @@ class TestCli:
         argv = self._argv(tmp_path / "no-such-dir" / "x.csv", methods="hulc")
         assert run_cli(argv) == EXIT_UNWRITABLE
         assert "cannot write" in capsys.readouterr().err
+        argv = self._argv(tmp_path / "no-such-dir" / "x.csv", diagnostic="expansion-residual")
+        assert run_cli(argv) == EXIT_UNWRITABLE
+        assert "error: cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize("summary", ["f/a.csv", "./f/a.csv", "f/a.csv.manifest.json"],
                              ids=["summary-is-out", "dot-alias", "summary-is-manifest"])
@@ -690,6 +701,10 @@ class TestCli:
     def test_help_exits_ok(self, capsys):
         assert run_cli(["--help"]) == EXIT_OK
         capsys.readouterr()
+        # python -m runs main, which exits with run_cli's code.
+        done = subprocess.run([sys.executable, "-m", "streamci.cli", "--help"], cwd=SRC, capture_output=True,
+                              timeout=60)
+        assert done.returncode == EXIT_OK and done.stdout.startswith(b"usage: streamci")
 
     def test_diagnostic_writes_residuals(self, tmp_path):
         out = tmp_path / "resid.csv"
@@ -726,6 +741,53 @@ class TestCli:
         argv = self._argv(tmp_path / "rows.csv")
         argv[argv.index("--c") + 1] = "0.5,0.1,0.3"
         assert run_cli(argv) == EXIT_OK
+
+    def test_no_warm_start_runs_from_the_origin(self, tmp_path, monkeypatch):
+        # With --no-warm-start no burn-in runs: each HulC bucket's estimate
+        # is a per-observation sgd pass from the origin over its rows.
+        def refuse(*args):
+            raise AssertionError("warm_lanes ran")
+
+        buckets = []
+
+        def capture(estimates):
+            buckets.append(estimates.copy())
+            return hulc_interval(estimates)
+
+        monkeypatch.setattr(harness, "warm_lanes", refuse)
+        monkeypatch.setattr(harness, "hulc_interval", capture)
+        argv = self._argv(tmp_path / "rows.csv", methods="hulc") + ["--no-warm-start"]
+        argv[argv.index("asgd")] = "sgd"
+        argv[argv.index("--c") + 1] = "0.5,2.0"
+        argv[argv.index("--reps") + 1] = "1"
+        assert run_cli(argv) == EXIT_OK
+        cfg = _cfg(algorithm="sgd", c_grid=(0.5, 2.0), reps=1)
+        X, y = _sample_reps(cfg, [0])
+        assert len(buckets) == len(cfg.c_grid)
+        for c, estimates in zip(cfg.c_grid, buckets):
+            b = len(estimates)
+            for j, got in enumerate(estimates):
+                state = init_state(AlgorithmKind.SGD, np.zeros(cfg.d))
+                for i in range(j, cfg.t, b):
+                    advance(state, PolynomialStep(c, cfg.gamma), cfg.model, DataPoint(X[i], float(y[i])))
+                assert got.tobytes() == state.theta.tobytes()
+        manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+        assert manifest["grid"][0]["warm_start"] is False
+
+    def test_other_algorithm_echoes_packaged_grid_without_plugin(self, tmp_path):
+        # The default methods hold the plug-in, which is for asgd only: an
+        # sgd config drops it, so the manifest lists only the methods that
+        # wrote rows. Without --c the packaged grid of the other algorithms
+        # is run.
+        argv = [a for a in self._argv(tmp_path / "rows.csv", reps="1") if a not in ("--c", "0.5")]
+        argv[argv.index("asgd")] = "sgd"
+        assert run_cli(argv) == EXIT_OK
+        grid = json.loads((tmp_path / "rows.csv.manifest.json").read_text())["grid"][0]
+        assert grid["methods"] == ["wald", "hulc", "tstat"]
+        assert grid["c_grid"] == [0.001, 0.005, 0.01, 0.02, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0,
+                                  1.5, 2.0]
+        assert {line.split(",")[7] for line in (tmp_path / "rows.csv").read_text().splitlines()[1:]} == {
+            "wald", "hulc", "tstat"}
 
     def test_empty_methods_exits_config(self, tmp_path, capsys):
         assert run_cli(self._argv(tmp_path / "x.csv", methods="")) == EXIT_CONFIG
@@ -801,3 +863,6 @@ class TestCli:
             0.01, 0.05, 0.1, 0.2, 0.5, 0.75, 1.0, 1.5, 2.0,
         ]
         assert default_c_grid("asgd", "linear", 7) == default_c_grid("asgd", "linear", 5)
+        assert default_c_grid("root", "logistic", 20) == [
+            0.001, 0.005, 0.01, 0.02, 0.05, 0.075, 0.1, 0.15, 0.2, 0.5, 0.75, 1.0, 1.5, 2.0,
+        ]
