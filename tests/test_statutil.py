@@ -5,7 +5,9 @@ the independent route: scipy for reference distributions and linear algebra,
 mpmath for a high-precision t quantile.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +31,7 @@ from streamci.statutil import (
 )
 
 P_GRID = np.linspace(0.01, 0.99, 99)
+DATA = Path(__file__).parent / "data"
 
 
 class TestNormalQuantile:
@@ -104,6 +107,26 @@ class TestStudentT:
         assert student_t_quantile(1.0, 0.995) == pytest.approx(
             math.tan(math.pi * 0.495), rel=1e-8
         )
+
+    def test_quantile_bits_pinned(self):
+        # Bit pattern of every quantile at df 1-12 over tail and central
+        # levels, recorded from the incomplete-beta CDF this module used
+        # before the closed-form series. The bisection reads only the sign
+        # of cdf(mid) - p, so any CDF that orders each midpoint against p
+        # the same way yields these bits. The df=1, p <= 0.005 rows need
+        # the bracket to double outward past -60.
+        with open(DATA / "student_t_quantile_hex.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 120
+        got = {(r["df"], r["p"]): student_t_quantile(int(r["df"]), float(r["p"])).hex() for r in rows}
+        assert got == {(r["df"], r["p"]): r["quantile_hex"] for r in rows}
+
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_cdf_strictly_increasing_through_zero(self, df):
+        half = [10.0**-k for k in (3, 4, 6, 8, 10, 12)]
+        t = [-v for v in half] + [0.0] + half[::-1]
+        cdf = [student_t_cdf(v, df) for v in t]
+        assert all(a < b for a, b in zip(cdf, cdf[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
