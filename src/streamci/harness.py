@@ -584,8 +584,13 @@ def nonfinite_counts(rows: Table) -> dict[str, int]:
 
 def write_manifest(cfgs: Sequence[ExperimentConfig], path: str, *, threads: int, wall_clock_seconds: float,
                    rows: Table) -> None:
+    """Write the run's manifest. It names one base_seed for the whole grid,
+    so configs of different seeds raise ValueError and nothing is written."""
     from . import __version__
 
+    seeds = {cfg.base_seed for cfg in cfgs}
+    if len(seeds) != 1:
+        raise ValueError(f"a manifest names one base_seed, got {sorted(seeds)}")
     doc = {
         "tool": "streamci",
         "version": __version__,

@@ -107,7 +107,7 @@ def tstat_interval(estimates: np.ndarray, alpha: float) -> IntervalSet:
         raise ValueError(f"t interval needs at least 2 buckets, got {b}")
     center = estimates.mean(axis=0)
     s = estimates.std(axis=0, ddof=1)
-    half = student_t_quantile(float(b - 1), 1.0 - alpha / 2.0) * s / math.sqrt(b)
+    half = student_t_quantile(b - 1, 1.0 - alpha / 2.0) * s / math.sqrt(b)
     return IntervalSet(center - half, center + half, center)
 
 

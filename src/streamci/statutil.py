@@ -2,10 +2,10 @@
 deterministic random streams.
 
 Quantiles are computed in-repo from first principles (erfc-based normal CDF,
-regularized incomplete beta continued fraction for Student's t, both inverted
-by bisection) so that interval construction carries no dependency on an
-external stats library. Tests cross-check every routine against independent
-oracles.
+the closed-form series for Student's t at integer degrees of freedom, both
+inverted by bisection) so that interval construction carries no dependency
+on an external stats library. Tests cross-check every routine against
+independent oracles.
 """
 
 from __future__ import annotations
@@ -20,19 +20,11 @@ __all__ = [
     "RngStream",
     "normal_cdf",
     "normal_quantile",
-    "regularized_incomplete_beta",
     "spd_factorize",
     "spd_solve",
     "student_t_cdf",
     "student_t_quantile",
 ]
-
-# Continued-fraction controls for the incomplete beta. EPS is a little above
-# double-precision ulp; FPMIN guards the Lentz recurrence against division by
-# a denominator that underflowed to zero.
-_CF_MAX_ITER = 500
-_CF_EPS = 3.0e-16
-_CF_FPMIN = 1.0e-300
 
 # Relative pivot threshold below which a Cholesky pivot is treated as a sign
 # of numerical singularity.
@@ -76,87 +68,34 @@ def normal_quantile(p: float) -> float:
 # Student's t distribution
 # ---------------------------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz recurrence."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise IllConditionedError(
-        f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
-    )
+def student_t_cdf(t: float, df: int) -> float:
+    """Student's t CDF at a positive integer df.
 
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("a and b must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_beta)
-    # Use the continued fraction only on the side where it converges fast.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    """Student's t CDF with df > 0 degrees of freedom."""
-    if df <= 0.0:
-        raise ValueError("df must be positive")
-    if abs(t) <= 1.0e-4:
-        # The beta route computes x = df/(df + t^2), which rounds to 1 once
-        # t^2 falls below one ulp and flattens the CDF near 0; the density
-        # series 1/2 + f(0)(t - (df+1)/(6 df) t^3) is exact to ~1e-13 here
-        # and keeps the CDF strictly increasing through t = 0.
-        c0 = math.exp(math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df)
-                      - 0.5 * math.log(df * math.pi))
-        return 0.5 + c0 * (t - (df + 1.0) / (6.0 * df) * t**3)
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
-    return tail if t < 0.0 else 1.0 - tail
+    The finite series in theta = atan(t / sqrt(df)) of Abramowitz & Stegun
+    26.7.3 (odd df) and 26.7.4 (even df). Every term is positive, so the sum
+    needs no cancellation guard or iteration cap.
+    """
+    if not (df >= 1 and float(df).is_integer()):
+        raise ValueError(f"df must be a positive integer, got {df}")
+    n = int(df)
+    theta = math.atan(t / math.sqrt(n))
+    c2 = math.cos(theta) ** 2
+    k = np.arange(1.0, n // 2)
+    if n % 2 == 0:
+        signed = math.sin(theta) * (1.0 + np.cumprod(c2 * (2.0 * k - 1.0) / (2.0 * k)).sum())
+    else:
+        series = 1.0 + np.cumprod(c2 * 2.0 * k / (2.0 * k + 1.0)).sum() if n > 1 else 0.0
+        signed = 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * series)
+    return 0.5 + 0.5 * float(signed)
 
 
 @lru_cache(maxsize=256)
-def student_t_quantile(df: float, p: float) -> float:
+def student_t_quantile(df: int, p: float) -> float:
     """Inverse Student's t CDF by bisection. Absolute error below 1e-8.
 
     The bracket starts at [-60, 60] and doubles outward for the tiny-df,
     extreme-p corner where the quantile exceeds 60 (e.g. df=1, p=0.995).
     """
-    if df <= 0.0:
-        raise ValueError("df must be positive")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     lo, hi = -60.0, 60.0

@@ -39,6 +39,7 @@ from streamci.harness import (
     nonfinite_counts,
     run_grid,
     write_residuals_csv,
+    write_manifest,
     write_rows_csv,
     write_summary_csv,
 )
@@ -534,6 +535,15 @@ class TestCsvWriters:
         assert lines[2] == "linear,2,60,identity,asgd,0.5,0,hulc,2,1,0.3333333333333333,0.0,0"
         assert lines[3:] == ["linear,2,60,identity,asgd,0.5,0,wald,1,,,,1", "linear,2,60,identity,asgd,0.5,0,wald,2,,,,1"]
         assert float(lines[1].split(",")[10]) == 1.0 / 3.0
+
+    def test_manifest_rejects_mixed_seeds(self, tmp_path):
+        # The manifest names one base_seed and the grid entries none, so a
+        # grid over two seeds must not be written as if it had the first.
+        cfgs = [_cfg(t=60), _cfg(t=70, base_seed=5)]
+        path = tmp_path / "rows.csv.manifest.json"
+        with pytest.raises(ValueError, match="base_seed"):
+            write_manifest(cfgs, str(path), threads=1, wall_clock_seconds=0.0, rows=run_grid(cfgs))
+        assert not path.exists()
 
     def test_summary_header(self, tmp_path):
         path = tmp_path / "summary.csv"
