@@ -39,6 +39,19 @@ class TestNormalQuantile:
     def test_pinned_975(self):
         assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
 
+    def test_quantile_bits_pinned(self):
+        # Bit pattern of the quantile at tail and central levels, as the
+        # bisection of the erfc CDF on [-60, 60] to width 1e-12 gives it.
+        pinned = {
+            0.0005: "-0x1.a52ffadd2f7c0p+1",
+            0.55: "0x1.015abc78e9c00p-3",
+            0.95: "0x1.a515209676f80p+0",
+            0.975: "0x1.f5c0331eefe80p+0",
+            0.995: "0x1.49b4c64d68fc0p+1",
+            0.9995: "0x1.a52ffadd2f7c0p+1",
+        }
+        assert {p: normal_quantile(p).hex() for p in pinned} == pinned
+
     def test_symmetry(self):
         for p in P_GRID:
             assert normal_quantile(p) == pytest.approx(-normal_quantile(1.0 - p), abs=2e-12)
