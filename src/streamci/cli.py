@@ -26,7 +26,7 @@ from .harness import (
     write_summary_csv,
 )
 from .model import CovarianceKind, ModelKind
-from .optim import ALGORITHM_NAMES, AlgorithmKind
+from .optim import ALGORITHM_NAMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,23 +91,10 @@ def _build_configs(args) -> list[ExperimentConfig]:
     if len(set(args.t)) < len(args.t):
         raise ValueError(f"--t must not repeat a value, got {args.t}")
     c_grid = args.c if args.c is not None else default_c_grid(args.algo, args.model, args.d)
-    return [
-        ExperimentConfig(
-            model=ModelKind(args.model),
-            d=args.d,
-            t=t,
-            cov=CovarianceKind(args.cov),
-            algorithm=AlgorithmKind(args.algo),
-            c_grid=tuple(c_grid),
-            gamma=args.gamma,
-            alpha=args.alpha,
-            reps=args.reps,
-            base_seed=args.seed,
-            methods=tuple(args.methods),
-            warm_start=not args.no_warm_start,
-        )
-        for t in args.t
-    ]
+    shared = dict(model=args.model, d=args.d, cov=args.cov, algorithm=args.algo, c_grid=c_grid, gamma=args.gamma,
+                  alpha=args.alpha, reps=args.reps, base_seed=args.seed, methods=args.methods,
+                  warm_start=not args.no_warm_start)
+    return [ExperimentConfig(t=t, **shared) for t in args.t]
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:

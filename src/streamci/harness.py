@@ -44,10 +44,6 @@ __all__ = [
 
 METHOD_ORDER = ("wald", "plugin", "hulc", "tstat")
 
-RAW_HEADER = "model,d,t,cov,algo,c,rep,method,k,covered,width,center,unavailable"
-SUMMARY_HEADER = "model,d,t,cov,algo,c,method,k,coverage,median_width,width_ratio,n_wald_available"
-RESIDUAL_HEADER = "model,d,t,cov,algo,c,rep,residual"
-
 # Stream roles within a replication. stream_id = rep * STREAM_SPACING + role,
 # so streams depend only on (base_seed, rep, role), never on scheduling.
 ROLE_DATA = 0
@@ -58,11 +54,12 @@ STREAM_SPACING = 1 << 20
 # The warm start consumes the first 1/WARM_FRACTION of the stream it seeds.
 WARM_FRACTION = 3
 
-# A task steps a chunk of replications together; its data, the plug-in
-# lanes' responses (t per c value) and plugin_interval's J and V sums (d*d
-# each per c value) take about reps * (t*d + |c grid|*(t + 2*d*d)) floats,
-# kept below this bound unless one replication alone exceeds it.
+# A task steps a chunk of replications together; what it holds, _rep_floats
+# per replication, is kept below this bound unless one replication exceeds it.
 CHUNK_FLOATS = 1 << 20
+# Iterate-sized arrays per lane in run_lanes: iterates, average, gradients,
+# products, and a block of steps' gathered rows and new iterates.
+LANE_ARRAYS = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,6 +251,15 @@ def _method_block(head: tuple, iv: Optional[IntervalSet], theta_star: np.ndarray
     return ResultBlock(head, *columns)
 
 
+def _wald_interval(cfg: ExperimentConfig, data: Dataset, wald_threads: Optional[int]) -> Optional[IntervalSet]:
+    """data's Wald interval, fit at wald_threads BLAS threads; None when singular."""
+    try:
+        with _blas_threads(wald_threads):
+            return wald_offline(cfg.model, data, cfg.alpha)
+    except IllConditionedError:
+        return None
+
+
 def _chunk_rows(
     cfg: ExperimentConfig,
     reps: Sequence[int],
@@ -261,7 +267,7 @@ def _chunk_rows(
     y: np.ndarray,
     wald_threads: Optional[int] = None,
 ) -> list[ResultBlock]:
-    """A chunk of replications' result blocks, one per (c, rep, method).
+    """A chunk of replications' result blocks, one per (rep, c, method).
 
     X and y hold the replications' datasets as _sample_reps lays them out.
     Data, warm starts, Wald intervals and HulC batch counts do not depend on
@@ -274,70 +280,57 @@ def _chunk_rows(
     rounding, so the fits must use the same count on every path.
     """
     theta_star = cfg.model_spec().theta_star
-    kind = cfg.algorithm
-    with_plugin = "plugin" in cfg.methods
-    with_buckets = "hulc" in cfg.methods or "tstat" in cfg.methods
     n = cfg.t
-    noise = np.empty_like(X) if kind == AlgorithmKind.NOISY_TRUNCATED else None
-
-    n_passes = len(reps) if with_plugin else 0
+    noise = np.empty_like(X) if cfg.algorithm == AlgorithmKind.NOISY_TRUNCATED else None
+    n_passes = len(reps) if "plugin" in cfg.methods else 0
     runs = [range(i * n, (i + 1) * n) for i in range(n_passes)]
     bucket_runs: list[slice] = []
-    wald: list[Optional[IntervalSet]] = []
     for i, rep in enumerate(reps):
-        base = i * n
-        data = Dataset(X[base : base + n], y[base : base + n])
-        wald_iv = None
-        if "wald" in cfg.methods:
-            try:
-                with _blas_threads(wald_threads):
-                    wald_iv = wald_offline(cfg.model, data, cfg.alpha)
-            except IllConditionedError:
-                pass
-        wald.append(wald_iv)
         first = len(runs)
-        if with_buckets:
+        if "hulc" in cfg.methods or "tstat" in cfg.methods:
             b = hulc_batch_count(cfg.alpha, float(_stream(cfg, rep, ROLE_HULC_U).uniform()))
             for j in range(b):
-                bucket = range(base + j, base + n, b)
+                bucket = range(i * n + j, (i + 1) * n, b)
                 runs.append(bucket)
                 if noise is not None:
                     draws = _stream(cfg, rep, ROLE_NOISE_BUCKET + j).standard_normal((len(bucket), cfg.d))
                     noise[bucket.start : bucket.stop : b] = draws
         bucket_runs.append(slice(first, len(runs)))
 
-    estimates, responses = run_lanes(kind, cfg.model, X, y, runs, _initial_iterates(cfg, X, y, runs), cfg.c_grid,
-                                     cfg.gamma, noise=noise, record=n_passes)
-    # Per replication, the plug-in interval of every c (None: singular J),
-    # centred at the asgd passes' averages.
-    plugin_ivs = [
-        plugin_interval(cfg.model, X[i * n : (i + 1) * n], y[i * n : (i + 1) * n], responses[:, i], estimates[:, i],
-                        cfg.alpha)
-        for i in range(n_passes)
-    ]
-
+    estimates, responses = run_lanes(cfg.algorithm, cfg.model, X, y, runs, _initial_iterates(cfg, X, y, runs),
+                                     cfg.c_grid, cfg.gamma, noise=noise, record=n_passes)
     blocks: list[ResultBlock] = []
-    for ci, c in enumerate(cfg.c_grid):
-        for i, rep in enumerate(reps):
-            head = cfg.head + (c, rep)
-            if "wald" in cfg.methods:
-                blocks.append(_method_block(head + ("wald",), wald[i], theta_star))
-            if with_plugin:
-                blocks.append(_method_block(head + ("plugin",), plugin_ivs[i][ci], theta_star))
-            if with_buckets:
-                buckets = estimates[ci, bucket_runs[i]]
-                if "hulc" in cfg.methods:
-                    blocks.append(_method_block(head + ("hulc",), hulc_interval(buckets), theta_star))
-                if "tstat" in cfg.methods:
-                    blocks.append(_method_block(head + ("tstat",), tstat_interval(buckets, cfg.alpha), theta_star))
+    for i, rep in enumerate(reps):
+        rows, buckets = slice(i * n, (i + 1) * n), estimates[:, bucket_runs[i]]
+        # Each method's intervals over cfg.c_grid (None: unavailable); the
+        # plug-in's are centred at the asgd passes' averages.
+        per_c = {
+            "wald": lambda: [_wald_interval(cfg, Dataset(X[rows], y[rows]), wald_threads)] * len(cfg.c_grid),
+            "plugin": lambda: plugin_interval(cfg.model, X[rows], y[rows], responses[:, i], estimates[:, i], cfg.alpha),
+            "hulc": lambda: [hulc_interval(b) for b in buckets],
+            "tstat": lambda: [tstat_interval(b, cfg.alpha) for b in buckets],
+        }
+        intervals = {m: per_c[m]() for m in cfg.methods}
+        for ci, c in enumerate(cfg.c_grid):
+            blocks.extend(_method_block(cfg.head + (c, rep, m), intervals[m][ci], theta_star) for m in cfg.methods)
     return blocks
+
+
+def _rep_floats(cfg: ExperimentConfig) -> int:
+    """The floats one replication adds to a chunk: its data and noise, its
+    recorded plug-in responses (t per c value) and LANE_ARRAYS floats per
+    lane and coordinate. plugin_interval forms its J and V sums for one
+    replication at a time, after the pass, so they are not charged."""
+    plugin = "plugin" in cfg.methods
+    noise = cfg.algorithm == AlgorithmKind.NOISY_TRUNCATED
+    lanes = len(cfg.c_grid) * (plugin + math.ceil(math.log2(2.0 / cfg.alpha)))
+    return cfg.t * (cfg.d + 1 + noise * cfg.d + plugin * len(cfg.c_grid)) + LANE_ARRAYS * lanes * cfg.d
 
 
 def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
     """Contiguous replication ranges of near-equal size: at least one per
     worker that runs them (up to one per replication), each within CHUNK_FLOATS."""
-    per_rep = cfg.t * cfg.d + len(cfg.c_grid) * (cfg.t + 2 * cfg.d * cfg.d)
-    n = max(min(threads, _cpu_count(), cfg.reps), math.ceil(cfg.reps * per_rep / CHUNK_FLOATS))
+    n = max(min(threads, _cpu_count(), cfg.reps), math.ceil(cfg.reps * _rep_floats(cfg) / CHUNK_FLOATS))
     n = min(n, cfg.reps)
     size, extra = divmod(cfg.reps, n)
     bounds = [i * size + min(i, extra) for i in range(n + 1)]
@@ -527,6 +520,9 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
 # itself, a missing value (None) as an empty field and a bool as 0/1. No
 # field is quoted, because none can hold a comma, quote or newline: model,
 # cov, algo and method are enum values and every other field is a number.
+RAW_HEADER = ",".join(ResultRow._fields)
+SUMMARY_HEADER = ",".join(Summary._fields)
+RESIDUAL_HEADER = "model,d,t,cov,algo,c,rep,residual"
 
 def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
     """The header and the lines as one text, in one write."""

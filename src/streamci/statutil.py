@@ -44,24 +44,33 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-@lru_cache(maxsize=256)
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF.
-
-    Bisection of the erfc-based CDF on [-60, 60]; the normal CDF underflows
-    to exactly 0/1 outside that range in double precision, so the bracket
-    always contains the root for p in (0, 1). Absolute error below 1e-9.
-    """
+def _invert_cdf(cdf, p: float, width: float) -> float:
+    """The x with cdf(x) = p, by bisection down to a bracket of the given
+    width. The bracket starts at [-60, 60] and doubles outward, up to 2**40,
+    while it misses p (e.g. Student's t at df=1, p=0.995)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     lo, hi = -60.0, 60.0
-    while hi - lo > 1.0e-12:
+    while cdf(hi) < p and hi < 2.0**40:
+        lo = hi
+        hi *= 2.0
+    while cdf(lo) > p and lo > -(2.0**40):
+        hi = lo
+        lo *= 2.0
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
+        if cdf(mid) < p:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=256)
+def normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF by bisection. Absolute error below 1e-9.
+    The CDF is exactly 0 or 1 outside [-60, 60], so the bracket never widens."""
+    return _invert_cdf(normal_cdf, p, 1.0e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +100,8 @@ def student_t_cdf(t: float, df: int) -> float:
 
 @lru_cache(maxsize=256)
 def student_t_quantile(df: int, p: float) -> float:
-    """Inverse Student's t CDF by bisection. Absolute error below 1e-8.
-
-    The bracket starts at [-60, 60] and doubles outward for the tiny-df,
-    extreme-p corner where the quantile exceeds 60 (e.g. df=1, p=0.995).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
-    lo, hi = -60.0, 60.0
-    while student_t_cdf(hi, df) < p and hi < 2.0**40:
-        lo = hi
-        hi *= 2.0
-    while student_t_cdf(lo, df) > p and lo > -(2.0**40):
-        hi = lo
-        lo *= 2.0
-    while hi - lo > 2.0e-9:
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Inverse Student's t CDF by bisection. Absolute error below 1e-8."""
+    return _invert_cdf(lambda t: student_t_cdf(t, df), p, 2.0e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import streamci.harness as harness
+import streamci.infer as infer
 from streamci.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNWRITABLE, default_c_grid, run_cli
 from streamci.harness import (
     RAW_HEADER,
@@ -123,6 +125,7 @@ class TestExperimentConfig:
             # no rows on any algorithm but asgd.
             {"c_grid": (0.5, 0.5)},
             {"algorithm": "sgd", "methods": ("plugin",)},
+            {"methods": ()},
         ],
     )
     def test_rejects_bad_fields(self, overrides):
@@ -184,6 +187,22 @@ class TestReplication:
         assert status == {
             (c, method): method in ("wald", "plugin") for c in (0.5, 2.0) for method in harness.METHOD_ORDER
         }
+
+    def test_newton_cap_marks_only_wald_unavailable(self, monkeypatch):
+        # A logistic Wald fit whose Newton iteration stops short of the
+        # gradient tolerance is unavailable; every other block keeps its bits.
+        cfg = _cfg(model=ModelKind.LOGISTIC, d=3, t=200, c_grid=(0.5, 2.0))
+        data = _sample_reps(cfg, [0, 1])
+        plain = _chunk_rows(cfg, [0, 1], *data)
+        monkeypatch.setattr(infer, "NEWTON_MAX_ITER", 1)
+        capped = _chunk_rows(cfg, [0, 1], *data)
+        assert [b.head for b in capped] == [b.head for b in plain]
+        assert {b.head[7] for b in plain} == set(harness.METHOD_ORDER)
+        for before, after in zip(plain, capped):
+            if after.head[7] == "wald":
+                assert before.covered is not None and after.covered is None
+            else:
+                assert [col.tobytes() for col in after[1:]] == [col.tobytes() for col in before[1:]]
 
     def test_plugin_needs_averaged_sgd(self):
         cfg = _cfg(algorithm=AlgorithmKind("sgd"))
@@ -301,6 +320,41 @@ class TestRunGrid:
         # redo sampling, warm start and a kernel pass.
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         assert _rep_chunks(_cfg(reps=200), 200) == [range(100), range(100, 200)]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # The benchmark's cells and the packaged root grid, at a smaller
+            # t and d: linear asgd on the 19-value d=100 grid, the linear d=5
+            # acceptance cell, and logistic sgd, noisy-truncated (which also
+            # holds its noise) and root on its 14-value grid.
+            dict(d=40, t=100, cov=CovarianceKind.EQUICORRELATION, c_grid=default_c_grid("asgd", "linear", 100)),
+            dict(d=5, t=1500),
+            *(dict(model=ModelKind.LOGISTIC, d=20, t=1000, cov=CovarianceKind.TOEPLITZ, algorithm=algo,
+                   methods=("wald", "hulc", "tstat")) for algo in ("sgd", "noisy-truncated")),
+            dict(model=ModelKind.LOGISTIC, d=10, t=400, cov=CovarianceKind.TOEPLITZ, algorithm="root",
+                 c_grid=default_c_grid("root", "logistic", 20), methods=("wald", "hulc", "tstat")),
+        ],
+    )
+    def test_chunk_charge_tracks_traced_memory(self, overrides):
+        # What _rep_chunks charges a replication is close to what one more
+        # replication adds to the traced peak of sampling and running a
+        # chunk (8-byte floats), measured between chunks of 4 and 8.
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        cfg = _cfg(**overrides)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                _chunk_rows(cfg, range(n), *_sample_reps(cfg, range(n)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-use allocations: caches, imports
+        slope = (peak(8) - peak(4)) / 4 / 8
+        assert 0.8 <= harness._rep_floats(cfg) / slope <= 2.0
 
     def test_divergent_plugin_lane_is_counted_without_warnings(self):
         # c=2.0 at d=100 drives the plug-in pass to overflow; its rows stay
@@ -517,10 +571,7 @@ class TestExpansionResidual:
         together = expansion_residuals(cfg)
         monkeypatch.setattr(harness, "CHUNK_FLOATS", 1)
         alone = expansion_residuals(cfg)
-        # A replication's share of the chunk bound as _rep_chunks charges
-        # it: t*d data floats and t + 2*d*d for its one c value, though the
-        # diagnostic records no plug-in responses and forms no J or V sum.
-        monkeypatch.setattr(harness, "CHUNK_FLOATS", 2 * (300 * 4 + 300 + 2 * 4 * 4))
+        monkeypatch.setattr(harness, "CHUNK_FLOATS", 2 * harness._rep_floats(cfg))
         chunked = expansion_residuals(cfg)
         assert [r.hex() for r in together] == [r.hex() for r in alone] == [r.hex() for r in chunked]
 
