@@ -335,6 +335,7 @@ class TestRunGrid:
             dict(model=ModelKind.LOGISTIC, d=10, t=400, cov=CovarianceKind.TOEPLITZ, algorithm="root",
                  c_grid=default_c_grid("root", "logistic", 20), methods=("wald", "hulc", "tstat")),
         ],
+        ids=["linear-d100-grid", "linear-d5", "logistic-sgd", "logistic-noisy-truncated", "logistic-root-grid"],
     )
     def test_chunk_charge_tracks_traced_memory(self, overrides):
         # What _rep_chunks charges a replication is close to what one more
