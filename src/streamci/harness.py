@@ -14,9 +14,10 @@ import functools
 import itertools
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -251,13 +252,23 @@ def _method_block(head: tuple, iv: Optional[IntervalSet], theta_star: np.ndarray
     return ResultBlock(head, *columns)
 
 
-def _wald_interval(cfg: ExperimentConfig, data: Dataset, wald_threads: Optional[int]) -> Optional[IntervalSet]:
-    """data's Wald interval, fit at wald_threads BLAS threads; None when singular."""
+def _wald_interval(cfg: ExperimentConfig, data: Dataset) -> Optional[IntervalSet]:
+    """data's Wald interval; None when singular."""
     try:
-        with _blas_threads(wald_threads):
-            return wald_offline(cfg.model, data, cfg.alpha)
+        return wald_offline(cfg.model, data, cfg.alpha)
     except IllConditionedError:
         return None
+
+
+def _wald_intervals(
+    cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, n_reps: int, wald_threads: Optional[int]
+) -> list[Optional[IntervalSet]]:
+    """The Wald interval of each of the n_reps replications in X and y, fit
+    in one batch: in one of the pool's Wald slots (in a pool worker) and at
+    wald_threads BLAS threads when it is given."""
+    n = cfg.t
+    with nullcontext() if _wald_slots is None else _wald_slots, _blas_threads(wald_threads):
+        return [_wald_interval(cfg, Dataset(X[i * n : (i + 1) * n], y[i * n : (i + 1) * n])) for i in range(n_reps)]
 
 
 def _chunk_rows(
@@ -275,9 +286,10 @@ def _chunk_rows(
     pass over cfg.c_grid, are the full-stream plug-in pass of every
     replication (run i for replication i), then every HulC bucket.
 
-    The Wald fits run with wald_threads BLAS threads when it is given: how
-    OpenBLAS splits a matrix product over its threads changes the product's
-    rounding, so the fits must use the same count on every path.
+    The Wald fits run after the pass, in one batch, with wald_threads BLAS
+    threads when it is given: how OpenBLAS splits a matrix product over its
+    threads changes the product's rounding, so the fits must use the same
+    count on every path.
     """
     theta_star = cfg.model_spec().theta_star
     n = cfg.t
@@ -299,13 +311,14 @@ def _chunk_rows(
 
     estimates, responses = run_lanes(cfg.algorithm, cfg.model, X, y, runs, _initial_iterates(cfg, X, y, runs),
                                      cfg.c_grid, cfg.gamma, noise=noise, record=n_passes)
+    wald = _wald_intervals(cfg, X, y, len(reps), wald_threads) if "wald" in cfg.methods else []
     blocks: list[ResultBlock] = []
     for i, rep in enumerate(reps):
         rows, buckets = slice(i * n, (i + 1) * n), estimates[:, bucket_runs[i]]
         # Each method's intervals over cfg.c_grid (None: unavailable); the
         # plug-in's are centred at the asgd passes' averages.
         per_c = {
-            "wald": lambda: [_wald_interval(cfg, Dataset(X[rows], y[rows]), wald_threads)] * len(cfg.c_grid),
+            "wald": lambda: [wald[i]] * len(cfg.c_grid),
             "plugin": lambda: plugin_interval(cfg.model, X[rows], y[rows], responses[:, i], estimates[:, i], cfg.alpha),
             "hulc": lambda: [hulc_interval(b) for b in buckets],
             "tstat": lambda: [tstat_interval(b, cfg.alpha) for b in buckets],
@@ -409,6 +422,23 @@ def _blas_threads(n: Optional[int]) -> Iterator[Optional[int]]:
             lib.shutdown()
 
 
+# The pool's Wald slots, a semaphore that _init_worker sets in each worker;
+# None in the process that calls run_grid, whose fits take no slot.
+_wald_slots = None
+
+
+def _init_worker(slots) -> None:
+    """Pool initializer: the semaphore whose slots the worker's Wald fits take."""
+    global _wald_slots
+    _wald_slots = slots
+
+
+def _wald_slot_count(cpus: int, wald_threads: Optional[int]) -> int:
+    """How many pool workers may fit Wald at once: as many as keep their
+    BLAS threads within the CPUs, one per CPU when the count is unknown."""
+    return max(1, cpus // (wald_threads or 1))
+
+
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -433,9 +463,16 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     else:
         # Workers fork with one BLAS thread each, so they do not each run a
         # full set of BLAS threads on the same CPUs; their Wald fits run
-        # with this process's count, which their rounding depends on.
-        with _blas_threads(1) as wald_threads, ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
+        # with this process's count, which their rounding depends on, and
+        # take turns at them so that the fits' threads fit on the CPUs. The
+        # semaphore goes to the workers as an initializer argument, which
+        # every start method passes on.
+        with _blas_threads(1) as wald_threads:
+            context = multiprocessing.get_context()
+            slots = context.BoundedSemaphore(_wald_slot_count(_cpu_count(), wald_threads))
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker,
+                                     initargs=(slots,)) as pool:
+                tasks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
     # A block's rows are in k order and no two blocks share a head, so
     # sorting the blocks by head sorts the rows.
     return Table(sorted((block for task in tasks for block in task), key=lambda block: block.head))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import streamci.harness as harness
 from streamci.cli import run_cli
 from streamci.harness import ROLE_HULC_U, STREAM_SPACING, _blas_threads
 from streamci.infer import hulc_batch_count
@@ -155,6 +156,19 @@ def test_edge_grids_match_reference(tmp_path, name):
         assert len(centers["hulc"]) == 2 * 4 * 3
         for key, center in centers["hulc"].items():
             assert (center == centers["plugin"][key]) == (key[1] in single), key
+
+
+def test_pooled_unavailable_wald_fits_match_reference(tmp_path, monkeypatch):
+    # Two workers, one Wald slot between them (two CPUs, fits at two BLAS
+    # threads); 3 of the 4 fits raise inside the slot. The pool still
+    # finishes, with the serial run's bytes.
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+    name = "edge_wald_unavailable"
+    with _blas_threads(2):
+        assert run_cli(EDGE_GRIDS[name] + ["--threads", "2", "--out", str(tmp_path / f"{name}.csv")]) == 0
+    for suffix in ("", "_summary"):
+        reference = (ROOT / "tests" / "data" / f"{name}{suffix}.csv").read_bytes()
+        assert (tmp_path / f"{name}{suffix}.csv").read_bytes() == reference
 
 
 def test_bench_tracer_times_the_result_path(tmp_path, monkeypatch):

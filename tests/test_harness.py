@@ -4,8 +4,12 @@ streams with known exact answers, aggregation arithmetic, and the CLI."""
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import textwrap
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -218,6 +222,10 @@ def _failing_task(task):
     raise RuntimeError("task failed")
 
 
+def _worker_has_wald_slots(_):
+    return harness._wald_slots is not None
+
+
 @pytest.fixture
 def two_blas_threads():
     """numpy's OpenBLAS at two threads for the test, where it is found."""
@@ -291,9 +299,9 @@ class TestRunGrid:
         workers = []
 
         class Pool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 workers.append(max_workers)
-                super().__init__(max_workers=max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 1)
@@ -303,6 +311,79 @@ class TestRunGrid:
         assert len(_rep_chunks(cfg, 4)) == 2
         assert list(run_grid([cfg], threads=4)) == serial
         assert workers == [2]
+
+    @pytest.mark.parametrize(("cpus", "wald_threads", "slots"), [(2, 2, 1), (8, 2, 4), (3, None, 3), (1, 4, 1)])
+    def test_wald_slots_keep_fit_threads_within_cpus(self, cpus, wald_threads, slots):
+        assert harness._wald_slot_count(cpus, wald_threads) == slots
+
+    def test_pooled_wald_fits_take_turns(self, tmp_path, monkeypatch, two_blas_threads):
+        # Two CPUs and fits at two BLAS threads leave one Wald slot: the two
+        # workers' fits run one after the other, never at once. Each fit is
+        # slowed to 0.2 s: without the slot, a worker's fit started 50 ms or
+        # more after the other's in 1 of 20 runs, which a 50 ms fit misses.
+        if two_blas_threads is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        wald_offline = harness.wald_offline
+
+        def slow_wald(*args, **kwargs):
+            start = time.monotonic()
+            time.sleep(0.2)
+            try:
+                return wald_offline(*args, **kwargs)
+            finally:
+                with open(tmp_path / f"{os.getpid()}.txt", "a") as handle:
+                    handle.write(f"{start!r} {time.monotonic()!r}\n")
+
+        monkeypatch.setattr(harness, "wald_offline", slow_wald)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        run_grid([_cfg(model=ModelKind.LOGISTIC, d=3, t=200, algorithm=AlgorithmKind("sgd"), reps=2)], threads=2)
+        files = list(tmp_path.glob("*.txt"))
+        assert len(files) == 2  # one chunk, and one fit, per worker
+        (_, first_end), (second_start, _) = sorted(tuple(map(float, f.read_text().split())) for f in files)
+        assert first_end <= second_start
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_wald_slots_reach_workers_of_every_start_method(self, monkeypatch, method):
+        # The workers get the semaphore from the pool's initializer, not by
+        # inheriting this process's memory, so a fresh interpreter gets it too.
+        context = multiprocessing.get_context(method)
+        probed = []
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                probed.extend(super().map(_worker_has_wald_slots, range(4)))
+                return super().map(fn, *iterables, **kwargs)
+
+        cfg = _cfg(reps=2)
+        serial = list(run_grid([cfg], threads=1))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
+        assert list(run_grid([cfg], threads=2)) == serial
+        assert probed == [True] * 4
+        assert harness._wald_slots is None
+
+    def test_dead_worker_breaks_the_pool_without_hanging(self):
+        # A worker that dies in its Wald slot never gives the slot back. The
+        # pool must end with BrokenProcessPool rather than leave the other
+        # worker waiting for the slot.
+        script = textwrap.dedent("""
+            import os
+            from concurrent.futures.process import BrokenProcessPool
+            import streamci.harness as harness
+            harness._cpu_count = lambda: 2
+            harness.wald_offline = lambda *args: os._exit(1)
+            cfg = harness.ExperimentConfig(model="logistic", d=3, t=200, cov="identity", algorithm="sgd",
+                                           c_grid=(0.5,), reps=2)
+            with harness._blas_threads(2):
+                try:
+                    harness.run_grid([cfg], threads=2)
+                except BrokenProcessPool:
+                    raise SystemExit(0)
+            raise SystemExit(3)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], cwd=SRC, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
 
     def test_rep_chunks_partition_reps(self, monkeypatch):
         monkeypatch.setattr(harness, "_cpu_count", lambda: 16)
