@@ -428,9 +428,17 @@ _wald_slots = None
 
 
 def _init_worker(slots) -> None:
-    """Pool initializer: the semaphore whose slots the worker's Wald fits take."""
+    """Pool initializer: the semaphore whose slots the worker's Wald fits
+    take, and one BLAS thread outside those fits. A spawned or forkserver
+    worker starts at OpenBLAS's default count. A forked one inherits the
+    count run_grid set and is left alone: OpenBLAS stops its helper threads
+    at a fork, and setting a count starts them again, which slowed a pooled
+    logistic sweep on 2 CPUs by 30%."""
     global _wald_slots
     _wald_slots = slots
+    lib = _openblas()
+    if lib is not None and lib.get() != 1:
+        lib.set(1)
 
 
 def _wald_slot_count(cpus: int, wald_threads: Optional[int]) -> int:
@@ -461,10 +469,10 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     if workers <= 1:
         tasks = [_replication_task((cfg, reps, None)) for cfg, reps in chunks]
     else:
-        # Workers fork with one BLAS thread each, so they do not each run a
-        # full set of BLAS threads on the same CPUs; their Wald fits run
-        # with this process's count, which their rounding depends on, and
-        # take turns at them so that the fits' threads fit on the CPUs. The
+        # Workers run one BLAS thread each, so they do not each run a full
+        # set of BLAS threads on the same CPUs; their Wald fits run with
+        # this process's count, which their rounding depends on, and take
+        # turns at them so that the fits' threads fit on the CPUs. The
         # semaphore goes to the workers as an initializer argument, which
         # every start method passes on.
         with _blas_threads(1) as wald_threads:

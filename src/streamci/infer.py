@@ -43,6 +43,8 @@ NEWTON_GRAD_TOL = 1.0e-10
 # label with margin >= log(1/tol); that only happens on the divergent path a
 # separated sample produces, never at a finite maximizer.
 SEPARATION_TOL = 1.0e-6
+# Rows per einsum call of _ordered_outer_sum.
+_OUTER_SUM_BLOCK = 8
 
 
 @dataclass
@@ -160,13 +162,28 @@ def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndar
     order, each with its own multiply and add. a has at least two columns:
     with one, einsum would sum t in an unrolled loop instead.
 
+    Only the upper triangle is summed, in row blocks of _OUTER_SUM_BLOCK
+    rows: block [i0, i1) takes the same einsum over columns i0 onwards, and
+    its transpose fills the lower triangle. Entries (i, j) and (j, i) add
+    the same products in the same order, so they are equal bit for bit. A
+    last block of one row joins the one before it, so that every einsum
+    sees at least two columns.
+
     Where a NaN term meets a NaN sum, the result keeps the term's NaN and the
     loop the sum's. They differ only if NaNs of different sign or payload
     meet, which takes a NaN in the input: arithmetic makes one kind.
     """
-    if w is None:
-        return np.einsum("ti,tj->ij", a, a)
-    return np.einsum("ti,tj,t->ij", a, a, w)
+    spec, weights = ("ti,tj->ij", ()) if w is None else ("ti,tj,t->ij", (w,))
+    d = a.shape[1]
+    starts = range(0, d - 1, _OUTER_SUM_BLOCK)
+    if len(starts) <= 1:
+        return np.einsum(spec, a, a, *weights)
+    out = np.empty((d, d))
+    for i0, i1 in zip(starts, [*starts[1:], d]):
+        block = np.einsum(spec, a[:, i0:i1], a[:, i0:], *weights)
+        out[i0:i1, i0:] = block
+        out[i1:, i0:i1] = block[:, i1 - i0:].T
+    return out
 
 
 def plugin_interval(
@@ -201,11 +218,12 @@ def plugin_interval(
     ]
 
 
-def _logistic_mle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Newton iteration for the logistic MLE; raises IllConditionedError on
-    a singular Hessian, failure to reach the gradient tolerance, or a
-    perfectly separated sample (whose score also vanishes, but only along a
-    parameter path diverging to infinity)."""
+def _logistic_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iteration for the logistic MLE, returned with its responses
+    sigmoid(X @ theta); raises IllConditionedError on a singular Hessian,
+    failure to reach the gradient tolerance, or a perfectly separated sample
+    (whose score also vanishes, but only along a parameter path diverging to
+    infinity)."""
     t, d = X.shape
     theta = np.zeros(d)
     for _ in range(NEWTON_MAX_ITER):
@@ -214,7 +232,7 @@ def _logistic_mle(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         if math.sqrt(float(g @ g)) <= NEWTON_GRAD_TOL:
             if float(np.max(np.abs(mu - y))) < SEPARATION_TOL:
                 raise IllConditionedError("separated sample: logistic MLE diverges")
-            return theta
+            return theta, mu
         w = mu * (1.0 - mu)
         hess = (X * w[:, None]).T @ X / t
         theta = theta - spd_solve(spd_factorize(hess), g)
@@ -232,8 +250,7 @@ def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
         theta_hat = spd_solve(spd_factorize(J), X.T @ y / t)
         resid = X @ theta_hat - y
     elif kind == ModelKind.LOGISTIC:
-        theta_hat = _logistic_mle(X, y)
-        mu = sigmoid(X @ theta_hat)
+        theta_hat, mu = _logistic_mle(X, y)
         w = mu * (1.0 - mu)
         J = (X * w[:, None]).T @ X / t
         resid = mu - y

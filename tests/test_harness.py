@@ -218,6 +218,10 @@ def _worker_blas_threads(_):
     return _openblas().get()
 
 
+def _worker_thread_count(_):
+    return len(os.listdir("/proc/self/task"))
+
+
 def _failing_task(task):
     raise RuntimeError("task failed")
 
@@ -256,6 +260,10 @@ class TestRunGrid:
             assert all(out == outputs[0] for out in outputs)
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch, two_blas_threads):
+        # A forked worker inherits this process's count; a spawned or
+        # forkserver one starts at OpenBLAS's default until the initializer
+        # sets it. Under every start method the workers read one thread
+        # outside their Wald fits, and the rows are the serial path's.
         if two_blas_threads is None:
             pytest.skip("no OpenBLAS thread setter found")
         get = two_blas_threads.get
@@ -267,16 +275,42 @@ class TestRunGrid:
                 seen.extend(super().map(_worker_blas_threads, range(4)))
                 return super().map(fn, *iterables, **kwargs)
 
+        cfg = _cfg(reps=2)
+        serial = list(run_grid([cfg], threads=1))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
-        run_grid([_cfg(reps=2)], threads=2)
-        assert seen == [1] * 5
+        for context in [multiprocessing.get_context(m) for m in ("fork", "spawn", "forkserver")]:
+            monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
+            seen.clear()
+            assert list(run_grid([cfg], threads=2)) == serial, context.get_start_method()
+            assert seen == [1] * 5, context.get_start_method()
         assert get() == 2
         # The count is restored when a task raises, too.
         monkeypatch.setattr(harness, "_replication_task", _failing_task)
         with pytest.raises(RuntimeError, match="task failed"):
             run_grid([_cfg(reps=2)], threads=2)
         assert get() == 2
+
+    def test_forked_workers_start_no_blas_threads(self, monkeypatch, two_blas_threads):
+        # OpenBLAS stops its helper threads at a fork, and setting a count
+        # starts them again, to spin on the CPUs the workers step on. A
+        # forked worker already runs one thread, so its initializer must
+        # leave the count alone and the worker stay single-threaded.
+        if two_blas_threads is None or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs OpenBLAS's thread setter and /proc/self/task")
+        counts = []
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                counts.extend(super().map(_worker_thread_count, range(4)))
+                return super().map(fn, *iterables, **kwargs)
+
+        context = multiprocessing.get_context("fork")
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
+        run_grid([_cfg(reps=2)], threads=2)
+        assert counts == [1] * 4
 
     def test_serial_run_does_not_load_blas(self, monkeypatch):
         # The serial path fits Wald at the current thread count, so it never

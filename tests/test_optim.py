@@ -702,13 +702,14 @@ class TestLaneArithmetic:
 class TestOrderedOuterSum:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("step", [1, 3])
-    @pytest.mark.parametrize("d", [2, 5, 20, 100])
+    @pytest.mark.parametrize("d", [2, 5, 17, 20, 100])
     def test_matches_sequential_loop(self, d, step, weighted):
         """Bit for bit the per-step loop, also past a row whose products
         overflow, rows holding inf and NaN, and a row whose products are
         inf * 0: the non-finite entries sit at the same positions with the
         same signs. The NaN is the one the platform's arithmetic makes, the
-        only kind a divergent lane produces."""
+        only kind a divergent lane produces. d=17 ends in a block that took
+        in a one-row remainder; d=20 and d=100 split into several blocks."""
         rng = np.random.default_rng(d)
         a = rng.standard_normal((64 * step, d))[::step]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -725,7 +726,7 @@ class TestOrderedOuterSum:
         assert not np.isfinite(got).all()
         assert _bits(got) == _bits(want)
 
-    @pytest.mark.parametrize("d", [2, 5, 20, 100])
+    @pytest.mark.parametrize("d", [2, 5, 17, 20, 100])
     def test_finite_rows_match_sequential_loop(self, d):
         # Long sums of finite terms, where an unrolled or pairwise sum would
         # round differently from the sequential one.
@@ -739,3 +740,18 @@ class TestOrderedOuterSum:
             weighted += term * w[t]
         assert _bits(_ordered_outer_sum(a)) == _bits(plain)
         assert _bits(_ordered_outer_sum(a, w)) == _bits(weighted)
+
+    @pytest.mark.parametrize("d", [*range(2, 21), 33, 63, 64, 65, 99, 100, 101, 128])
+    def test_row_blocks_match_one_einsum(self, d):
+        # The row blocks sum only the upper triangle, yet equal the single
+        # einsum over all d columns bit for bit, and the result is exactly
+        # symmetric. At d=9 and d=17 the last block takes in a one-row
+        # remainder.
+        rng = np.random.default_rng(200 + d)
+        for t in (1, 2, 1000):
+            a = rng.standard_normal((t, d))
+            for w in (None, rng.uniform(0.0, 0.25, t)):
+                spec, weights = ("ti,tj->ij", ()) if w is None else ("ti,tj,t->ij", (w,))
+                got = _ordered_outer_sum(a, w)
+                assert _bits(got) == _bits(np.einsum(spec, a, a, *weights)), (t, w is None)
+                assert _bits(got) == _bits(got.T.copy()), (t, w is None)
