@@ -167,7 +167,8 @@ def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndar
     its transpose fills the lower triangle. Entries (i, j) and (j, i) add
     the same products in the same order, so they are equal bit for bit. A
     last block of one row joins the one before it, so that every einsum
-    sees at least two columns.
+    sees at least two columns. At d <= 9 the one block is the full einsum
+    on views of a with a's own shape and strides.
 
     Where a NaN term meets a NaN sum, the result keeps the term's NaN and the
     loop the sum's. They differ only if NaNs of different sign or payload
@@ -175,9 +176,7 @@ def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndar
     """
     spec, weights = ("ti,tj->ij", ()) if w is None else ("ti,tj,t->ij", (w,))
     d = a.shape[1]
-    starts = range(0, d - 1, _OUTER_SUM_BLOCK)
-    if len(starts) <= 1:
-        return np.einsum(spec, a, a, *weights)
+    starts = range(0, max(d - 1, 1), _OUTER_SUM_BLOCK)
     out = np.empty((d, d))
     for i0, i1 in zip(starts, [*starts[1:], d]):
         block = np.einsum(spec, a[:, i0:i1], a[:, i0:], *weights)
