@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -316,20 +317,6 @@ def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
     return np.where(np.abs(G) < kappa[:, None], 0.0, G)
 
 
-def _mean_responses(
-    model_kind: ModelKind, X: np.ndarray, theta: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """psi(x'theta) for every lane, written to out when it is given, bit for
-    bit the scalar path: np.vecdot over C-contiguous rows takes the dot
-    product x @ theta takes (a strided operand rounds differently)."""
-    a = np.vecdot(X, theta, out)
-    if model_kind == ModelKind.LINEAR:
-        return a
-    if model_kind == ModelKind.LOGISTIC:
-        return _sigmoid_scalarwise(a, a)
-    raise ValueError(f"unsupported model kind: {model_kind!r}")
-
-
 def run_lanes(
     kind: AlgorithmKind,
     model_kind: ModelKind,
@@ -383,10 +370,14 @@ def run_lanes(
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (n_runs, d))[run_of])
     avg = np.zeros_like(theta) if kind.averaged else None
     # Work arrays, given to the ufuncs as their positional out (the keyword
-    # costs more per call): each step's residuals psi - y, gradients, product.
+    # costs more per call): each step's residuals psi - y, gradients, product
+    # and, at several c, step sizes.
     resid, grad, work = np.empty(len(order)), np.empty_like(theta), np.empty_like(theta)
-    # Each lane's index into c.
+    eta_lane = np.empty((len(order), 1))
+    # Each lane's index into c, and its c as a column: numpy's c[j] * decay is
+    # the same IEEE product as Python's.
     lane_c = (order // n_runs)[:, None]
+    c_lane = np.array(c, dtype=float)[lane_c]
     n_record = len(c) * record
     # mu_rec[p, t - 1]: psi(x'theta) of the recorded lane of rank p at step t.
     mu_rec = np.empty((n_record, longest))
@@ -394,38 +385,50 @@ def run_lanes(
     t_div = np.arange(1.0, longest + 1.0)[:, None, None] if avg is not None else None
     implicit = kind in (AlgorithmKind.IMPLICIT_LAST, AlgorithmKind.IMPLICIT_AVG)
     need_grad = not implicit or n_record > 0 or on_step is not None
+    logistic = model_kind == ModelKind.LOGISTIC
+    plain = kind in (AlgorithmKind.SGD, AlgorithmKind.ASGD)
 
-    # The algorithm's update, chosen once and called by the loop below with the
-    # step's t, index k in the block and eta. It reads the loop's current
-    # phase, block and step (th, G, W, Xt, yt, ...) and writes the new
+    # The update of the other algorithms, chosen once and called by the loop
+    # below with the step's t, eta, iterates, rows, targets and extra row
+    # (||x||^2 for the implicit lanes, the noise for noisy-truncated). It
+    # reads the phase's gradients G and work array W, and writes the new
     # iterates to nxt, which is th itself unless the average needs them.
-    if kind in (AlgorithmKind.SGD, AlgorithmKind.ASGD):
-        def update(t, k, eta):
-            np.subtract(th, np.multiply(eta, G, W), nxt)
-    elif implicit:
-        def update(t, k, eta):
+    if implicit:
+        def update(t, eta, th, nxt, Xt, yt, nx2):
             lane_eta = [eta] * active if single else eta[:, 0].tolist()
-            s = _implicit_steps(model_kind, np.vecdot(Xt, th).tolist(), nx2_b[k].tolist(), yt.tolist(), lane_eta)
+            s = _implicit_steps(model_kind, np.vecdot(Xt, th).tolist(), nx2.tolist(), yt.tolist(), lane_eta)
             np.subtract(th, np.array(s)[:, None] * Xt, nxt)
     elif kind == AlgorithmKind.ROOT:
-        v, prev = np.zeros_like(theta), theta.copy()
+        # The correction v, the previous iterates, and their residuals and
+        # gradients at this step's rows.
+        v, prev, r_prev, g_prev = np.zeros_like(theta), theta.copy(), np.empty(len(order)), np.empty_like(theta)
 
-        def update(t, k, eta):
+        def update(t, eta, th, nxt, Xt, yt, _):
+            va = v[:active]
             if t == 1:
-                v[:active] = G
+                va[...] = G
             else:
-                G_prev = (_mean_responses(model_kind, Xt, prev[:active]) - yt)[:, None] * Xt
-                v[:active] = G + _root_weight(t) * (v[:active] - G_prev)
+                # v = G + w_t * (v - G_prev), each term written to a buffer.
+                rp, gp = r_prev[:active], g_prev[:active]
+                np.vecdot(Xt, prev[:active], rp)
+                if logistic:
+                    _sigmoid_scalarwise(rp, rp)
+                np.multiply(np.subtract(rp, yt, rp)[:, None], Xt, gp)
+                np.multiply(_root_weight(t), np.subtract(va, gp, gp), gp)
+                np.add(G, gp, va)
             prev[:active] = th
-            np.subtract(th, eta * v[:active], nxt)
+            np.subtract(th, np.multiply(eta, va, W), nxt)
     elif kind == AlgorithmKind.TRUNCATED:
-        def update(t, k, eta):
+        def update(t, eta, th, nxt, Xt, yt, _):
             np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), nxt)
-    else:
-        def update(t, k, eta):
-            scale = NOISE_SIGMA * eta ** (0.5 + NOISE_BETA) if single else (
-                np.array([NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in etas])[lane_col])
-            nxt[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_b[k]
+    elif kind == AlgorithmKind.NOISY_TRUNCATED:
+        def update(t, eta, th, nxt, Xt, yt, noise_t):
+            if single:
+                scale = NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)
+            else:
+                decay = float(t) ** -gamma
+                scale = np.array([NOISE_SIGMA * (c_j * decay) ** (0.5 + NOISE_BETA) for c_j in c])[lane_col]
+            nxt[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_t
 
     single = len(c) == 1
     t0 = 1
@@ -438,9 +441,9 @@ def run_lanes(
         for end in sorted(set(lengths.tolist()) - {0}):
             active = int(np.count_nonzero(lengths >= end))
             th, r, G, W = th[:active], resid[:active], grad[:active], work[:active]
-            r_col = r[:, None]
+            r_col, lanes = r[:, None], order[:active]
             av = avg[:active] if avg is not None else None
-            lane_col = lane_c[:active]
+            lane_col, c_col, eta_col = lane_c[:active], c_lane[:active], eta_lane[:active]
             # Rows are gathered a block of steps at a time: X_b[k] holds what
             # the running lanes read at step first + k. Step k writes its
             # responses to mu_b[k] and, when the average needs them, its new
@@ -452,26 +455,31 @@ def run_lanes(
                 steps = range(first, min(first + block, end + 1))
                 at = idx[:active] + np.arange(len(steps))[:, None] * stride[:active]
                 X_b, y_b = X[at], y[at]
-                noise_b = noise[at] if noise is not None else None
-                nx2_b = np.vecdot(X_b, X_b) if implicit else None
-                for k, t in enumerate(steps):
-                    Xt, yt = X_b[k], y_b[k]
+                nxt_b = it_b if av is not None else repeat(th)
+                aux_b = np.vecdot(X_b, X_b) if implicit else noise[at] if noise is not None else repeat(None)
+                # A step makes only numpy calls, except for the update of
+                # the five algorithms other than sgd and asgd and, on the
+                # logistic model, the sigmoid.
+                for t, Xt, yt, mu, nxt, aux in zip(steps, X_b, y_b, mu_b, nxt_b, aux_b):
                     # One Python ** per step (numpy's rounds differently),
                     # times each c: step_size's arithmetic. float(t) is t exactly.
                     decay = float(t) ** -gamma
-                    if single:
-                        eta = c[0] * decay
-                    else:
-                        etas = [c_j * decay for c_j in c]
-                        eta = np.array(etas)[lane_col]
+                    eta = c[0] * decay if single else np.multiply(c_col, decay, eta_col)
                     if need_grad:
-                        mu = _mean_responses(model_kind, Xt, th, mu_b[k])
+                        # psi(x'theta), bit for bit the scalar path: np.vecdot
+                        # over C-contiguous rows takes the dot product x @ theta
+                        # takes (a strided operand rounds differently).
+                        np.vecdot(Xt, th, mu)
+                        if logistic:
+                            _sigmoid_scalarwise(mu, mu)
                         np.subtract(mu, yt, r)
                         np.multiply(r_col, Xt, G)
                     if on_step is not None:
-                        on_step(t, order[:active], th, G)
-                    nxt = th if av is None else it_b[k]
-                    update(t, k, eta)
+                        on_step(t, lanes, th, G)
+                    if plain:
+                        np.subtract(th, np.multiply(eta, G, W), nxt)
+                    else:
+                        update(t, eta, th, nxt, Xt, yt, aux)
                     th = nxt
                 # The block's steps, as columns of mu_rec and rows of t_div;
                 # the recorded lanes, being the longest, run in every phase.
@@ -482,8 +490,7 @@ def run_lanes(
                     # The reference's (1 - 1/t) * avg + theta / t, step by step.
                     np.divide(it_b[:n], t_div[done], q_b[:n])
                     for t, q in zip(steps, q_b):
-                        av *= 1.0 - 1.0 / t
-                        av += q
+                        np.add(np.multiply(av, 1.0 - 1.0 / t, av), q, av)
                 idx[:active] = at[-1] + stride[:active]
             t0 = end + 1
     estimates = (theta if avg is None else avg)[np.argsort(order)]

@@ -3,7 +3,11 @@ implicit fixed-point accuracy, cross-algorithm consistency checks, and the
 lane kernel against the per-observation reference."""
 
 import itertools
+import json
 import math
+import sys
+from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from streamci.model import (
     ModelKind,
     ModelSpec,
     _mean_response,
+    _sigmoid_scalarwise,
     covariance_factor,
     loss_grad,
     make_theta_star,
@@ -85,6 +90,21 @@ class TestStepSize:
     def test_polynomial_validation(self, c, gamma):
         with pytest.raises(ValueError):
             PolynomialStep(c, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.505, 0.7, 0.0])
+    def test_lane_step_sizes_match_python_products(self, gamma):
+        # run_lanes takes every lane's step size at several c as one numpy
+        # multiply of a c column by the Python float t**(-gamma); that is
+        # the product c * decay on Python floats, for every packaged c.
+        grids = json.loads(resources.files("streamci.data").joinpath("c_grids.json").read_text())
+        c = sorted({v for grid in [*grids["asgd"]["linear"].values(), *grids["asgd"]["logistic"].values(),
+                                   *grids["other"].values()] for v in grid})
+        assert len(c) == 25
+        c_col, eta = np.array(c)[:, None], np.empty((len(c), 1))
+        for t in range(1, 10**4 + 1):
+            decay = float(t) ** -gamma
+            want = [c_j * decay for c_j in c]
+            assert _bits(np.multiply(c_col, decay, eta)) == _bits(np.array(want)[:, None]), t
 
 
 class TestAlgorithmKind:
@@ -638,6 +658,63 @@ class TestRunLanes:
                 if r < 2:
                     assert _bits(run.responses[j, r]) == _bits(responses), (steps, lanes, j, r)
 
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_step_makes_no_python_call(self, model_kind):
+        """An asgd pass makes as many Python-level calls at 2,000 steps as at
+        200: a step makes only numpy calls, but for the logistic sigmoid
+        (_sigmoid_scalarwise and its comprehension). Two recorded runs,
+        uneven bucket runs and two step constants, over several blocks."""
+
+        def calls(t):
+            rng = np.random.default_rng(37)
+            X = rng.standard_normal((2 * t, 3))
+            y = X @ np.linspace(0.0, 1.0, 3) if model_kind == ModelKind.LINEAR else rng.integers(0, 2, 2 * t) * 1.0
+            rows = [range(t), range(t, 2 * t), range(0, 2 * t, 3)[:t // 3 + 1], range(1, 2 * t, 3)[:t // 3],
+                    range(2, t, 4)]
+            counts = Counter()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    counts[frame.f_code.co_name] += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                run_lanes(AlgorithmKind.ASGD, model_kind, X, y, rows, np.zeros(3), [0.5, 0.1], 0.505, record=2)
+            finally:
+                sys.setprofile(previous)
+            return counts
+
+        short, long = calls(200), calls(2000)
+        grown = {name: long[name] - short[name] for name in long | short if long[name] != short[name]}
+        if model_kind == ModelKind.LINEAR:
+            assert grown == {}
+        else:
+            assert grown == {"_sigmoid_scalarwise": 1800, "<listcomp>": 1800}
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_noop_on_step_changes_nothing(self, name, model_kind):
+        # on_step is a branch of the step loop; a hook that does nothing
+        # leaves the estimates and the recorded responses as they are.
+        d, pool = 3, 60
+        rng = np.random.default_rng(36)
+        X = rng.standard_normal((pool, d))
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(pool)
+        else:
+            y = (rng.uniform(size=pool) < 0.5).astype(float)
+        noise = rng.standard_normal((pool, d)) if name == "noisy-truncated" else None
+        rows = [range(0, pool, 3)[:17], range(1, pool, 3)[:17], range(2, pool, 3)[:12], range(5, pool, 5)]
+        theta0 = 0.1 * rng.standard_normal((len(rows), d))
+        steps = []
+        args = (AlgorithmKind(name), model_kind, X, y, rows, theta0, [0.5, 0.1], 0.505)
+        bare = run_lanes(*args, noise=noise, record=2)
+        hooked = run_lanes(*args, noise=noise, record=2, on_step=lambda t, lanes, theta, grad: steps.append(t))
+        assert steps == list(range(1, 18))
+        assert _bits(hooked.estimates) == _bits(bare.estimates)
+        assert _bits(hooked.responses) == _bits(bare.responses)
+
     def test_noise_required_only_by_noisy_truncated(self):
         X, y = np.ones((3, 2)), np.zeros(3)
         with pytest.raises(ValueError):
@@ -665,7 +742,11 @@ class TestLaneArithmetic:
                 X[2::4, -1] = -np.inf
                 X[3::4, d // 2] = np.nan
                 with np.errstate(invalid="ignore"):
-                    got = optim._mean_responses(model_kind, X, theta)
+                    # The kernel's responses: np.vecdot, then on the logistic
+                    # model the scalarwise sigmoid in place.
+                    got = np.vecdot(X, theta)
+                    if model_kind == ModelKind.LOGISTIC:
+                        _sigmoid_scalarwise(got, got)
                     want = [_mean_response(model_kind, float(x @ th)) for x, th in zip(X, theta)]
                 assert _bits(got) == _bits(np.array(want)), (d, lanes)
 
