@@ -260,36 +260,24 @@ def _wald_interval(cfg: ExperimentConfig, data: Dataset) -> Optional[IntervalSet
         return None
 
 
-def _wald_intervals(
-    cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, n_reps: int, wald_threads: Optional[int]
-) -> list[Optional[IntervalSet]]:
+def _wald_intervals(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, n_reps: int) -> list[Optional[IntervalSet]]:
     """The Wald interval of each of the n_reps replications in X and y, fit
-    in one batch: in one of the pool's Wald slots (in a pool worker) and at
-    wald_threads BLAS threads when it is given."""
+    in one batch; in a pool worker, in one of the pool's Wald slots and at
+    the caller's BLAS thread count."""
     n = cfg.t
-    with nullcontext() if _wald_slots is None else _wald_slots, _blas_threads(wald_threads):
+    with nullcontext() if _wald_slots is None else _wald_slots, _blas_threads(_wald_threads):
         return [_wald_interval(cfg, Dataset(X[i * n : (i + 1) * n], y[i * n : (i + 1) * n])) for i in range(n_reps)]
 
 
-def _chunk_rows(
-    cfg: ExperimentConfig,
-    reps: Sequence[int],
-    X: np.ndarray,
-    y: np.ndarray,
-    wald_threads: Optional[int] = None,
-) -> list[ResultBlock]:
+def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np.ndarray) -> list[ResultBlock]:
     """A chunk of replications' result blocks, one per (rep, c, method).
 
     X and y hold the replications' datasets as _sample_reps lays them out.
     Data, warm starts, Wald intervals and HulC batch counts do not depend on
     c, so each is computed once per replication. The runs, one run_lanes
     pass over cfg.c_grid, are the full-stream plug-in pass of every
-    replication (run i for replication i), then every HulC bucket.
-
-    The Wald fits run after the pass, in one batch, with wald_threads BLAS
-    threads when it is given: how OpenBLAS splits a matrix product over its
-    threads changes the product's rounding, so the fits must use the same
-    count on every path.
+    replication (run i for replication i), then every HulC bucket. The Wald
+    fits run after the pass, in one batch.
     """
     theta_star = cfg.model_spec().theta_star
     n = cfg.t
@@ -311,7 +299,7 @@ def _chunk_rows(
 
     estimates, responses = run_lanes(cfg.algorithm, cfg.model, X, y, runs, _initial_iterates(cfg, X, y, runs),
                                      cfg.c_grid, cfg.gamma, noise=noise, record=n_passes)
-    wald = _wald_intervals(cfg, X, y, len(reps), wald_threads) if "wald" in cfg.methods else []
+    wald = _wald_intervals(cfg, X, y, len(reps)) if "wald" in cfg.methods else []
     blocks: list[ResultBlock] = []
     for i, rep in enumerate(reps):
         rows, buckets = slice(i * n, (i + 1) * n), estimates[:, bucket_runs[i]]
@@ -350,11 +338,10 @@ def _rep_chunks(cfg: ExperimentConfig, threads: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _replication_task(task: tuple[ExperimentConfig, range, Optional[int]]) -> list[ResultBlock]:
-    """Pool task: every result block of one chunk of replications, with the
-    Wald fits at the given BLAS thread count (None: the current one)."""
-    cfg, reps, wald_threads = task
-    return _chunk_rows(cfg, reps, *_sample_reps(cfg, reps), wald_threads)
+def _replication_task(task: tuple[ExperimentConfig, range]) -> list[ResultBlock]:
+    """Pool task: every result block of one chunk of replications."""
+    cfg, reps = task
+    return _chunk_rows(cfg, reps, *_sample_reps(cfg, reps))
 
 
 # (get, set) symbol pairs of OpenBLAS's thread count, in the builds numpy
@@ -422,20 +409,24 @@ def _blas_threads(n: Optional[int]) -> Iterator[Optional[int]]:
             lib.shutdown()
 
 
-# The pool's Wald slots, a semaphore that _init_worker sets in each worker;
-# None in the process that calls run_grid, whose fits take no slot.
+# The pool's Wald slots, a semaphore, and the BLAS thread count of the
+# worker's Wald fits, which _init_worker sets in each worker: the count of
+# the process that calls run_grid, because how OpenBLAS splits a matrix
+# product over its threads changes the product's rounding. Both are None in
+# that process, whose fits take no slot and run at the current count.
 _wald_slots = None
+_wald_threads = None
 
 
-def _init_worker(slots) -> None:
+def _init_worker(slots, wald_threads: Optional[int]) -> None:
     """Pool initializer: the semaphore whose slots the worker's Wald fits
-    take, and one BLAS thread outside those fits. A spawned or forkserver
-    worker starts at OpenBLAS's default count. A forked one inherits the
-    count run_grid set and is left alone: OpenBLAS stops its helper threads
-    at a fork, and setting a count starts them again, which slowed a pooled
-    logistic sweep on 2 CPUs by 30%."""
-    global _wald_slots
-    _wald_slots = slots
+    take, the thread count they run at, and one BLAS thread outside those
+    fits. A spawned or forkserver worker starts at OpenBLAS's default count.
+    A forked one inherits the count run_grid set and is left alone: OpenBLAS
+    stops its helper threads at a fork, and setting a count starts them
+    again, which slowed a pooled logistic sweep on 2 CPUs by 30%."""
+    global _wald_slots, _wald_threads
+    _wald_slots, _wald_threads = slots, wald_threads
     lib = _openblas()
     if lib is not None and lib.get() != 1:
         lib.set(1)
@@ -467,20 +458,19 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     # At most one worker per CPU; the chunks, and so the bytes, do not change.
     workers = min(threads, len(chunks), _cpu_count())
     if workers <= 1:
-        tasks = [_replication_task((cfg, reps, None)) for cfg, reps in chunks]
+        tasks = [_replication_task(chunk) for chunk in chunks]
     else:
         # Workers run one BLAS thread each, so they do not each run a full
         # set of BLAS threads on the same CPUs; their Wald fits run with
-        # this process's count, which their rounding depends on, and take
-        # turns at them so that the fits' threads fit on the CPUs. The
-        # semaphore goes to the workers as an initializer argument, which
-        # every start method passes on.
+        # this process's count and take turns so that the fits' threads fit
+        # on the CPUs. The semaphore and the count go to the workers as
+        # initializer arguments, which every start method passes on.
         with _blas_threads(1) as wald_threads:
             context = multiprocessing.get_context()
             slots = context.BoundedSemaphore(_wald_slot_count(_cpu_count(), wald_threads))
             with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker,
-                                     initargs=(slots,)) as pool:
-                tasks = list(pool.map(_replication_task, [(cfg, reps, wald_threads) for cfg, reps in chunks]))
+                                     initargs=(slots, wald_threads)) as pool:
+                tasks = list(pool.map(_replication_task, chunks))
     # A block's rows are in k order and no two blocks share a head, so
     # sorting the blocks by head sorts the rows.
     return Table(sorted((block for task in tasks for block in task), key=lambda block: block.head))

@@ -266,13 +266,11 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
         state.v = v
         state.prev_theta = theta
         theta_new = theta - eta * v
-    elif name == "truncated":
+    elif name in ("truncated", "noisy-truncated"):
         _, g_trunc = gradient_truncate(loss_grad(model_kind, theta, p), TRUNCATION_EPS2)
         theta_new = theta - eta * g_trunc
-    elif name == "noisy-truncated":
-        _, g_trunc = gradient_truncate(loss_grad(model_kind, theta, p), TRUNCATION_EPS2)
-        noise = state.rng.standard_normal(theta.shape[0])
-        theta_new = theta - eta * g_trunc + (NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)) * noise
+        if state.rng is not None:  # noisy-truncated: _check_rng gives only it an rng
+            theta_new += (NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)) * state.rng.standard_normal(theta.shape[0])
     else:
         raise ValueError(f"unknown algorithm {name!r}")
 
@@ -374,10 +372,9 @@ def run_lanes(
     # and, at several c, step sizes.
     resid, grad, work = np.empty(len(order)), np.empty_like(theta), np.empty_like(theta)
     eta_lane = np.empty((len(order), 1))
-    # Each lane's index into c, and its c as a column: numpy's c[j] * decay is
-    # the same IEEE product as Python's.
-    lane_c = (order // n_runs)[:, None]
-    c_lane = np.array(c, dtype=float)[lane_c]
+    # Each lane's c as a column: numpy's c[j] * decay is the same IEEE product
+    # as Python's.
+    c_lane = np.array(c, dtype=float)[order // n_runs, None]
     n_record = len(c) * record
     # mu_rec[p, t - 1]: psi(x'theta) of the recorded lane of rank p at step t.
     mu_rec = np.empty((n_record, longest))
@@ -418,17 +415,14 @@ def run_lanes(
                 np.add(G, gp, va)
             prev[:active] = th
             np.subtract(th, np.multiply(eta, va, W), nxt)
-    elif kind == AlgorithmKind.TRUNCATED:
-        def update(t, eta, th, nxt, Xt, yt, _):
-            np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), nxt)
-    elif kind == AlgorithmKind.NOISY_TRUNCATED:
+    elif kind in (AlgorithmKind.TRUNCATED, AlgorithmKind.NOISY_TRUNCATED):
+        # noisy-truncated adds its noise row, scaled by a Python ** of each
+        # lane's step size.
         def update(t, eta, th, nxt, Xt, yt, noise_t):
-            if single:
-                scale = NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)
-            else:
-                decay = float(t) ** -gamma
-                scale = np.array([NOISE_SIGMA * (c_j * decay) ** (0.5 + NOISE_BETA) for c_j in c])[lane_col]
-            nxt[...] = th - eta * _truncate_rows(G, TRUNCATION_EPS2) + scale * noise_t
+            np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), nxt)
+            if noise_t is not None:
+                lane_eta = [eta] if single else eta[:, 0].tolist()
+                nxt += np.array([NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in lane_eta])[:, None] * noise_t
 
     single = len(c) == 1
     t0 = 1
@@ -443,7 +437,7 @@ def run_lanes(
             th, r, G, W = th[:active], resid[:active], grad[:active], work[:active]
             r_col, lanes = r[:, None], order[:active]
             av = avg[:active] if avg is not None else None
-            lane_col, c_col, eta_col = lane_c[:active], c_lane[:active], eta_lane[:active]
+            c_col, eta_col = c_lane[:active], eta_lane[:active]
             # Rows are gathered a block of steps at a time: X_b[k] holds what
             # the running lanes read at step first + k. Step k writes its
             # responses to mu_b[k] and, when the average needs them, its new

@@ -226,8 +226,8 @@ def _failing_task(task):
     raise RuntimeError("task failed")
 
 
-def _worker_has_wald_slots(_):
-    return harness._wald_slots is not None
+def _worker_wald_setup(_):
+    return harness._wald_slots is not None, harness._wald_threads
 
 
 @pytest.fixture
@@ -377,15 +377,17 @@ class TestRunGrid:
         assert first_end <= second_start
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_wald_slots_reach_workers_of_every_start_method(self, monkeypatch, method):
-        # The workers get the semaphore from the pool's initializer, not by
-        # inheriting this process's memory, so a fresh interpreter gets it too.
+    def test_wald_slots_reach_workers_of_every_start_method(self, monkeypatch, method, two_blas_threads):
+        # The workers get the semaphore and this process's Wald thread count
+        # from the pool's initializer, not by inheriting this process's
+        # memory, so a fresh interpreter gets them too; it starts at
+        # OpenBLAS's default count, not this process's.
         context = multiprocessing.get_context(method)
         probed = []
 
         class Pool(ProcessPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
-                probed.extend(super().map(_worker_has_wald_slots, range(4)))
+                probed.extend(super().map(_worker_wald_setup, range(4)))
                 return super().map(fn, *iterables, **kwargs)
 
         cfg = _cfg(reps=2)
@@ -394,8 +396,8 @@ class TestRunGrid:
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
         assert list(run_grid([cfg], threads=2)) == serial
-        assert probed == [True] * 4
-        assert harness._wald_slots is None
+        assert probed == [(True, None if two_blas_threads is None else 2)] * 4
+        assert harness._wald_slots is None and harness._wald_threads is None
 
     def test_dead_worker_breaks_the_pool_without_hanging(self):
         # A worker that dies in its Wald slot never gives the slot back. The

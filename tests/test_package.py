@@ -47,3 +47,70 @@ def test_unused_import_check_sees_orphans():
 def test_no_unused_imports():
     for path in sorted(PACKAGE.glob("*.py")):
         assert _unused_imports(path.read_text()) == [], path.name
+
+
+def _unread_locals(source: str) -> list[str]:
+    """function.name of every local name a function in source assigns
+    (a target or a nested def) and never reads, in its body or its closures;
+    `_` and names it declares global or nonlocal aside."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # Its own body's bindings: nested defs bind their names here, but
+        # their bodies are theirs.
+        stack, stored, shared = list(fn.body), set(), set()
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stored.add(node.name)
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                shared.update(node.names)
+            stack.extend(ast.iter_child_nodes(node))
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found.extend(f"{fn.name}.{name}" for name in sorted(stored - read - shared - {"_"}))
+    return found
+
+
+def test_no_unread_locals():
+    source = (
+        "def f(a):\n    b, _ = a\n    c = 1\n    def g():\n        return b\n    def h():\n        d = 2\n"
+        "    global e\n    e = 3\n    return g\n"
+    )
+    assert _unread_locals(source) == ["f.c", "f.h", "h.d"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _unread_locals(path.read_text()) == [], path.name
+
+
+def _private_names(tree: ast.Module) -> list[str]:
+    """The names that tree's module-level defs, classes and assignments bind
+    with one leading underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name tree reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_private_name_is_read():
+    tree = ast.parse("_A = 1\n_B, C = 2, 3\n__all__ = []\ndef _f():\n    return _A\nclass _K:\n    pass\nx = m._K\n")
+    assert sorted(set(_private_names(tree)) - _reads(tree)) == ["_B", "_f"]
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()))
+    for name, tree in trees.items():
+        assert [n for n in _private_names(tree) if n not in read] == [], name
