@@ -299,20 +299,30 @@ class LaneRun(NamedTuple):
 def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
     """gradient_truncate applied to every row of G, with the same arithmetic:
     a stable sort of the squares and a sequential (cumsum) scan."""
+    n, d = G.shape
     sq = G * G
     total = sq.sum(axis=1)
-    order = np.argsort(-sq, axis=1, kind="stable")
-    ranked = np.take_along_axis(sq, order, axis=1)
+    # The stable order of -g^2 in each row, as indices into the flattened
+    # (row-major) squares and magnitudes.
+    flat = np.argsort(-sq, axis=1, kind="stable")
+    row_offsets = np.arange(0, n * d, d)
+    flat += row_offsets[:, None]
     target = (1.0 - eps2) * total
     # reached[:, k]: the squares before rank k already carry the target mass.
+    # The scalar scan stops at the last rank when no earlier one reaches the
+    # target (a NaN row included), so that column is set and its prefix sum
+    # is never formed.
     reached = np.empty(G.shape, dtype=bool)
     reached[:, 0] = target <= 0.0
-    np.greater_equal(np.cumsum(ranked[:, :-1], axis=1), target[:, None], out=reached[:, 1:])
-    first = np.where(reached.any(axis=1), reached.argmax(axis=1), G.shape[1] - 1)
-    rows = np.arange(G.shape[0])
-    kappa = np.abs(G[rows, order[rows, first]])
+    np.greater_equal(np.cumsum(sq.ravel()[flat[:, :-2]], axis=1), target[:, None], out=reached[:, 1:-1])
+    reached[:, -1] = True
+    # |G| is taken after the scan, so that it is not live beside the scan's
+    # arrays: at 133 x 100 the larger peak made malloc trim and refault the
+    # heap on every call.
+    A = np.abs(G)
+    kappa = A.ravel()[flat.ravel()[row_offsets + reached.argmax(axis=1)]]
     kappa[total == 0.0] = 0.0
-    return np.where(np.abs(G) < kappa[:, None], 0.0, G)
+    return np.where(A < kappa[:, None], 0.0, G)
 
 
 def run_lanes(

@@ -5,6 +5,7 @@ lane kernel against the per-observation reference."""
 import itertools
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from importlib import resources
@@ -259,23 +260,32 @@ class TestGradientTruncate:
 
 
     @given(
-        G=st.integers(1, 8).flatmap(
+        G=st.one_of(st.integers(1, 8), st.sampled_from([20, 100])).flatmap(
             lambda d: hnp.arrays(
                 np.float64,
                 st.tuples(st.integers(1, 6), st.just(d)),
-                elements=st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.floats(-100.0, 100.0)),
+                elements=st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.nan, np.inf, -np.inf]),
+                    st.floats(-100.0, 100.0),
+                    # Squares that underflow to a zero total, and squares
+                    # that overflow.
+                    st.builds(operator.mul, st.sampled_from([1.0, -1.0]), st.floats(1e-200, 1e-199)),
+                    st.builds(operator.mul, st.sampled_from([1.0, -1.0]), st.floats(1e199, 1e200)),
+                ),
             )
         ),
         eps2=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
     )
     def test_rows_match_scalar_truncation(self, G, eps2):
         # The kernel's row-wise truncation and its row-wise squared norms are
-        # the scalar routine's, bit for bit, ties and zero rows included.
-        out = _truncate_rows(G, eps2)
-        sq = G * G
-        for row, got, total in zip(G, out, sq.sum(axis=1)):
-            assert gradient_truncate(row, eps2)[1].tobytes() == got.tobytes()
-            assert float((row * row).sum()) == total
+        # the scalar routine's, bit for bit, ties and zero rows included, at
+        # the kernel's widths and with the non-finite rows of divergent lanes.
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            out = _truncate_rows(G, eps2)
+            sq = G * G
+            for row, got, total in zip(G, out, sq.sum(axis=1)):
+                assert gradient_truncate(row, eps2)[1].tobytes() == got.tobytes()
+                assert (row * row).sum().tobytes() == total.tobytes()
 
 
 def _oracle_implicit_steps(model_kind, a, nx2, y, eta):
@@ -622,6 +632,35 @@ class TestRunLanes:
             _implicit_update(model_kind, theta0[1], X[0], float(y[0]), 0.5)
         with pytest.raises(IllConditionedError):
             run_lanes(AlgorithmKind("implicit-last"), model_kind, X, y, [range(2)] * 2, theta0, [0.5], 0.505)
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    @pytest.mark.parametrize("name", ["truncated", "noisy-truncated"])
+    def test_divergent_truncated_lanes_match_reference(self, name, model_kind):
+        # At c = 1e6 the linear lanes overflow: their squares overflow, then
+        # their gradients hold inf and NaN rows, which the truncation ranks
+        # as the scalar routine does. Each lane, finite or not, is
+        # init_state + advance bit for bit.
+        d, pool = 20, 80
+        rng = np.random.default_rng(38)
+        X = rng.standard_normal((pool, d))
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(pool)
+        else:
+            y = (rng.uniform(size=pool) < 0.5).astype(float)
+        noise = rng.standard_normal((pool, d)) if name == "noisy-truncated" else None
+        kind = AlgorithmKind(name)
+        rows = [range(pool), range(1, pool, 2), range(0, pool, 3)]
+        theta0 = 0.1 * rng.standard_normal((len(rows), d))
+        c = [50.0, 1e6]
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise)
+        if model_kind == ModelKind.LINEAR:
+            assert np.isnan(run.estimates[1, 0]).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, r in itertools.product(range(len(c)), range(len(rows))):
+                state = init_state(kind, theta0[r], rng=_RowNoise(noise[list(rows[r])]) if noise is not None else None)
+                for i in rows[r]:
+                    advance(state, PolynomialStep(c[j], 0.505), model_kind, DataPoint(X[i], float(y[i])))
+                assert _bits(run.estimates[j, r]) == _bits(state.theta), (j, r)
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
