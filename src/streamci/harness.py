@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -225,15 +226,17 @@ def _stream(cfg: ExperimentConfig, rep: int, role: int) -> RngStream:
 
 def _sample_reps(cfg: ExperimentConfig, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The replications' data streams one after another, as (X, y): reps[i]
-    is rows i*t:(i+1)*t. Every method and c value shares them."""
+    is rows i*t:(i+1)*t. Every method and c value shares them. Sampling is
+    a BLAS section (see _blas_threads)."""
     spec = cfg.model_spec()
-    chol = covariance_factor(spec)
     X = np.empty((len(reps) * cfg.t, cfg.d))
     y = np.empty(len(reps) * cfg.t)
-    for i, rep in enumerate(reps):
-        data = sample_dataset(spec, chol, _stream(cfg, rep, ROLE_DATA), cfg.t)
-        X[i * cfg.t : (i + 1) * cfg.t] = data.X
-        y[i * cfg.t : (i + 1) * cfg.t] = data.y
+    with _blas_threads():
+        chol = covariance_factor(spec)
+        for i, rep in enumerate(reps):
+            data = sample_dataset(spec, chol, _stream(cfg, rep, ROLE_DATA), cfg.t)
+            X[i * cfg.t : (i + 1) * cfg.t] = data.X
+            y[i * cfg.t : (i + 1) * cfg.t] = data.y
     return X, y
 
 
@@ -262,8 +265,8 @@ def _wald_interval(cfg: ExperimentConfig, data: Dataset) -> Optional[IntervalSet
 
 def _wald_intervals(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, n_reps: int) -> list[Optional[IntervalSet]]:
     """The Wald interval of each of the n_reps replications in X and y, fit
-    in one batch; in a pool worker, in one of the pool's Wald slots and at
-    the caller's BLAS thread count."""
+    in one batch and one BLAS section; in a pool worker, in one of the
+    pool's Wald slots and at the caller's BLAS thread count."""
     n = cfg.t
     with nullcontext() if _wald_slots is None else _wald_slots, _blas_threads(_wald_threads):
         return [_wald_interval(cfg, Dataset(X[i * n : (i + 1) * n], y[i * n : (i + 1) * n])) for i in range(n_reps)]
@@ -386,26 +389,34 @@ def _openblas() -> Optional[_OpenBlas]:
 
 
 @contextmanager
-def _blas_threads(n: Optional[int]) -> Iterator[Optional[int]]:
-    """Run the block with numpy's OpenBLAS at n threads, yielding the count
-    it had, and restore that count afterwards, also when the block raises.
-    A no-op yielding None when n is None or no OpenBLAS is found.
+def _blas_threads(n: Optional[int] = None) -> Iterator[Optional[int]]:
+    """A BLAS section: run the block with numpy's OpenBLAS at n threads (at
+    its current count when n is None), yielding the count it had; afterwards
+    restore that count and join the helper threads, also when the block
+    raises. A no-op yielding None when no OpenBLAS is found.
 
-    A block that raises the count from one joins the helper threads it
-    started: after their last job they spin for a while, on a CPU that
-    another pool worker needs.
+    Outside a BLAS section no helper thread runs: after its last job a
+    helper spins for about 0.1 s, on a CPU that the lane pass, the plug-in
+    or another pool worker needs. So a task's sampling and its Wald fits
+    each run in a section, in the process that calls run_grid as in pool
+    workers, and OpenBLAS restarts the helpers on its next threaded call.
+    Joining them changes no count, so no product's rounding. A section sets
+    a count only when n is given: a count set after a join starts a fresh
+    helper, which spins.
     """
-    lib = None if n is None else _openblas()
+    lib = _openblas()
     if lib is None:
         yield None
         return
     before = lib.get()
-    lib.set(n)
+    if n is not None:
+        lib.set(n)
     try:
         yield before
     finally:
-        lib.set(before)
-        if before == 1 < n and lib.shutdown is not None:
+        if n is not None:
+            lib.set(before)
+        if lib.shutdown is not None:
             lib.shutdown()
 
 
@@ -449,7 +460,11 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     """Run every (config, c, rep) cell, parallel over chunks of replications.
     The Table's ResultBlocks are sorted by head; iterating it yields the
     ResultRows sorted by (config fields, c, rep, method, k). Two configs
-    of one (model, d, t, cov, algorithm) raise ValueError before any run."""
+    of one (model, d, t, cov, algorithm) raise ValueError before any run.
+
+    No other thread of the process may run BLAS while run_grid runs: it
+    sets OpenBLAS's thread count around a pool and joins the helper threads
+    after each BLAS section (see _blas_threads)."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
     if len({cfg.head for cfg in cfgs}) < len(cfgs):
@@ -465,6 +480,9 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
         # this process's count and take turns so that the fits' threads fit
         # on the CPUs. The semaphore and the count go to the workers as
         # initializer arguments, which every start method passes on.
+        # numpy loads numpy.random on first use; loaded here, it is loaded
+        # in every forked worker too (about 30 ms of CPU each).
+        importlib.import_module("numpy.random")
         with _blas_threads(1) as wald_threads:
             context = multiprocessing.get_context()
             slots = context.BoundedSemaphore(_wald_slot_count(_cpu_count(), wald_threads))

@@ -398,8 +398,9 @@ def run_lanes(
     # The update of the other algorithms, chosen once and called by the loop
     # below with the step's t, eta, iterates, rows, targets and extra row
     # (||x||^2 for the implicit lanes, the noise for noisy-truncated). It
-    # reads the phase's gradients G and work array W, and writes the new
-    # iterates to nxt, which is th itself unless the average needs them.
+    # reads the phase's gradients G and work array W and the step's decay,
+    # and writes the new iterates to nxt, which is th itself unless the
+    # average needs them.
     if implicit:
         def update(t, eta, th, nxt, Xt, yt, nx2):
             lane_eta = [eta] * active if single else eta[:, 0].tolist()
@@ -427,12 +428,15 @@ def run_lanes(
             np.subtract(th, np.multiply(eta, va, W), nxt)
     elif kind in (AlgorithmKind.TRUNCATED, AlgorithmKind.NOISY_TRUNCATED):
         # noisy-truncated adds its noise row, scaled by a Python ** of each
-        # lane's step size.
+        # c value's step size c[j] * decay (the lanes' eta, bit for bit),
+        # gathered to the lanes by their c index.
+        c_values, c_index = np.asarray(c, dtype=float).tolist(), order // n_runs
+
         def update(t, eta, th, nxt, Xt, yt, noise_t):
             np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), nxt)
             if noise_t is not None:
-                lane_eta = [eta] if single else eta[:, 0].tolist()
-                nxt += np.array([NOISE_SIGMA * e ** (0.5 + NOISE_BETA) for e in lane_eta])[:, None] * noise_t
+                scale = [NOISE_SIGMA * (cj * decay) ** (0.5 + NOISE_BETA) for cj in c_values]
+                nxt += (scale[0] if single else np.array(scale)[c_index[:active], None]) * noise_t
 
     single = len(c) == 1
     t0 = 1

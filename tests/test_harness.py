@@ -312,17 +312,92 @@ class TestRunGrid:
         run_grid([_cfg(reps=2)], threads=2)
         assert counts == [1] * 4
 
-    def test_serial_run_does_not_load_blas(self, monkeypatch):
-        # The serial path fits Wald at the current thread count, so it never
-        # looks for the OpenBLAS library.
-        def no_openblas():
-            raise AssertionError("the serial path loaded OpenBLAS")
+    def test_serial_run_joins_blas_helpers_at_the_current_count(self, monkeypatch):
+        # The serial path fits Wald at the current thread count: it sets no
+        # count, and joins OpenBLAS's helper threads after its sampling
+        # section and after its Wald section.
+        calls = []
+        fake = harness._OpenBlas(get=lambda: calls.append("get") or 2, set=lambda n: calls.append(("set", n)),
+                                 shutdown=lambda: calls.append("shutdown") or 0)
+        sample_dataset, wald_offline = harness.sample_dataset, harness.wald_offline
 
-        monkeypatch.setattr(harness, "_openblas", no_openblas)
-        with _blas_threads(None) as before:
-            assert before is None
+        def sample(*args):
+            calls.append("sample")
+            return sample_dataset(*args)
+
+        def wald(*args):
+            calls.append("wald")
+            return wald_offline(*args)
+
+        monkeypatch.setattr(harness, "_openblas", lambda: fake)
+        monkeypatch.setattr(harness, "sample_dataset", sample)
+        monkeypatch.setattr(harness, "wald_offline", wald)
         rows = list(run_grid([_cfg(reps=2)], threads=1))
         assert "wald" in {row.method for row in rows}
+        assert calls == ["get", "sample", "sample", "shutdown", "get", "wald", "wald", "shutdown"]
+
+    @staticmethod
+    def _idle_cpu_seconds() -> float:
+        """CPU time this process uses, over all its threads, while its main
+        thread sleeps for 0.2 s."""
+        start = time.process_time()
+        time.sleep(0.2)
+        return time.process_time() - start
+
+    def test_serial_run_leaves_no_blas_helper_spinning(self, two_blas_threads):
+        # At d=100 the sampler's and the Wald fit's products are large
+        # enough for OpenBLAS to wake its helper thread, which, left alone,
+        # spins for about 0.1 s after its last job; the serial path joins it.
+        if not sys.platform.startswith("linux") or two_blas_threads is None or two_blas_threads.shutdown is None:
+            pytest.skip("needs Linux and OpenBLAS's thread setter and blas_thread_shutdown_")
+        run_grid([_cfg(d=100, t=1000, methods=("wald", "hulc"))], threads=1)
+        assert self._idle_cpu_seconds() < 0.05
+        assert two_blas_threads.get() == 2
+
+    def test_pooled_run_leaves_no_blas_helper_spinning(self, monkeypatch, two_blas_threads):
+        # OpenBLAS's fork handler stops this process's helper threads, and
+        # restoring its count after the pool starts a fresh one, which spins
+        # unless run_grid joins it.
+        if not sys.platform.startswith("linux") or two_blas_threads is None or two_blas_threads.shutdown is None:
+            pytest.skip("needs Linux and OpenBLAS's thread setter and blas_thread_shutdown_")
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        run_grid([_cfg(reps=2)], threads=2)
+        assert self._idle_cpu_seconds() < 0.05
+        assert two_blas_threads.get() == 2
+
+    def test_forked_workers_inherit_numpy_random(self):
+        # numpy loads numpy.random on first use, and importing streamci
+        # does not use it; a pooled run loads it before the fork, so that
+        # no worker imports it again.
+        script = textwrap.dedent("""
+            import multiprocessing, sys
+            from concurrent.futures import ProcessPoolExecutor
+            import streamci.harness as harness
+
+            def loaded(_):
+                return "numpy.random" in sys.modules
+
+            seen = []
+
+            class Pool(ProcessPoolExecutor):
+                def map(self, fn, *iterables, **kwargs):
+                    seen.extend(super().map(loaded, range(4)))
+                    return super().map(fn, *iterables, **kwargs)
+
+            assert "numpy.random" not in sys.modules
+            context = multiprocessing.get_context("fork")
+            harness.multiprocessing.get_context = lambda: context
+            harness.ProcessPoolExecutor = Pool
+            harness._cpu_count = lambda: 2
+            cfg = harness.ExperimentConfig(model="linear", d=2, t=60, cov="identity", algorithm="asgd",
+                                           c_grid=(0.5,), reps=2)
+            harness.run_grid([cfg], threads=2)
+            assert seen == [True] * 4, seen
+        """)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        done = subprocess.run([sys.executable, "-c", script], cwd=SRC, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
 
     def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch):
         # More threads than CPUs starts one worker per CPU, with a chunk

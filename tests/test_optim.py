@@ -663,6 +663,31 @@ class TestRunLanes:
                 assert _bits(run.estimates[j, r]) == _bits(state.theta), (j, r)
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_noise_scale_follows_each_lanes_c(self, model_kind):
+        # The noise scale is taken once per c value and gathered to the
+        # lanes by their c index. Five runs of four lengths at three c
+        # values: the lanes, sorted longest first, interleave the c values,
+        # and each phase drops some of them. Each lane is init_state +
+        # advance bit for bit.
+        d, pool = 4, 60
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((pool, d))
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(pool)
+        else:
+            y = (rng.uniform(size=pool) < 0.5).astype(float)
+        noise = rng.standard_normal((pool, d))
+        kind = AlgorithmKind("noisy-truncated")
+        rows = [range(0, pool, 4), range(1, pool, 2)[:9], range(2, pool, 4), range(3, pool, 5), range(5, pool, 7)[:3]]
+        c = [0.5, 0.1, 1.5]
+        theta0 = 0.1 * rng.standard_normal((len(rows), d))
+        run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise)
+        for j, r in itertools.product(range(len(c)), range(len(rows))):
+            state, _, _ = _reference_lane(kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(c[j], 0.505),
+                                          noise)
+            assert _bits(run.estimates[j, r]) == _bits(state.theta), (j, r)
+
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_block_boundaries_match_reference(self, name, model_kind, monkeypatch):
         # The property above gathers each phase as one block. Here blocks
