@@ -255,21 +255,18 @@ def _method_block(head: tuple, iv: Optional[IntervalSet], theta_star: np.ndarray
     return ResultBlock(head, *columns)
 
 
-def _wald_interval(cfg: ExperimentConfig, data: Dataset) -> Optional[IntervalSet]:
-    """data's Wald interval; None when singular."""
-    try:
-        return wald_offline(cfg.model, data, cfg.alpha)
-    except IllConditionedError:
-        return None
-
-
 def _wald_intervals(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, n_reps: int) -> list[Optional[IntervalSet]]:
-    """The Wald interval of each of the n_reps replications in X and y, fit
-    in one batch and one BLAS section; in a pool worker, in one of the
-    pool's Wald slots and at the caller's BLAS thread count."""
-    n = cfg.t
+    """The Wald interval of each of the n_reps replications in X and y, None
+    where singular, fit in one batch and one BLAS section; in a pool worker,
+    in one of the pool's Wald slots and at the caller's BLAS thread count."""
+    n, out = cfg.t, []
     with nullcontext() if _wald_slots is None else _wald_slots, _blas_threads(_wald_threads):
-        return [_wald_interval(cfg, Dataset(X[i * n : (i + 1) * n], y[i * n : (i + 1) * n])) for i in range(n_reps)]
+        for i in range(n_reps):
+            try:
+                out.append(wald_offline(cfg.model, Dataset(X[i * n : (i + 1) * n], y[i * n : (i + 1) * n]), cfg.alpha))
+            except IllConditionedError:
+                out.append(None)
+    return out
 
 
 def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np.ndarray) -> list[ResultBlock]:

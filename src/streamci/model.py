@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -130,16 +129,12 @@ def sigmoid(u):
     return out
 
 
-def _sigmoid_scalarwise(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """sigmoid of each entry, bit for bit the scalar branch of sigmoid: each
-    entry takes its >= 0 split and math.exp on Python floats (numpy's exp
-    rounds differently). Written to out when it is given, which may be u."""
+def _sigmoid_scalarwise(u: np.ndarray) -> None:
+    """sigmoid of each entry of u, in place, bit for bit the scalar branch of
+    sigmoid: each entry takes its >= 0 split and math.exp on Python floats
+    (numpy's exp rounds differently)."""
     exp = math.exp
-    values = [1.0 / (1.0 + exp(-v)) if v >= 0.0 else (e := exp(v)) / (1.0 + e) for v in u.tolist()]
-    if out is None:
-        return np.array(values)
-    out[:] = values
-    return out
+    u[:] = [1.0 / (1.0 + exp(-v)) if v >= 0.0 else (e := exp(v)) / (1.0 + e) for v in u.tolist()]
 
 
 def sample_dataset(spec: ModelSpec, chol_factor: np.ndarray, rng: RngStream, n: int) -> Dataset:

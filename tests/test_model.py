@@ -126,7 +126,8 @@ class TestSigmoid:
             np.random.default_rng(3).standard_normal(2000) * 20.0,
         ])
         want = np.array([sigmoid(float(v)) for v in u])
-        assert _sigmoid_scalarwise(u).tobytes() == want.tobytes()
+        _sigmoid_scalarwise(u)
+        assert u.tobytes() == want.tobytes()
 
 
 def _random_triples(kind, n, seed):
