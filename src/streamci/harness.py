@@ -311,7 +311,8 @@ def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np
             "hulc": lambda: [hulc_interval(b) for b in buckets],
             "tstat": lambda: [tstat_interval(b, cfg.alpha) for b in buckets],
         }
-        intervals = {m: per_c[m]() for m in cfg.methods}
+        with np.errstate(over="ignore", invalid="ignore"):  # divergent lanes' inf and NaN bounds
+            intervals = {m: per_c[m]() for m in cfg.methods}
         for ci, c in enumerate(cfg.c_grid):
             blocks.extend(_method_block(cfg.head + (c, rep, m), intervals[m][ci], theta_star) for m in cfg.methods)
     return blocks
@@ -528,10 +529,11 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
     averaged-iterate error and its leading martingale term over a cfg.t-step
     linear averaged-SGD run.
 
-    Accumulates xi_s = grad_s - J(theta^(s-1) - theta_star) online and
-    returns || sqrt(t)(avg - theta_star) + (1/sqrt(t)) J^-1 sum xi_s ||_J.
-    Each chunk of _rep_chunks is one run_lanes pass, with a run per
-    replication.
+    With xi_s = g_s - J(theta^(s-1) - theta_star), returns
+    || sqrt(t)(avg - theta_star) + (1/sqrt(t)) J^-1 sum xi_s ||_J from one
+    run_lanes pass per chunk of _rep_chunks: g_s = r_s x_s with r = mu - y
+    from the recorded responses mu, and step s moves theta by -eta_s g_s, so
+    sum_s theta^(s-1) = t theta0 - X'(w r) with w_s = (t - s) eta_s.
     """
     if cfg.model != ModelKind.LINEAR:
         raise ValueError("expansion residual is defined for the linear model only")
@@ -539,23 +541,22 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
         raise ValueError(f"expansion residual is defined for asgd only, not {cfg.algorithm.value!r}")
     if len(cfg.c_grid) != 1:
         raise ValueError("expansion residual needs exactly one step constant in c_grid")
-    t = cfg.t
-    spec = cfg.model_spec()
-    theta_star = spec.theta_star
-    hess = population_hessian(spec)
+    t, spec = cfg.t, cfg.model_spec()
+    theta_star, hess = spec.theta_star, population_hessian(spec)
     lower = spd_factorize(hess)
+    s = np.arange(1.0, t + 1.0)
+    w = (t - s) * (cfg.c_grid[0] * s ** -cfg.gamma)
     residuals = []
     for reps in _rep_chunks(cfg, 1):
         X, y = _sample_reps(cfg, reps)
-        xi_sum = np.zeros((len(reps), cfg.d))
-
-        def accumulate(step, lanes, theta, grad):
-            xi_sum[lanes] += grad - (hess[None] @ (theta - theta_star)[:, :, None])[:, :, 0]
-
         rows = [range(i * t, (i + 1) * t) for i in range(len(reps))]
-        run = run_lanes(cfg.algorithm, cfg.model, X, y, rows, _initial_iterates(cfg, X, y, rows), cfg.c_grid,
-                        cfg.gamma, on_step=accumulate)
-        for avg, xi in zip(run.estimates[0], xi_sum):
+        theta0 = np.broadcast_to(_initial_iterates(cfg, X, y, rows), (len(reps), cfg.d))
+        run = run_lanes(cfg.algorithm, cfg.model, X, y, rows, theta0, cfg.c_grid, cfg.gamma, record=len(reps))
+        for i, (avg, mu) in enumerate(zip(run.estimates[0], run.responses[0])):
+            x, r = X[i * t : (i + 1) * t], mu - y[i * t : (i + 1) * t]
+            # numpy's einsum loop, not BLAS: no helper thread starts.
+            g_sum, wg_sum = np.einsum("ti,t->i", x, r), np.einsum("ti,t->i", x, w * r)
+            xi = g_sum - hess @ (t * (theta0[i] - theta_star) - wg_sum)
             rem = math.sqrt(t) * (avg - theta_star) + spd_solve(lower, xi) / math.sqrt(t)
             residuals.append(float(math.sqrt(rem @ hess @ rem)))
     return residuals

@@ -142,7 +142,7 @@ def plugin_update(acc: PluginAccumulator, kind: ModelKind, theta_prev: np.ndarra
 
 def sandwich_inverse(J: np.ndarray) -> np.ndarray:
     """J^-1 through the Cholesky factor of J; raises IllConditionedError
-    when J is numerically singular."""
+    when J is not finite or numerically singular."""
     return spd_solve(spd_factorize(J), np.eye(J.shape[0]))
 
 
@@ -191,8 +191,8 @@ def plugin_interval(
     """Sandwich intervals of passes over the t observations x, y: pass p has
     responses mu[p] = psi(x'theta) at its pre-update iterates and averaged
     iterate center[p], and its sums are a PluginAccumulator's, bit for bit.
-    None marks a pass whose J is numerically singular. The linear J does not
-    depend on the iterate, so all passes share one J and one inverse."""
+    None marks a pass whose J is not finite or numerically singular. The
+    linear J does not depend on the iterate, so all passes share one J."""
     t = len(x)
     if t < 1:
         raise ValueError(f"the sums must cover at least 1 observation, got t={t}")

@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .model import DataPoint, ModelKind, _sigmoid_scalarwise, loss_grad
-from .statutil import IllConditionedError, RngStream
+from .statutil import RngStream
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -181,12 +181,14 @@ def _implicit_steps(
     The gradient is (psi(x'theta) - y) x, so s solves the scalar fixed point
     s = eta * (psi(a - s*nx2) - y). f(s) = s - eta*(...) is strictly
     increasing with a sign change on [min(0, s0), max(0, s0)] where
-    s0 = eta*(psi(a) - y), so bisection on Python floats is safe; failure to
-    bracket down to tolerance raises. The lane loop serves both models; each
-    model has its own bisection loop, and the logistic one writes out the
-    scalar branch of sigmoid, because calls and branches per bisection step
-    cost most of the time: one loop with a per-step model branch was 1-8%
-    slower on the logistic model and 4-13% on the linear one.
+    s0 = eta*(psi(a) - y), so bisection on Python floats is safe. A finite
+    bracket closes in about 44 halvings; one that is not (a NaN or infinite s0,
+    an overflowing midpoint) gives a non-finite s within IMPLICIT_MAX_ITER
+    halvings, so the lane diverges as an explicit lane does. The lane loop
+    serves both models; each model has its own bisection loop, and the logistic
+    one writes out the scalar branch of sigmoid, because calls and branches per
+    bisection step cost most of the time: one loop with a per-step model branch
+    was 1-8% slower on the logistic model and 4-13% on the linear one.
     """
     logistic = model_kind == ModelKind.LOGISTIC
     exp = math.exp
@@ -229,9 +231,6 @@ def _implicit_steps(
                     hi = mid
                 if hi - lo <= width_tol:
                     break
-        # Written so that a NaN width (a NaN lane) raises too.
-        if not hi - lo <= width_tol:
-            raise IllConditionedError("implicit update bisection did not converge")
         out.append(0.5 * (lo + hi))
     return out
 
@@ -328,7 +327,6 @@ def run_lanes(
     *,
     noise: Optional[np.ndarray] = None,
     record: int = 0,
-    on_step: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> LaneRun:
     """Advance independent runs of one algorithm in lockstep over t, each at
     every step constant in c: lane j * len(runs) + r is run r at c[j].
@@ -346,9 +344,6 @@ def run_lanes(
     The first record runs, each at least as long as every other run, get
     their responses psi(x'theta) at each pre-update iterate recorded
     (LaneRun.responses), from which the plug-in sums are taken.
-    on_step(t, lanes, theta, grad), when given, is called before each update
-    with the running lanes' indices, pre-update iterates and gradients, as
-    views that later steps overwrite.
     """
     if (noise is None) == (kind == AlgorithmKind.NOISY_TRUNCATED):
         raise ValueError("noise is required by noisy-truncated and consumed by nothing else")
@@ -382,7 +377,7 @@ def run_lanes(
     # Each step's t as a float, by which a block's iterates are divided.
     t_div = np.arange(1.0, longest + 1.0)[:, None, None] if avg is not None else None
     implicit = kind in (AlgorithmKind.IMPLICIT_LAST, AlgorithmKind.IMPLICIT_AVG)
-    need_grad = not implicit or n_record > 0 or on_step is not None
+    need_grad = not implicit or n_record > 0
     logistic = model_kind == ModelKind.LOGISTIC
     plain = kind in (AlgorithmKind.SGD, AlgorithmKind.ASGD)
 
@@ -440,7 +435,7 @@ def run_lanes(
         for end in sorted(set(lengths.tolist()) - {0}):
             active = int(np.count_nonzero(lengths >= end))
             th, r, G, W = th[:active], resid[:active], grad[:active], work[:active]
-            r_col, lanes = r[:, None], order[:active]
+            r_col = r[:, None]
             av = avg[:active] if avg is not None else None
             c_col, eta_col = c_lane[:active], eta_lane[:active]
             # Rows are gathered a block of steps at a time: X_b[k] holds what
@@ -473,8 +468,6 @@ def run_lanes(
                             _sigmoid_scalarwise(mu)
                         np.subtract(mu, yt, r)
                         np.multiply(r_col, Xt, G)
-                    if on_step is not None:
-                        on_step(t, lanes, th, G)
                     if plain:
                         np.subtract(th, np.multiply(eta, G, W), nxt)
                     else:

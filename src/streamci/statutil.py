@@ -111,13 +111,15 @@ def student_t_quantile(df: int, p: float) -> float:
 def spd_factorize(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L of a symmetric positive definite matrix.
 
-    Raises IllConditionedError when a pivot falls below SPD_PIVOT_RTOL times
-    the largest diagonal entry, which covers rank deficiency, loss of
-    positive definiteness, and near-singular conditioning in one signal.
+    Raises IllConditionedError on a non-finite entry, or when a pivot falls
+    below SPD_PIVOT_RTOL times the largest diagonal entry, which covers rank
+    deficiency, loss of positive definiteness and near-singular conditioning.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise IllConditionedError("matrix has a non-finite entry")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if not np.allclose(a, a.T, rtol=0.0, atol=1.0e-12 * max(scale, 1.0)):
         raise ValueError("matrix is not symmetric")

@@ -50,7 +50,7 @@ from streamci.harness import (
     write_summary_csv,
 )
 from streamci.infer import hulc_interval
-from streamci.model import CovarianceKind, DataPoint, Dataset, ModelKind, make_theta_star
+from streamci.model import CovarianceKind, DataPoint, Dataset, ModelKind, loss_grad, make_theta_star, population_hessian
 from streamci.optim import ALGORITHM_NAMES, AlgorithmKind, PolynomialStep, advance, init_state
 
 INF, NAN = float("inf"), float("nan")
@@ -757,6 +757,28 @@ class TestExpansionResidual:
         cfg = _cfg()
         assert expansion_residuals(cfg) == expansion_residuals(cfg)
 
+    def test_closed_form_matches_stepwise_sum(self):
+        # The residuals, taken from the pass's recorded responses, against
+        # init_state + advance from the same warm starts, summing
+        # xi_s = g_s - J(theta^(s-1) - theta_star) step by step.
+        cfg = _cfg(d=3, t=300, cov=CovarianceKind.TOEPLITZ, reps=3)
+        assert cfg.warm_start
+        spec, t = cfg.model_spec(), cfg.t
+        hess = population_hessian(spec)
+        X, y = _sample_reps(cfg, range(cfg.reps))
+        rows = [range(i * t, (i + 1) * t) for i in range(cfg.reps)]
+        theta0 = harness._initial_iterates(cfg, X, y, rows)
+        want = []
+        for i, run in enumerate(rows):
+            state, xi_sum = init_state(cfg.algorithm, theta0[i]), np.zeros(cfg.d)
+            for j in run:
+                p = DataPoint(X[j], float(y[j]))
+                xi_sum += loss_grad(cfg.model, state.theta, p) - hess @ (state.theta - spec.theta_star)
+                advance(state, PolynomialStep(cfg.c_grid[0], cfg.gamma), cfg.model, p)
+            rem = math.sqrt(t) * (state.avg - spec.theta_star) + np.linalg.solve(hess, xi_sum) / math.sqrt(t)
+            want.append(math.sqrt(rem @ hess @ rem))
+        assert_allclose(expansion_residuals(cfg), want, rtol=1e-10, atol=0.0)
+
     def test_lanes_match_one_replication_at_a_time(self, monkeypatch):
         # All replications in one pass, or two replications per chunk, give
         # the residuals of separate single-replication passes bit for bit.
@@ -915,6 +937,24 @@ class TestCli:
         text = (tmp_path / "rows.csv.manifest.json").read_text()
         kept = [line for line in text.splitlines(keepends=True) if '"wall_clock_seconds"' not in line]
         assert "".join(kept) == (DATA / f"{name}.txt").read_text()
+
+    @pytest.mark.parametrize("flags, nonfinite", [
+        *((dict(algo=name, c="1e30"), {"hulc", "tstat", "plugin"} if name == "asgd" else {"hulc", "tstat"})
+          for name in ALGORITHM_NAMES),
+        (dict(algo="sgd", c="1e6"), {"tstat"}),
+        (dict(model="logistic", c="1.7e308", reps="3"), {"hulc", "tstat"}),
+    ], ids=[*(f"linear-{name}-1e30" for name in ALGORITHM_NAMES), "linear-sgd-1e6", "logistic-asgd-1.7e308"])
+    def test_divergent_lanes_end_as_counted_rows(self, tmp_path, flags, nonfinite):
+        # Under warnings as errors: no lane's inf or NaN aborts the run or
+        # warns. The manifest counts the non-finite rows of the methods that
+        # show them; the logistic plug-in's non-finite J makes its rows
+        # unavailable, which are not counted.
+        out = tmp_path / "rows.csv"
+        assert run_cli(self._argv(out, d="3", t="200", **flags)) == EXIT_OK
+        counts = json.loads((tmp_path / "rows.csv.manifest.json").read_text())["rows_nonfinite"]
+        assert {method for method, n in counts.items() if n > 0} == nonfinite
+        if flags.get("model") == "logistic":
+            assert [line.split(",")[-1] for line in out.read_text().splitlines() if ",plugin," in line] == ["1"] * 9
 
     def test_bad_flag_value_exits_config(self, tmp_path, capsys):
         argv = self._argv(tmp_path / "x.csv")

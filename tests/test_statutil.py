@@ -168,6 +168,16 @@ class TestSpdFactorize:
         with pytest.raises(IllConditionedError):
             spd_factorize(np.array([[-1.0, 0.0], [0.0, -2.0]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_is_ill_conditioned(self, value):
+        # A diverged pass's J holds inf or NaN: unavailable, as a singular J
+        # is, on the diagonal or in a symmetric off-diagonal pair.
+        for i, j in [(0, 0), (1, 1), (0, 1)]:
+            a = np.array([[4.0, 2.0], [2.0, 5.0]])
+            a[i, j] = a[j, i] = value
+            with pytest.raises(IllConditionedError):
+                spd_factorize(a)
+
     def test_asymmetric_raises(self):
         with pytest.raises(ValueError):
             spd_factorize(np.array([[1.0, 0.5], [0.0, 1.0]]))
