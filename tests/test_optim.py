@@ -778,6 +778,22 @@ class TestRunLanes:
             assert _bits(run.estimates[0, r]) == _bits(_declared_estimate(state)), r
             assert _bits(run.responses[0, r]) == _bits(responses), r
 
+    @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
+    def test_nan_lane_diverges_implicit_bisection(self, model_kind):
+        # The bisection never brackets a NaN fixed point; the solver returns a
+        # NaN step instead of raising, and in the kernel only that lane ends
+        # NaN while the finite lane beside it runs as it would alone.
+        X = np.array([[1.0, 0.5], [1.0, -1.0]])
+        y = np.array([1.0, 0.0])
+        theta0 = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        (s,) = _implicit_steps(model_kind, [float(X[0] @ theta0[1])], [float(X[0] @ X[0])], [float(y[0])], [0.5])
+        assert math.isnan(s)
+        kind = AlgorithmKind("implicit-last")
+        run = run_lanes(kind, model_kind, X, y, [range(2)] * 2, theta0, [0.5], 0.505)
+        alone = run_lanes(kind, model_kind, X, y, [range(2)], theta0[:1], [0.5], 0.505)
+        assert np.isnan(run.estimates[0, 1]).all()
+        assert _bits(run.estimates[0, 0]) == _bits(alone.estimates[0, 0])
+
     def test_noise_required_only_by_noisy_truncated(self):
         X, y = np.ones((3, 2)), np.zeros(3)
         with pytest.raises(ValueError):
