@@ -115,17 +115,10 @@ class OptimizerState:
     rng: Optional[RngStream]
 
 
-def _check_rng(kind: AlgorithmKind, rng: Optional[RngStream]) -> None:
-    if kind == AlgorithmKind.NOISY_TRUNCATED:
-        if rng is None:
-            raise ValueError("noisy-truncated requires an rng for its injected noise")
-    elif rng is not None:
-        raise ValueError(f"rng is only consumed by noisy-truncated, not {kind.value!r}")
-
-
 def init_state(kind: AlgorithmKind, theta0: np.ndarray, *, rng: Optional[RngStream] = None) -> OptimizerState:
+    if (rng is None) == (kind == AlgorithmKind.NOISY_TRUNCATED):
+        raise ValueError("an rng is required by noisy-truncated and consumed by nothing else")
     theta0 = np.asarray(theta0, dtype=float).copy()
-    _check_rng(kind, rng)
     return OptimizerState(
         kind=kind,
         t=0,
@@ -243,10 +236,10 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
     name = state.kind.value
 
     if name in ("sgd", "asgd"):
-        theta_new = theta - eta * loss_grad(model_kind, theta, p)
+        step = eta * loss_grad(model_kind, theta, p)
     elif name in ("implicit-last", "implicit-avg"):
         (s,) = _implicit_steps(model_kind, [float(p.x @ theta)], [float(p.x @ p.x)], [p.y], [eta])
-        theta_new = theta - s * p.x
+        step = s * p.x
     elif name == "root":
         g = loss_grad(model_kind, theta, p)
         if t == 1:
@@ -255,14 +248,13 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
             v = g + _root_weight(t) * (state.v - loss_grad(model_kind, state.prev_theta, p))
         state.v = v
         state.prev_theta = theta
-        theta_new = theta - eta * v
-    elif name in ("truncated", "noisy-truncated"):
+        step = eta * v
+    else:  # truncated, noisy-truncated
         _, g_trunc = gradient_truncate(loss_grad(model_kind, theta, p), TRUNCATION_EPS2)
-        theta_new = theta - eta * g_trunc
-        if state.rng is not None:  # noisy-truncated: _check_rng gives only it an rng
-            theta_new += (NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)) * state.rng.standard_normal(theta.shape[0])
-    else:
-        raise ValueError(f"unknown algorithm {name!r}")
+        step = eta * g_trunc
+    theta_new = theta - step
+    if state.rng is not None:  # noisy-truncated: init_state gives only it an rng
+        theta_new += (NOISE_SIGMA * eta ** (0.5 + NOISE_BETA)) * state.rng.standard_normal(theta.shape[0])
 
     state.t = t
     state.theta = theta_new
@@ -291,10 +283,10 @@ def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
     a stable sort of the squares and a sequential (cumsum) scan."""
     n, d = G.shape
     sq = G * G
-    total = sq.sum(axis=1)
+    total = np.add.reduce(sq, axis=1)
     # The stable order of -g^2 in each row, as indices into the flattened
     # (row-major) squares and magnitudes.
-    flat = np.argsort(-sq, axis=1, kind="stable")
+    flat = (-sq).argsort(axis=1, kind="stable")
     row_offsets = np.arange(0, n * d, d)
     flat += row_offsets[:, None]
     target = (1.0 - eps2) * total
@@ -304,7 +296,7 @@ def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
     # is never formed.
     reached = np.empty(G.shape, dtype=bool)
     reached[:, 0] = target <= 0.0
-    np.greater_equal(np.cumsum(sq.ravel()[flat[:, :-2]], axis=1), target[:, None], out=reached[:, 1:-1])
+    np.greater_equal(sq.ravel()[flat[:, :-2]].cumsum(axis=1), target[:, None], out=reached[:, 1:-1])
     reached[:, -1] = True
     # |G| is taken after the scan, so that it is not live beside the scan's
     # arrays: at 133 x 100 the larger peak made malloc trim and refault the
@@ -377,54 +369,21 @@ def run_lanes(
     # Each step's t as a float, by which a block's iterates are divided.
     t_div = np.arange(1.0, longest + 1.0)[:, None, None] if avg is not None else None
     implicit = kind in (AlgorithmKind.IMPLICIT_LAST, AlgorithmKind.IMPLICIT_AVG)
+    root = kind == AlgorithmKind.ROOT
     need_grad = not implicit or n_record > 0
     logistic = model_kind == ModelKind.LOGISTIC
     plain = kind in (AlgorithmKind.SGD, AlgorithmKind.ASGD)
-
-    # The update of the other algorithms, chosen once and called by the loop
-    # below with the step's t, eta, iterates, rows, targets and extra row
-    # (||x||^2 for the implicit lanes, the noise for noisy-truncated). It
-    # reads the phase's gradients G and work array W and the step's decay,
-    # and writes the new iterates to nxt, which is th itself unless the
-    # average needs them.
-    if implicit:
-        def update(t, eta, th, nxt, Xt, yt, nx2):
-            lane_eta = [eta] * active if single else eta[:, 0].tolist()
-            s = _implicit_steps(model_kind, np.vecdot(Xt, th).tolist(), nx2.tolist(), yt.tolist(), lane_eta)
-            np.subtract(th, np.array(s)[:, None] * Xt, nxt)
-    elif kind == AlgorithmKind.ROOT:
+    single = len(c) == 1
+    if root:
         # The correction v, the previous iterates, and their residuals and
         # gradients at this step's rows.
-        v, prev, r_prev, g_prev = np.zeros_like(theta), theta.copy(), np.empty(len(order)), np.empty_like(theta)
-
-        def update(t, eta, th, nxt, Xt, yt, _):
-            va = v[:active]
-            if t == 1:
-                va[...] = G
-            else:
-                # v = G + w_t * (v - G_prev), each term written to a buffer.
-                rp, gp = r_prev[:active], g_prev[:active]
-                np.vecdot(Xt, prev[:active], rp)
-                if logistic:
-                    _sigmoid_scalarwise(rp)
-                np.multiply(np.subtract(rp, yt, rp)[:, None], Xt, gp)
-                np.multiply(_root_weight(t), np.subtract(va, gp, gp), gp)
-                np.add(G, gp, va)
-            prev[:active] = th
-            np.subtract(th, np.multiply(eta, va, W), nxt)
-    elif kind in (AlgorithmKind.TRUNCATED, AlgorithmKind.NOISY_TRUNCATED):
-        # noisy-truncated adds its noise row, scaled by a Python ** of each
-        # c value's step size c[j] * decay (the lanes' eta, bit for bit),
+        root_bufs = np.zeros_like(theta), theta.copy(), np.empty(len(order)), np.empty_like(theta)
+    if noise is not None:
+        # noisy-truncated's noise row is scaled by a Python ** of each c
+        # value's step size c[j] * decay (the lanes' eta, bit for bit),
         # gathered to the lanes by their c index.
-        c_values, c_index = np.asarray(c, dtype=float).tolist(), order // n_runs
+        c_values, c_index = np.asarray(c, dtype=float).tolist(), (order // n_runs)[:, None]
 
-        def update(t, eta, th, nxt, Xt, yt, noise_t):
-            np.subtract(th, eta * _truncate_rows(G, TRUNCATION_EPS2), nxt)
-            if noise_t is not None:
-                scale = [NOISE_SIGMA * (cj * decay) ** (0.5 + NOISE_BETA) for cj in c_values]
-                nxt += (scale[0] if single else np.array(scale)[c_index[:active], None]) * noise_t
-
-    single = len(c) == 1
     t0 = 1
     th = theta
     # Divergent lanes overflow to inf and NaN; they stay in the results, where
@@ -438,6 +397,8 @@ def run_lanes(
             r_col = r[:, None]
             av = avg[:active] if avg is not None else None
             c_col, eta_col = c_lane[:active], eta_lane[:active]
+            if root:
+                v, prev, r_prev, g_prev = (buf[:active] for buf in root_bufs)
             # Rows are gathered a block of steps at a time: X_b[k] holds what
             # the running lanes read at step first + k. Step k writes its
             # responses to mu_b[k] and, when the average needs them, its new
@@ -451,9 +412,9 @@ def run_lanes(
                 X_b, y_b = X[at], y[at]
                 nxt_b = it_b if av is not None else repeat(th)
                 aux_b = np.vecdot(X_b, X_b) if implicit else noise[at] if noise is not None else repeat(None)
-                # A step makes only numpy calls, except for the update of
-                # the five algorithms other than sgd and asgd and, on the
-                # logistic model, the sigmoid.
+                # A step makes only numpy calls, except for the implicit
+                # solve, root's weight, the truncation, noisy-truncated's
+                # noise scale and, on the logistic model, the sigmoid.
                 for t, Xt, yt, mu, nxt, aux in zip(steps, X_b, y_b, mu_b, nxt_b, aux_b):
                     # One Python ** per step (numpy's rounds differently),
                     # times each c: step_size's arithmetic. float(t) is t exactly.
@@ -471,7 +432,32 @@ def run_lanes(
                     if plain:
                         np.subtract(th, np.multiply(eta, G, W), nxt)
                     else:
-                        update(t, eta, th, nxt, Xt, yt, aux)
+                        # The other rules write their step to W; nxt is th
+                        # itself unless the average needs the new iterates.
+                        if implicit:
+                            lane_eta = [eta] * active if single else eta[:, 0].tolist()
+                            s = _implicit_steps(model_kind, np.vecdot(Xt, th).tolist(), aux.tolist(), yt.tolist(),
+                                                lane_eta)
+                            np.multiply(np.array(s)[:, None], Xt, W)
+                        elif root:
+                            if t == 1:
+                                v[...] = G
+                            else:
+                                # v = G + w_t * (v - G_prev), each term written to a buffer.
+                                np.vecdot(Xt, prev, r_prev)
+                                if logistic:
+                                    _sigmoid_scalarwise(r_prev)
+                                np.multiply(np.subtract(r_prev, yt, r_prev)[:, None], Xt, g_prev)
+                                np.multiply(_root_weight(t), np.subtract(v, g_prev, g_prev), g_prev)
+                                np.add(G, g_prev, v)
+                            prev[...] = th
+                            np.multiply(eta, v, W)
+                        else:
+                            np.multiply(eta, _truncate_rows(G, TRUNCATION_EPS2), W)
+                        np.subtract(th, W, nxt)
+                        if noise is not None:
+                            scale = [NOISE_SIGMA * (cj * decay) ** (0.5 + NOISE_BETA) for cj in c_values]
+                            nxt += (scale[0] if single else np.array(scale)[c_index[:active]]) * aux
                     th = nxt
                 # The block's steps, as columns of mu_rec and rows of t_div;
                 # the recorded lanes, being the longest, run in every phase.

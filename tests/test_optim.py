@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 from collections import Counter
 from importlib import resources
@@ -722,37 +723,56 @@ class TestRunLanes:
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_step_makes_no_python_call(self, model_kind):
-        """An asgd pass makes as many Python-level calls at 2,000 steps as at
-        200: a step makes only numpy calls, but for the logistic sigmoid
-        (_sigmoid_scalarwise and its comprehension). Two recorded runs,
-        uneven bucket runs and two step constants, over several blocks."""
+        """Per algorithm, the Python-level calls of the package's own code
+        that a pass makes at 2,000 steps beyond those at 200: sgd and asgd
+        make only numpy calls, each other rule calls its one helper, and the
+        logistic model adds the sigmoid (_sigmoid_scalarwise and its
+        comprehension), twice for root. numpy's own Python wrappers are not
+        counted. Two recorded runs, uneven bucket runs and two step
+        constants, over several blocks."""
+        package = os.path.dirname(optim.__file__) + os.sep
 
-        def calls(t):
+        def calls(name, t):
             rng = np.random.default_rng(37)
             X = rng.standard_normal((2 * t, 3))
             y = X @ np.linspace(0.0, 1.0, 3) if model_kind == ModelKind.LINEAR else rng.integers(0, 2, 2 * t) * 1.0
+            noise = rng.standard_normal((2 * t, 3)) if name == "noisy-truncated" else None
             rows = [range(t), range(t, 2 * t), range(0, 2 * t, 3)[:t // 3 + 1], range(1, 2 * t, 3)[:t // 3],
                     range(2, t, 4)]
             counts = Counter()
 
             def profile(frame, event, arg):
-                if event == "call":
+                if event == "call" and frame.f_code.co_filename.startswith(package):
                     counts[frame.f_code.co_name] += 1
 
             previous = sys.getprofile()
             sys.setprofile(profile)
             try:
-                run_lanes(AlgorithmKind.ASGD, model_kind, X, y, rows, np.zeros(3), [0.5, 0.1], 0.505, record=2)
+                run_lanes(AlgorithmKind(name), model_kind, X, y, rows, np.zeros(3), [0.5, 0.1], 0.505, noise=noise,
+                          record=2)
             finally:
                 sys.setprofile(previous)
             return counts
 
-        short, long = calls(200), calls(2000)
-        grown = {name: long[name] - short[name] for name in long | short if long[name] != short[name]}
-        if model_kind == ModelKind.LINEAR:
-            assert grown == {}
-        else:
-            assert grown == {"_sigmoid_scalarwise": 1800, "<listcomp>": 1800}
+        grown = {}
+        for name in ALGORITHM_NAMES:
+            short, long = calls(name, 200), calls(name, 2000)
+            grown[name] = {f: long[f] - short[f] for f in long | short if long[f] != short[f]}
+        want = {
+            "sgd": {},
+            "asgd": {},
+            "implicit-last": {"_implicit_steps": 1800},
+            "implicit-avg": {"_implicit_steps": 1800},
+            "root": {"_root_weight": 1800},
+            "truncated": {"_truncate_rows": 1800},
+            "noisy-truncated": {"_truncate_rows": 1800, "<listcomp>": 1800},
+        }
+        if model_kind == ModelKind.LOGISTIC:
+            for name, funcs in want.items():
+                sigmoid = 3600 if name == "root" else 1800
+                funcs["_sigmoid_scalarwise"] = sigmoid
+                funcs["<listcomp>"] = funcs.get("<listcomp>", 0) + sigmoid
+        assert grown == want
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
