@@ -25,7 +25,7 @@ import numpy as np
 
 from .infer import IntervalSet, hulc_batch_count, hulc_interval, plugin_interval, tstat_interval, wald_offline
 from .model import CovarianceKind, Dataset, ModelKind, ModelSpec, covariance_factor, population_hessian, sample_dataset
-from .optim import NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes, warm_lanes
+from .optim import NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes
 from .statutil import IllConditionedError, RngStream, spd_factorize, spd_solve
 
 __all__ = [
@@ -53,7 +53,9 @@ ROLE_HULC_U = 1
 ROLE_NOISE_BUCKET = 8  # + bucket index
 STREAM_SPACING = 1 << 20
 
-# The warm start consumes the first 1/WARM_FRACTION of the stream it seeds.
+# The warm start is sgd from the origin at the constant step WARM_START_STEP
+# over the first 1/WARM_FRACTION of the rows of the run it seeds.
+WARM_START_STEP = 0.001
 WARM_FRACTION = 3
 
 # A task steps a chunk of replications together; what it holds, _rep_floats
@@ -244,7 +246,9 @@ def _initial_iterates(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, runs:
     """Starting point of every run: a warm start over the first
     1/WARM_FRACTION of the run's rows, or the origin."""
     if cfg.warm_start:
-        return warm_lanes(cfg.model, X, y, [r[: len(r) // WARM_FRACTION] for r in runs])
+        warm_rows = [r[: len(r) // WARM_FRACTION] for r in runs]
+        warm = run_lanes(AlgorithmKind.SGD, cfg.model, X, y, warm_rows, np.zeros(cfg.d), [WARM_START_STEP], 0.0)
+        return warm.estimates[0]
     return np.zeros(cfg.d)
 
 

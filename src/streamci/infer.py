@@ -10,12 +10,12 @@ are per coordinate at a shared level alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import Dataset, ModelKind, loss_grad, loss_hessian, sigmoid
+from .model import Dataset, ModelKind, sigmoid
 from .statutil import (
     IllConditionedError,
     normal_quantile,
@@ -26,11 +26,9 @@ from .statutil import (
 
 __all__ = [
     "IntervalSet",
-    "PluginAccumulator",
     "hulc_batch_count",
     "hulc_interval",
     "plugin_interval",
-    "plugin_update",
     "sandwich_inverse",
     "tstat_interval",
     "wald_offline",
@@ -113,33 +111,6 @@ def tstat_interval(estimates: np.ndarray, alpha: float) -> IntervalSet:
     return IntervalSet(center - half, center + half, center)
 
 
-@dataclass
-class PluginAccumulator:
-    """Streaming sums for the sandwich estimate, evaluated at the pre-update
-    iterate of each step: J_sum accumulates per-observation Hessians, V_sum
-    outer products of per-observation gradients."""
-
-    d: int
-    t: int = 0
-    J_sum: np.ndarray = field(init=False)
-    V_sum: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be at least 1, got {self.d}")
-        self.J_sum = np.zeros((self.d, self.d))
-        self.V_sum = np.zeros((self.d, self.d))
-
-
-def plugin_update(acc: PluginAccumulator, kind: ModelKind, theta_prev: np.ndarray, p) -> PluginAccumulator:
-    """Fold one observation into the sandwich sums, in place."""
-    g = loss_grad(kind, theta_prev, p)
-    acc.J_sum += loss_hessian(kind, theta_prev, p)
-    acc.V_sum += np.outer(g, g)
-    acc.t += 1
-    return acc
-
-
 def sandwich_inverse(J: np.ndarray) -> np.ndarray:
     """J^-1 through the Cholesky factor of J; raises IllConditionedError
     when J is not finite or numerically singular."""
@@ -157,10 +128,11 @@ def _sandwich_interval(j_inv: np.ndarray, V: np.ndarray, t: int, center: np.ndar
 
 def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum over t of outer(a[t], a[t]), each term scaled by w[t] when w is
-    given, bit for bit the loop out += outer(a[t], a[t]) * w[t] of
-    plugin_update: numpy's einsum loop (no optimize) adds the terms in t
-    order, each with its own multiply and add. a has at least two columns:
-    with one, einsum would sum t in an unrolled loop instead.
+    given, bit for bit the loop out += outer(a[t], a[t]) * w[t] of the
+    plug-in oracle in tests/plugin_oracle.py: numpy's einsum loop (no
+    optimize) adds the terms in t order, each with its own multiply and
+    add. a has at least two columns: with one, einsum would sum t in an
+    unrolled loop instead.
 
     Only the upper triangle is summed, in row blocks of _OUTER_SUM_BLOCK
     rows: block [i0, i1) takes the same einsum over columns i0 onwards, and
@@ -190,7 +162,7 @@ def plugin_interval(
 ) -> list[Optional[IntervalSet]]:
     """Sandwich intervals of passes over the t observations x, y: pass p has
     responses mu[p] = psi(x'theta) at its pre-update iterates and averaged
-    iterate center[p], and its sums are a PluginAccumulator's, bit for bit.
+    iterate center[p], and its sums are tests/plugin_oracle.py's, bit for bit.
     None marks a pass whose J is not finite or numerically singular. The
     linear J does not depend on the iterate, so all passes share one J."""
     t = len(x)

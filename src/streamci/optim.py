@@ -5,8 +5,8 @@ the last iterate; averaged variants report the mean, the rest the final
 iterate, and run_lanes keeps the average only where it is the estimate.
 
 run_lanes advances many independent runs in lockstep and is what the
-harness calls; warm_lanes is its fixed-step burn-in. The per-observation
-init_state + advance is the reference it matches bit for bit.
+harness calls. The per-observation init_state + advance is the reference it
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -31,17 +31,12 @@ __all__ = [
     "OptimizerState",
     "PolynomialStep",
     "TRUNCATION_EPS2",
-    "WARM_START_STEP",
     "advance",
     "gradient_truncate",
     "init_state",
     "run_lanes",
     "step_size",
-    "warm_lanes",
 ]
-
-# Fixed step size of the SGD burn-in used to initialize every algorithm.
-WARM_START_STEP = 0.001
 
 # Squared truncation level of the truncated variants: the truncation drops
 # at most this fraction of the squared gradient norm.
@@ -473,10 +468,3 @@ def run_lanes(
             t0 = end + 1
     estimates = (theta if avg is None else avg)[np.argsort(order)]
     return LaneRun(estimates.reshape(len(c), n_runs, d), mu_rec.reshape(len(c), record, longest))
-
-
-def warm_lanes(model_kind: ModelKind, X: np.ndarray, y: np.ndarray, runs: Sequence[range]) -> np.ndarray:
-    """Fixed-step SGD burn-in from the origin for every run; (len(runs), d)
-    iterates. A run with no rows stays at the origin."""
-    zeros = np.zeros(X.shape[1])
-    return run_lanes(AlgorithmKind.SGD, model_kind, X, y, runs, zeros, [WARM_START_STEP], 0.0).estimates[0]

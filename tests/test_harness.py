@@ -51,7 +51,7 @@ from streamci.harness import (
 )
 from streamci.infer import hulc_interval
 from streamci.model import CovarianceKind, DataPoint, Dataset, ModelKind, loss_grad, make_theta_star, population_hessian
-from streamci.optim import ALGORITHM_NAMES, AlgorithmKind, PolynomialStep, advance, init_state
+from streamci.optim import ALGORITHM_NAMES, AlgorithmKind, PolynomialStep, advance, init_state, run_lanes
 
 INF, NAN = float("inf"), float("nan")
 DATA = Path(__file__).resolve().parent / "data"
@@ -1037,10 +1037,15 @@ class TestCli:
         assert run_cli(argv) == EXIT_OK
 
     def test_no_warm_start_runs_from_the_origin(self, tmp_path, monkeypatch):
-        # With --no-warm-start no burn-in runs: each HulC bucket's estimate
-        # is a per-observation sgd pass from the origin over its rows.
-        def refuse(*args):
-            raise AssertionError("warm_lanes ran")
+        # With --no-warm-start no burn-in runs: the one chunk makes one
+        # run_lanes pass, at the grid's step constants, not two, and each
+        # HulC bucket's estimate is a per-observation sgd pass from the
+        # origin over its rows.
+        passes = []
+
+        def count(*args, **kwargs):
+            passes.append(list(args[6]))
+            return run_lanes(*args, **kwargs)
 
         buckets = []
 
@@ -1048,13 +1053,14 @@ class TestCli:
             buckets.append(estimates.copy())
             return hulc_interval(estimates)
 
-        monkeypatch.setattr(harness, "warm_lanes", refuse)
+        monkeypatch.setattr(harness, "run_lanes", count)
         monkeypatch.setattr(harness, "hulc_interval", capture)
         argv = self._argv(tmp_path / "rows.csv", methods="hulc") + ["--no-warm-start"]
         argv[argv.index("asgd")] = "sgd"
         argv[argv.index("--c") + 1] = "0.5,2.0"
         argv[argv.index("--reps") + 1] = "1"
         assert run_cli(argv) == EXIT_OK
+        assert passes == [[0.5, 2.0]]
         cfg = _cfg(algorithm="sgd", c_grid=(0.5, 2.0), reps=1)
         X, y = _sample_reps(cfg, [0])
         assert len(buckets) == len(cfg.c_grid)

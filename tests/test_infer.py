@@ -12,21 +12,20 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import optimize, stats
 
+from plugin_oracle import plugin_sums
 from streamci.infer import (
     IntervalSet,
-    PluginAccumulator,
+    _ordered_outer_sum,
     _sandwich_interval,
     hulc_batch_count,
     hulc_interval,
     plugin_interval,
-    plugin_update,
     sandwich_inverse,
     tstat_interval,
     wald_offline,
 )
 from streamci.model import (
     CovarianceKind,
-    DataPoint,
     Dataset,
     ModelKind,
     ModelSpec,
@@ -155,34 +154,33 @@ class TestBucketIntervals:
 
 
 class TestPlugin:
-    def test_accumulator_validation(self):
-        with pytest.raises(ValueError):
-            PluginAccumulator(0)
-        acc = PluginAccumulator(2)
-        assert acc.t == 0 and np.all(acc.J_sum == 0.0) and np.all(acc.V_sum == 0.0)
-
     def test_linear_updates(self):
-        # Linear-model curvature is x x' regardless of theta; the gradient
-        # outer product at residual 1 is also x x'.
-        acc = PluginAccumulator(2)
-        p = DataPoint(np.array([1.0, 2.0]), -1.0)
-        plugin_update(acc, ModelKind.LINEAR, np.zeros(2), p)
-        assert_array_equal(acc.J_sum, [[1.0, 2.0], [2.0, 4.0]])
-        assert_array_equal(acc.V_sum, [[1.0, 2.0], [2.0, 4.0]])
-        assert acc.t == 1
-        other = PluginAccumulator(2)
-        plugin_update(other, ModelKind.LINEAR, np.array([5.0, -3.0]), p)
-        assert_array_equal(other.J_sum, acc.J_sum)
+        # Linear-model curvature is x x' whatever the iterate, and so is the
+        # gradient outer product at residual -1 or 1. Two passes at other
+        # iterates with those residuals share J = V = X'X / t, and both
+        # intervals are center +/- z * sqrt(diag((X'X)^-1)); here X'X is
+        # [[2, 1], [1, 5]], with inverse [[5, -1], [-1, 2]] / 9.
+        X = np.array([[1.0, 2.0], [1.0, -1.0]])
+        y = np.array([1.0, -1.0])
+        mu = np.array([[0.0, 0.0], [2.0, -2.0]])
+        got = plugin_interval(ModelKind.LINEAR, X, y, mu, np.zeros((2, 2)), 0.05)
+        half = 1.959963984540054 * np.sqrt([5.0 / 9.0, 2.0 / 9.0])
+        for iv in got:
+            assert_allclose(iv.hi, half, rtol=1e-12)
+            assert_allclose(iv.lo, -half, rtol=1e-12)
 
     def test_sums_stay_psd_along_run(self):
+        # The sums plugin_interval forms, over a logistic sample with a
+        # random pre-update iterate per step, are PSD after every step.
         spec = ModelSpec(ModelKind.LOGISTIC, 3, CovarianceKind.TOEPLITZ)
         data = sample_dataset(spec, covariance_factor(spec), RngStream(32, 0), 100)
-        rng = np.random.default_rng(32)
-        acc = PluginAccumulator(3)
-        for p in data:
-            plugin_update(acc, ModelKind.LOGISTIC, rng.standard_normal(3), p)
-            assert np.linalg.eigvalsh(acc.J_sum).min() >= -1e-10
-            assert np.linalg.eigvalsh(acc.V_sum).min() >= -1e-10
+        thetas = np.random.default_rng(32).standard_normal((100, 3))
+        mu = sigmoid(np.einsum("ti,ti->t", data.X, thetas))
+        for t in range(1, 101):
+            J_sum = _ordered_outer_sum(data.X[:t], mu[:t] * (1.0 - mu[:t]))
+            V_sum = _ordered_outer_sum((mu[:t] - data.y[:t])[:, None] * data.X[:t])
+            assert np.linalg.eigvalsh(J_sum).min() >= -1e-10
+            assert np.linalg.eigvalsh(V_sum).min() >= -1e-10
 
     @staticmethod
     def _interval(J, V, t, center):
@@ -218,25 +216,24 @@ class TestPluginInterval:
     @staticmethod
     def _passes(model_kind, X, y, n_passes, seed):
         """Per pass, the responses psi(x'theta) along a random walk of
-        pre-update iterates, and the PluginAccumulator of that walk."""
+        pre-update iterates, and the oracle's plug-in sums over that walk."""
         t, d = X.shape
         rng = np.random.default_rng(seed)
-        mu, accs = np.empty((n_passes, t)), []
+        mu, sums = np.empty((n_passes, t)), []
         for p in range(n_passes):
-            theta = 0.3 * rng.standard_normal(d)
-            acc = PluginAccumulator(d)
+            theta, thetas = 0.3 * rng.standard_normal(d), []
             for s in range(t):
+                thetas.append(theta)
                 mu[p, s] = _mean_response(model_kind, float(X[s] @ theta))
-                plugin_update(acc, model_kind, theta, DataPoint(X[s], float(y[s])))
                 theta = theta + 0.01 * rng.standard_normal(d)
-            accs.append(acc)
-        return mu, accs
+            sums.append(plugin_sums(model_kind, thetas, X, y))
+        return mu, sums
 
     @pytest.mark.parametrize("d", [2, 5, 100])
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_matches_accumulator_intervals(self, model_kind, d):
         """Three passes over the same rows: each pass's interval is the one
-        its PluginAccumulator's sums give, bit for bit."""
+        the oracle's sums give, bit for bit."""
         t = 300
         rng = np.random.default_rng(d)
         X = rng.standard_normal((t, d)) / math.sqrt(d)
@@ -244,12 +241,12 @@ class TestPluginInterval:
             y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(t)
         else:
             y = (rng.uniform(size=t) < 0.5).astype(float)
-        mu, accs = self._passes(model_kind, X, y, 3, d)
+        mu, sums = self._passes(model_kind, X, y, 3, d)
         centers = rng.standard_normal((3, d))
         got = plugin_interval(model_kind, X, y, mu, centers, 0.05)
         assert len(got) == 3
-        for iv, acc, center in zip(got, accs, centers):
-            want = _sandwich_interval(sandwich_inverse(acc.J_sum / t), acc.V_sum / t, t, center, 0.05)
+        for iv, (J_sum, V_sum), center in zip(got, sums, centers):
+            want = _sandwich_interval(sandwich_inverse(J_sum / t), V_sum / t, t, center, 0.05)
             assert iv.lo.tobytes() == want.lo.tobytes()
             assert iv.hi.tobytes() == want.hi.tobytes()
 

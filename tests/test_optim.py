@@ -30,13 +30,14 @@ from streamci.model import (
     make_theta_star,
     sample_dataset,
 )
-from streamci.infer import PluginAccumulator, _ordered_outer_sum, plugin_update
+from plugin_oracle import plugin_sums
+from streamci.harness import WARM_FRACTION, WARM_START_STEP, ExperimentConfig, _initial_iterates
+from streamci.infer import _ordered_outer_sum
 from streamci import optim
 from streamci.optim import (
     ALGORITHM_NAMES,
     NOISE_BETA,
     NOISE_SIGMA,
-    WARM_START_STEP,
     AlgorithmKind,
     PolynomialStep,
     IMPLICIT_MAX_ITER,
@@ -48,7 +49,6 @@ from streamci.optim import (
     init_state,
     run_lanes,
     step_size,
-    warm_lanes,
 )
 from streamci.statutil import IllConditionedError, RngStream
 
@@ -140,36 +140,51 @@ class TestInitState:
 
 
 class TestWarmStart:
+    """The harness's burn-in: sgd from the origin at WARM_START_STEP over the
+    first 1/WARM_FRACTION of each run's rows."""
+
+    @staticmethod
+    def _warm(model_kind, X, y, runs):
+        cfg = ExperimentConfig(model_kind, X.shape[1], 1000, CovarianceKind.IDENTITY, "sgd", (0.5,))
+        return _initial_iterates(cfg, X, y, runs)
+
     def test_empty_stream_is_origin(self):
-        out = warm_lanes(ModelKind.LINEAR, np.zeros((0, 4)), np.zeros(0), [range(0)])
-        assert_array_equal(out[0], np.zeros(4))
+        # Runs of fewer than WARM_FRACTION rows have no warm row.
+        runs = [range(0), range(WARM_FRACTION - 1), range(5, 5 + WARM_FRACTION - 1)]
+        out = self._warm(ModelKind.LINEAR, np.ones((8, 4)), np.ones(8), runs)
+        assert_array_equal(out, np.zeros((3, 4)))
 
     def test_three_step_recursion(self):
-        # theta <- theta - 0.001 * (theta - 1) starting from 0.
-        out = warm_lanes(ModelKind.LINEAR, np.ones((3, 1)), np.ones(3), [range(3)])
-        assert_allclose(out[0], [0.002997001], atol=1e-9)
+        # theta <- theta - 0.001 * (theta - 1) starting from 0, on the
+        # intercept; the zero column stays at 0.
+        X = np.column_stack([np.ones(3 * WARM_FRACTION), np.zeros(3 * WARM_FRACTION)])
+        out = self._warm(ModelKind.LINEAR, X, np.ones(len(X)), [range(len(X))])
+        assert_allclose(out[0], [0.002997001, 0.0], atol=1e-9)
         assert WARM_START_STEP == 0.001
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     @pytest.mark.parametrize("d", [5, 100])
     def test_uneven_lanes_match_reference(self, model_kind, d):
-        # 13 lanes of uneven lengths, three of them empty, over strided rows
-        # as the harness's buckets read them: each is init_state + advance
-        # with the fixed warm-start step, bit for bit.
-        n = 400
+        # 13 lanes over strided rows as the harness's buckets read them, of
+        # 0 to 133 warm rows, three of them none: each is init_state +
+        # advance with the fixed warm-start step, bit for bit.
+        n = 800
         rng = np.random.default_rng(30 + d)
         X = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
         if model_kind == ModelKind.LINEAR:
             y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(n)
         else:
             y = (rng.uniform(size=n) < 0.5).astype(float)
-        lengths = [0, 37, 0, 133, 5, 1, 66, 133, 13, 0, 90, 2, 41]
-        rows = [range(lane % 3, n, 1 + lane % 3)[:length] for lane, length in enumerate(lengths)]
-        out = warm_lanes(model_kind, X, y, rows)
+        warm = [0, 37, 0, 133, 5, 1, 66, 133, 13, 0, 90, 2, 41]
+        runs = [
+            range(lane % 3, n, 1 + lane % 3)[: WARM_FRACTION * length + lane % WARM_FRACTION]
+            for lane, length in enumerate(warm)
+        ]
+        out = self._warm(model_kind, X, y, runs)
         sched = PolynomialStep(WARM_START_STEP, 0.0)
-        for lane_rows, got in zip(rows, out):
+        for run, length, got in zip(runs, warm, out):
             state = init_state(AlgorithmKind.SGD, np.zeros(d))
-            for i in lane_rows:
+            for i in run[:length]:
                 advance(state, sched, model_kind, DataPoint(X[i], float(y[i])))
             assert got.tobytes() == state.theta.tobytes()
 
@@ -513,17 +528,15 @@ class _RowNoise:
 
 def _reference_lane(kind, model_kind, X, y, rows, theta0, sched, noise):
     """The lane's final state, the responses psi(x'theta) at each pre-update
-    iterate, and the plug-in sums of plugin_update over the lane."""
+    iterate, and those iterates."""
     rng = _RowNoise(noise[list(rows)]) if noise is not None else None
     state = init_state(kind, theta0, rng=rng)
-    acc = PluginAccumulator(X.shape[1])
-    responses = []
+    thetas, responses = [], []
     for i in rows:
-        p = DataPoint(X[i], float(y[i]))
+        thetas.append(state.theta.copy())
         responses.append(_mean_response(model_kind, float(X[i] @ state.theta)))
-        plugin_update(acc, model_kind, state.theta, p)
-        advance(state, sched, model_kind, p)
-    return state, np.array(responses), acc
+        advance(state, sched, model_kind, DataPoint(X[i], float(y[i])))
+    return state, np.array(responses), thetas
 
 
 class TestRunLanes:
@@ -595,7 +608,7 @@ class TestRunLanes:
         # plug-in at d=100. Two recorded runs over different rows, the
         # longest, next to a shorter run that is not recorded, at two step
         # constants. The plug-in sums taken from the recorded responses, as
-        # infer.plugin_interval takes them, are plugin_update's.
+        # infer.plugin_interval takes them, are the per-observation oracle's.
         d, n = 100, 300
         rng = np.random.default_rng(11)
         X = rng.standard_normal((2 * n, d)) / np.sqrt(d)
@@ -609,16 +622,17 @@ class TestRunLanes:
         kind = AlgorithmKind("asgd")
         run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, record=2)
         for j, r in itertools.product(range(len(c)), range(2)):
-            state, responses, acc = _reference_lane(
+            state, responses, thetas = _reference_lane(
                 kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(c[j]), None
             )
             assert _bits(run.estimates[j, r]) == _bits(state.avg)
             m = run.responses[j, r]
             assert _bits(m) == _bits(responses)
             x, y_run = X[list(rows[r])], y[list(rows[r])]
+            J_sum, V_sum = plugin_sums(model_kind, thetas, x, y_run)
             weight = None if model_kind == ModelKind.LINEAR else m * (1.0 - m)
-            assert _bits(_ordered_outer_sum(x, weight)) == _bits(acc.J_sum)
-            assert _bits(_ordered_outer_sum((m - y_run)[:, None] * x)) == _bits(acc.V_sum)
+            assert _bits(_ordered_outer_sum(x, weight)) == _bits(J_sum)
+            assert _bits(_ordered_outer_sum((m - y_run)[:, None] * x)) == _bits(V_sum)
 
     def test_recorded_runs_must_be_the_longest(self):
         # The recorded runs lead and run to the last step; a recorded run

@@ -114,3 +114,46 @@ def test_every_private_name_is_read():
     read = set().union(*map(_reads, trees.values()))
     for name, tree in trees.items():
         assert [n for n in _private_names(tree) if n not in read] == [], name
+
+
+def _defines(node: ast.stmt, name: str) -> bool:
+    """Whether the module-level statement node defines name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _unread_exports(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name of every name in the __all__ of a module of trees that no
+    other module reads and that its own module reads only in its definition."""
+    found = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_reads(other) for m, other in trees.items() if m != module))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                for name in ast.literal_eval(node.value):
+                    own = set().union(*(_reads(n) for n in tree.body if not _defines(n, name)))
+                    if name not in elsewhere | own:
+                        found.append(f"{module}.{name}")
+    return found
+
+
+def test_every_export_is_needed():
+    # The north star keeps only the public names that the harness, the CLI
+    # and the acceptance tests need: each name in a layer's __all__ is read
+    # by another module of the package or by its own module outside its
+    # definition, or is imported by tests/test_acceptance.py.
+    source = "__all__ = ['f', 'g', 'h', 'K']\ndef f():\n    return f()\ndef g():\n    return K\nh = 1\nclass K:\n    pass\n"
+    trees = {"a": ast.parse(source), "b": ast.parse("from .a import g\ng()\n")}
+    assert _unread_exports(trees) == ["a.f", "a.h"]
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    imported = {
+        f"{node.module.removeprefix('streamci.')}.{alias.name}"
+        for node in acceptance.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("streamci.")
+        for alias in node.names
+    }
+    unread = [name for name in _unread_exports(trees) if name.split(".")[0] in MODULES]
+    assert [name for name in unread if name not in imported] == []
