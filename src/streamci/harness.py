@@ -10,7 +10,6 @@ across reruns and worker counts.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import importlib
 import itertools
 import json
@@ -19,14 +18,14 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .infer import IntervalSet, hulc_batch_count, hulc_interval, plugin_interval, tstat_interval, wald_offline
 from .model import CovarianceKind, Dataset, ModelKind, ModelSpec, covariance_factor, population_hessian, sample_dataset
 from .optim import NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes
-from .statutil import IllConditionedError, RngStream, spd_factorize, spd_solve
+from .statutil import IllConditionedError, RngStream, _openblas, spd_factorize, spd_solve
 
 __all__ = [
     "ExperimentConfig",
@@ -228,17 +227,16 @@ def _stream(cfg: ExperimentConfig, rep: int, role: int) -> RngStream:
 
 def _sample_reps(cfg: ExperimentConfig, reps: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """The replications' data streams one after another, as (X, y): reps[i]
-    is rows i*t:(i+1)*t. Every method and c value shares them. Sampling is
-    a BLAS section (see _blas_threads)."""
+    is rows i*t:(i+1)*t. Every method and c value shares them. The sampler's
+    products join OpenBLAS's helper threads (see statutil.matmul)."""
     spec = cfg.model_spec()
     X = np.empty((len(reps) * cfg.t, cfg.d))
     y = np.empty(len(reps) * cfg.t)
-    with _blas_threads():
-        chol = covariance_factor(spec)
-        for i, rep in enumerate(reps):
-            data = sample_dataset(spec, chol, _stream(cfg, rep, ROLE_DATA), cfg.t)
-            X[i * cfg.t : (i + 1) * cfg.t] = data.X
-            y[i * cfg.t : (i + 1) * cfg.t] = data.y
+    chol = covariance_factor(spec)
+    for i, rep in enumerate(reps):
+        data = sample_dataset(spec, chol, _stream(cfg, rep, ROLE_DATA), cfg.t)
+        X[i * cfg.t : (i + 1) * cfg.t] = data.X
+        y[i * cfg.t : (i + 1) * cfg.t] = data.y
     return X, y
 
 
@@ -261,10 +259,15 @@ def _method_block(head: tuple, iv: Optional[IntervalSet], theta_star: np.ndarray
 
 def _wald_intervals(cfg: ExperimentConfig, X: np.ndarray, y: np.ndarray, n_reps: int) -> list[Optional[IntervalSet]]:
     """The Wald interval of each of the n_reps replications in X and y, None
-    where singular, fit in one batch and one BLAS section; in a pool worker,
-    in one of the pool's Wald slots and at the caller's BLAS thread count."""
+    where singular, fit in one batch. In a pool worker the batch takes one
+    of the pool's Wald slots and runs at the caller's BLAS thread count: a
+    2-thread product that shares the CPUs with another worker's kernel is
+    slower. Each fit's products join OpenBLAS's helper threads (see
+    statutil.matmul), so no helper spins between them."""
     n, out = cfg.t, []
-    with nullcontext() if _wald_slots is None else _wald_slots, _blas_threads(_wald_threads):
+    slot = nullcontext() if _wald_slots is None else _wald_slots
+    threads = nullcontext() if _wald_threads is None else _blas_threads(_wald_threads)
+    with slot, threads:
         for i in range(n_reps):
             try:
                 out.append(wald_offline(cfg.model, Dataset(X[i * n : (i + 1) * n], y[i * n : (i + 1) * n]), cfg.alpha))
@@ -349,75 +352,27 @@ def _replication_task(task: tuple[ExperimentConfig, range]) -> list[ResultBlock]
     return _chunk_rows(cfg, reps, *_sample_reps(cfg, reps))
 
 
-# (get, set) symbol pairs of OpenBLAS's thread count, in the builds numpy
-# ships (scipy-openblas, ILP64 suffixed) and in plain ones.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@dataclasses.dataclass(frozen=True)
-class _OpenBlas:
-    """Thread controls of the OpenBLAS that numpy loaded. shutdown joins the
-    helper threads (OpenBLAS restarts them on its next threaded call); None
-    when the library does not export it."""
-
-    get: Callable[[], int]
-    set: Callable[[int], None]
-    shutdown: Optional[Callable[[], int]]
-
-
-@functools.cache
-def _openblas() -> Optional[_OpenBlas]:
-    """numpy's OpenBLAS, or None when no such library is found."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
-    for lib in sorted(glob.glob(libs)):
-        handle = ctypes.CDLL(lib)
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                shutdown = getattr(handle, "blas_thread_shutdown_", None)
-                if shutdown is not None:
-                    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
-                return _OpenBlas(get, set_, shutdown)
-    return None
-
-
 @contextmanager
-def _blas_threads(n: Optional[int] = None) -> Iterator[Optional[int]]:
-    """A BLAS section: run the block with numpy's OpenBLAS at n threads (at
-    its current count when n is None), yielding the count it had; afterwards
-    restore that count and join the helper threads, also when the block
-    raises. A no-op yielding None when no OpenBLAS is found.
+def _blas_threads(n: int) -> Iterator[Optional[int]]:
+    """Run the block with numpy's OpenBLAS at n threads, yielding the count
+    it had; afterwards restore that count and join the helper threads, also
+    when the block raises. A no-op yielding None when no OpenBLAS is found.
 
-    Outside a BLAS section no helper thread runs: after its last job a
-    helper spins for about 0.1 s, on a CPU that the lane pass, the plug-in
-    or another pool worker needs. So a task's sampling and its Wald fits
-    each run in a section, in the process that calls run_grid as in pool
-    workers, and OpenBLAS restarts the helpers on its next threaded call.
-    Joining them changes no count, so no product's rounding. A section sets
-    a count only when n is given: a count set after a join starts a fresh
-    helper, which spins.
+    The join is needed because restoring a count above 1 starts a fresh
+    helper thread, which spins for about 0.1 s on a CPU that the lane pass,
+    the plug-in or another pool worker needs. Within the block, each
+    threaded product joins its own helpers (see statutil.matmul).
     """
     lib = _openblas()
     if lib is None:
         yield None
         return
     before = lib.get()
-    if n is not None:
-        lib.set(n)
+    lib.set(n)
     try:
         yield before
     finally:
-        if n is not None:
-            lib.set(before)
+        lib.set(before)
         if lib.shutdown is not None:
             lib.shutdown()
 
@@ -426,7 +381,8 @@ def _blas_threads(n: Optional[int] = None) -> Iterator[Optional[int]]:
 # worker's Wald fits, which _init_worker sets in each worker: the count of
 # the process that calls run_grid, because how OpenBLAS splits a matrix
 # product over its threads changes the product's rounding. Both are None in
-# that process, whose fits take no slot and run at the current count.
+# that process, whose fits take no slot and run at the current count; the
+# count is None in a worker too when no OpenBLAS is found.
 _wald_slots = None
 _wald_threads = None
 
@@ -465,8 +421,9 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     of one (model, d, t, cov, algorithm) raise ValueError before any run.
 
     No other thread of the process may run BLAS while run_grid runs: it
-    sets OpenBLAS's thread count around a pool and joins the helper threads
-    after each BLAS section (see _blas_threads)."""
+    sets OpenBLAS's thread count around a pool (see _blas_threads), and
+    every threaded product joins OpenBLAS's helper threads (see
+    statutil.matmul)."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
     if len({cfg.head for cfg in cfgs}) < len(cfgs):

@@ -18,6 +18,7 @@ import numpy as np
 from .model import Dataset, ModelKind, sigmoid
 from .statutil import (
     IllConditionedError,
+    matmul,
     normal_quantile,
     spd_factorize,
     spd_solve,
@@ -198,14 +199,14 @@ def _logistic_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     t, d = X.shape
     theta = np.zeros(d)
     for _ in range(NEWTON_MAX_ITER):
-        mu = sigmoid(X @ theta)
-        g = X.T @ (mu - y) / t
+        mu = sigmoid(matmul(X, theta))
+        g = matmul(X.T, mu - y) / t
         if math.sqrt(float(g @ g)) <= NEWTON_GRAD_TOL:
             if float(np.max(np.abs(mu - y))) < SEPARATION_TOL:
                 raise IllConditionedError("separated sample: logistic MLE diverges")
             return theta, mu
         w = mu * (1.0 - mu)
-        hess = (X * w[:, None]).T @ X / t
+        hess = matmul((X * w[:, None]).T, X) / t
         theta = theta - spd_solve(spd_factorize(hess), g)
     raise IllConditionedError("logistic MLE Newton iteration did not converge")
 
@@ -217,16 +218,16 @@ def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
     if t < 1:
         raise ValueError("data must be non-empty")
     if kind == ModelKind.LINEAR:
-        J = X.T @ X / t
-        theta_hat = spd_solve(spd_factorize(J), X.T @ y / t)
-        resid = X @ theta_hat - y
+        J = matmul(X.T, X) / t
+        theta_hat = spd_solve(spd_factorize(J), matmul(X.T, y) / t)
+        resid = matmul(X, theta_hat) - y
     elif kind == ModelKind.LOGISTIC:
         theta_hat, mu = _logistic_mle(X, y)
         w = mu * (1.0 - mu)
-        J = (X * w[:, None]).T @ X / t
+        J = matmul((X * w[:, None]).T, X) / t
         resid = mu - y
     else:
         raise ValueError(f"unsupported model kind: {kind!r}")
     Xr = X * resid[:, None]
-    V = Xr.T @ Xr / t
+    V = matmul(Xr.T, Xr) / t
     return _sandwich_interval(sandwich_inverse(J), V, t, theta_hat, alpha)

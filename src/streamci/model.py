@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .statutil import RngStream, spd_factorize
+from .statutil import RngStream, matmul, spd_factorize
 
 __all__ = [
     "CovarianceKind",
@@ -147,9 +147,9 @@ def sample_dataset(spec: ModelSpec, chol_factor: np.ndarray, rng: RngStream, n: 
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     d = spec.d
-    z = np.asarray(rng.standard_normal((n, d - 1)), dtype=float) @ np.asarray(chol_factor).T
+    z = matmul(np.asarray(rng.standard_normal((n, d - 1)), dtype=float), np.asarray(chol_factor).T)
     X = np.concatenate([np.ones((n, 1)), z], axis=1)
-    index = X @ spec.theta_star
+    index = matmul(X, spec.theta_star)
     if spec.kind == ModelKind.LINEAR:
         y = index + rng.standard_normal(n)
     elif spec.kind == ModelKind.LOGISTIC:

@@ -1,5 +1,6 @@
-"""Numerical utilities: quantile functions, SPD factorization, and keyed
-deterministic random streams.
+"""Numerical utilities: quantile functions, SPD factorization, keyed
+deterministic random streams, and the matrix product that joins OpenBLAS's
+helper threads.
 
 Quantiles are computed in-repo from first principles (erfc-based normal CDF,
 the closed-form series for Student's t at integer degrees of freedom, both
@@ -10,14 +11,18 @@ independent oracles.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from functools import lru_cache
+import os
+from functools import cache, lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "IllConditionedError",
     "RngStream",
+    "matmul",
     "normal_cdf",
     "normal_quantile",
     "spd_factorize",
@@ -154,6 +159,69 @@ def spd_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         y[i] = (y[i] - lower[i + 1:, i] @ y[i + 1:]) / lower[i, i]
     return y
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS's threads
+# ---------------------------------------------------------------------------
+
+# (get, set) symbol pairs of OpenBLAS's thread count, in the builds numpy
+# ships (scipy-openblas, ILP64 suffixed) and in plain ones.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class _OpenBlas:
+    """Thread controls of the OpenBLAS that numpy loaded. shutdown joins the
+    helper threads (OpenBLAS restarts them on its next threaded call); None
+    when the library does not export it."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+    shutdown: Optional[Callable[[], int]]
+
+
+@cache
+def _openblas() -> Optional[_OpenBlas]:
+    """numpy's OpenBLAS, or None when no such library is found."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
+    for lib in sorted(glob.glob(libs)):
+        handle = ctypes.CDLL(lib)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                shutdown = getattr(handle, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+                return _OpenBlas(get, set_, shutdown)
+    return None
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, with OpenBLAS's helper threads joined before it returns.
+
+    A product large enough to be split over threads wakes OpenBLAS's
+    helpers, and a helper left alone spins for about 0.1 s after its last
+    job, on a CPU that the code between products or another pool worker
+    needs. OpenBLAS restarts the helpers on its next threaded call. The join
+    comes after the product and changes no thread count, so the result, and
+    every later product, is bit for bit what plain @ gives. Products too
+    small to be threaded, such as the lane kernel's, stay plain @.
+    """
+    out = a @ b
+    lib = _openblas()
+    if lib is not None and lib.shutdown is not None:
+        lib.shutdown()
+    return out
 
 
 # ---------------------------------------------------------------------------

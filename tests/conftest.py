@@ -1,11 +1,16 @@
 """Shared test configuration.
 
 Registers the acceptance marker, pins a deterministic hypothesis profile,
-and prints a one-line PASS/FAIL per acceptance criterion at the end of the
-run so the desk-scale reproduction status is readable at a glance.
+provides the fixture that runs numpy's OpenBLAS at two threads, and prints
+a one-line PASS/FAIL per acceptance criterion at the end of the run so the
+desk-scale reproduction status is readable at a glance.
 """
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from streamci.harness import _blas_threads
+from streamci.statutil import _openblas
 
 settings.register_profile(
     "ci",
@@ -15,6 +20,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads for the test, where it is found."""
+    with _blas_threads(2):
+        yield _openblas()
 
 
 def pytest_configure(config):

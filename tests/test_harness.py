@@ -24,6 +24,7 @@ from numpy.testing import assert_allclose
 
 import streamci.harness as harness
 import streamci.infer as infer
+import streamci.statutil as statutil
 from streamci.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNWRITABLE, default_c_grid, run_cli
 from streamci.harness import (
     RAW_HEADER,
@@ -35,8 +36,6 @@ from streamci.harness import (
     Summary,
     SummaryBlock,
     Table,
-    _blas_threads,
-    _openblas,
     _chunk_rows,
     _rep_chunks,
     _sample_reps,
@@ -52,6 +51,7 @@ from streamci.harness import (
 from streamci.infer import hulc_interval
 from streamci.model import CovarianceKind, DataPoint, Dataset, ModelKind, loss_grad, make_theta_star, population_hessian
 from streamci.optim import ALGORITHM_NAMES, AlgorithmKind, PolynomialStep, advance, init_state, run_lanes
+from streamci.statutil import _openblas
 
 INF, NAN = float("inf"), float("nan")
 DATA = Path(__file__).resolve().parent / "data"
@@ -230,13 +230,6 @@ def _worker_wald_setup(_):
     return harness._wald_slots is not None, harness._wald_threads
 
 
-@pytest.fixture
-def two_blas_threads():
-    """numpy's OpenBLAS at two threads for the test, where it is found."""
-    with _blas_threads(2):
-        yield _openblas()
-
-
 class TestRunGrid:
     def test_worker_count_does_not_change_rows(self, tmp_path, monkeypatch, two_blas_threads):
         # reps=7 splits unevenly into replication chunks (3+2+2 at 3 workers,
@@ -314,11 +307,12 @@ class TestRunGrid:
 
     def test_serial_run_joins_blas_helpers_at_the_current_count(self, monkeypatch):
         # The serial path fits Wald at the current thread count: it sets no
-        # count, and joins OpenBLAS's helper threads after its sampling
-        # section and after its Wald section.
+        # count, and each threaded product of the sampler (z @ chol.T and
+        # X @ theta_star) and of the linear Wald fit (X'X, X'y, X theta_hat
+        # and the V product) joins OpenBLAS's helper threads.
         calls = []
-        fake = harness._OpenBlas(get=lambda: calls.append("get") or 2, set=lambda n: calls.append(("set", n)),
-                                 shutdown=lambda: calls.append("shutdown") or 0)
+        fake = statutil._OpenBlas(get=lambda: calls.append("get") or 2, set=lambda n: calls.append(("set", n)),
+                                  shutdown=lambda: calls.append("shutdown") or 0)
         sample_dataset, wald_offline = harness.sample_dataset, harness.wald_offline
 
         def sample(*args):
@@ -329,12 +323,13 @@ class TestRunGrid:
             calls.append("wald")
             return wald_offline(*args)
 
-        monkeypatch.setattr(harness, "_openblas", lambda: fake)
+        for module in (statutil, harness):
+            monkeypatch.setattr(module, "_openblas", lambda: fake)
         monkeypatch.setattr(harness, "sample_dataset", sample)
         monkeypatch.setattr(harness, "wald_offline", wald)
         rows = list(run_grid([_cfg(reps=2)], threads=1))
         assert "wald" in {row.method for row in rows}
-        assert calls == ["get", "sample", "sample", "shutdown", "get", "wald", "wald", "shutdown"]
+        assert calls == ["sample", *["shutdown"] * 2] * 2 + ["wald", *["shutdown"] * 4] * 2
 
     @staticmethod
     def _idle_cpu_seconds() -> float:

@@ -2,6 +2,8 @@
 streaming sandwich plug-in, and the offline Wald baseline with oracles."""
 
 import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import optimize, stats
 
+import streamci.infer as infer
 from plugin_oracle import plugin_sums
 from streamci.infer import (
     IntervalSet,
@@ -317,3 +320,25 @@ class TestWaldOffline:
     def test_empty_data_raises(self):
         with pytest.raises(ValueError):
             wald_offline(ModelKind.LINEAR, Dataset(np.zeros((0, 1)), np.zeros(0)), 0.05)
+
+    def test_no_blas_helper_outlives_a_product(self, monkeypatch, two_blas_threads):
+        # At two BLAS threads the Newton fit's products at d=20, T=10^4 wake
+        # OpenBLAS's helper thread. Each product joins it before returning,
+        # so at every sigmoid, between the products, the process runs as
+        # many threads as right after a join.
+        if not sys.platform.startswith("linux") or two_blas_threads is None or two_blas_threads.shutdown is None:
+            pytest.skip("needs Linux and OpenBLAS's thread setter and blas_thread_shutdown_")
+        spec = ModelSpec(ModelKind.LOGISTIC, 20, CovarianceKind.TOEPLITZ)
+        data = sample_dataset(spec, covariance_factor(spec), RngStream(37, 0), 10**4)
+        counts = []
+
+        def counting_sigmoid(u):
+            counts.append(len(os.listdir("/proc/self/task")))
+            return sigmoid(u)
+
+        monkeypatch.setattr(infer, "sigmoid", counting_sigmoid)
+        two_blas_threads.shutdown()
+        joined = len(os.listdir("/proc/self/task"))
+        wald_offline(ModelKind.LOGISTIC, data, 0.05)
+        assert len(counts) > 1
+        assert counts == [joined] * len(counts)

@@ -17,9 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from streamci.harness import _blas_threads
 from streamci.statutil import (
     IllConditionedError,
     RngStream,
+    matmul,
     normal_cdf,
     normal_quantile,
     spd_factorize,
@@ -210,6 +212,20 @@ class TestSpdSolve:
         a = m.T @ m + 0.5 * np.eye(3)
         inv = spd_solve(spd_factorize(a), np.eye(3))
         assert_allclose(a @ inv, np.eye(3), atol=1e-10)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_the_product_bit_for_bit(self, threads):
+        # The Wald fit's shapes at d=20, T=10^4: the matrix-vector product
+        # and X'X. Joining the helper threads changes no bit, at either
+        # OpenBLAS thread count.
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((10**4, 20))
+        theta = rng.standard_normal(20)
+        with _blas_threads(threads):
+            for a, b in (X, theta), (X.T, X):
+                assert matmul(a, b).tobytes() == (a @ b).tobytes()
 
 
 class TestRngStream:
