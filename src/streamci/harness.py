@@ -328,8 +328,8 @@ def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np
 def _rep_floats(cfg: ExperimentConfig) -> int:
     """The floats one replication adds to a chunk: its data and noise, its
     recorded plug-in responses (t per c value) and LANE_ARRAYS floats per
-    lane and coordinate. plugin_interval forms its J and V sums for one
-    replication at a time, after the pass, so they are not charged."""
+    lane and coordinate. plugin_interval's J and V sums and its threads'
+    row buffers (t x d each) hold one replication, after the pass: not charged."""
     plugin = "plugin" in cfg.methods
     noise = cfg.algorithm == AlgorithmKind.NOISY_TRUNCATED
     lanes = len(cfg.c_grid) * (plugin + math.ceil(math.log2(2.0 / cfg.alpha)))
@@ -390,15 +390,17 @@ _wald_threads = None
 def _init_worker(slots, wald_threads: Optional[int]) -> None:
     """Pool initializer: the semaphore whose slots the worker's Wald fits
     take, the thread count they run at, and one BLAS thread outside those
-    fits. A spawned or forkserver worker starts at OpenBLAS's default count.
-    A forked one inherits the count run_grid set and is left alone: OpenBLAS
-    stops its helper threads at a fork, and setting a count starts them
-    again, which slowed a pooled logistic sweep on 2 CPUs by 30%."""
+    fits. A spawned or forkserver worker starts at OpenBLAS's default count,
+    with a spinning helper thread that it joins. A forked one inherits the
+    count run_grid set and is left alone: OpenBLAS stops its helpers at a
+    fork, and setting a count starts them again (a pooled sweep ran 30% slower)."""
     global _wald_slots, _wald_threads
     _wald_slots, _wald_threads = slots, wald_threads
     lib = _openblas()
     if lib is not None and lib.get() != 1:
         lib.set(1)
+        if lib.shutdown is not None:
+            lib.shutdown()
 
 
 def _wald_slot_count(cpus: int, wald_threads: Optional[int]) -> int:
@@ -423,7 +425,7 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     No other thread of the process may run BLAS while run_grid runs: it
     sets OpenBLAS's thread count around a pool (see _blas_threads), and
     every threaded product joins OpenBLAS's helper threads (see
-    statutil.matmul)."""
+    statutil.matmul). The threads that plugin_interval starts run none."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
     if len({cfg.head for cfg in cfgs}) < len(cfgs):

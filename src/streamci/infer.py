@@ -10,14 +10,16 @@ are per coordinate at a shared level alpha.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .model import Dataset, ModelKind, sigmoid
 from .statutil import (
     IllConditionedError,
+    _openblas,
     matmul,
     normal_quantile,
     spd_factorize,
@@ -118,22 +120,26 @@ def sandwich_inverse(J: np.ndarray) -> np.ndarray:
     return spd_solve(spd_factorize(J), np.eye(J.shape[0]))
 
 
-def _sandwich_interval(j_inv: np.ndarray, V: np.ndarray, t: int, center: np.ndarray, alpha: float) -> IntervalSet:
-    """center +/- z * sqrt(diag(J^-1 V J^-1) / t), from j_inv = J^-1 and the
-    per-observation mean V of t observations."""
-    diag = np.einsum("ij,jk,ik->i", j_inv, V, j_inv)
+def _sandwich_interval(diag: np.ndarray, t: int, center: np.ndarray, alpha: float) -> IntervalSet:
+    """center +/- z * sqrt(diag / t), from the _sandwich_diagonal of the
+    per-observation means J and V of t observations."""
     z = normal_quantile(1.0 - alpha / 2.0)
     half = z * np.sqrt(np.maximum(diag, 0.0) / t)
     return IntervalSet(center - half, center + half, center.copy())
 
 
-def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+def _sandwich_diagonal(j_inv: np.ndarray, V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """diag(J^-1 V J^-1) from j_inv = J^-1, into out when it is given."""
+    return np.einsum("ij,jk,ik->i", j_inv, V, j_inv, out=out)
+
+
+def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum over t of outer(a[t], a[t]), each term scaled by w[t] when w is
-    given, bit for bit the loop out += outer(a[t], a[t]) * w[t] of the
-    plug-in oracle in tests/plugin_oracle.py: numpy's einsum loop (no
-    optimize) adds the terms in t order, each with its own multiply and
-    add. a has at least two columns: with one, einsum would sum t in an
-    unrolled loop instead.
+    given, into out when it is given, bit for bit the loop
+    out += outer(a[t], a[t]) * w[t] of the plug-in oracle in
+    tests/plugin_oracle.py: numpy's einsum loop (no optimize) adds the terms
+    in t order, each with its own multiply and add. a has at least two
+    columns: with one, einsum would sum t in an unrolled loop instead.
 
     Only the upper triangle is summed, in row blocks of _OUTER_SUM_BLOCK
     rows: block [i0, i1) takes the same einsum over columns i0 onwards, and
@@ -150,12 +156,19 @@ def _ordered_outer_sum(a: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndar
     spec, weights = ("ti,tj->ij", ()) if w is None else ("ti,tj,t->ij", (w,))
     d = a.shape[1]
     starts = range(0, max(d - 1, 1), _OUTER_SUM_BLOCK)
-    out = np.empty((d, d))
+    out = np.empty((d, d)) if out is None else out
     for i0, i1 in zip(starts, [*starts[1:], d]):
-        block = np.einsum(spec, a[:, i0:i1], a[:, i0:], *weights)
-        out[i0:i1, i0:] = block
-        out[i1:, i0:i1] = block[:, i1 - i0:].T
+        np.einsum(spec, a[:, i0:i1], a[:, i0:], *weights, out=out[i0:i1, i0:])
+        out[i1:, i0:i1] = out[i0:i1, i1:].T
     return out
+
+
+def _in_shares(pool: ThreadPoolExecutor, n: int, share: Callable[[int], None]) -> None:
+    """share(k) for k < n, 0 on this thread and the rest on the pool's, joined."""
+    futures = [pool.submit(share, k) for k in range(1, n)]
+    share(0)
+    for future in futures:
+        future.result()
 
 
 def plugin_interval(
@@ -165,29 +178,54 @@ def plugin_interval(
     responses mu[p] = psi(x'theta) at its pre-update iterates and averaged
     iterate center[p], and its sums are tests/plugin_oracle.py's, bit for bit.
     None marks a pass whose J is not finite or numerically singular. The
-    linear J does not depend on the iterate, so all passes share one J."""
-    t = len(x)
+    linear J does not depend on the iterate, so all passes share one J.
+
+    Pass p's sums and diagonal are taken on thread p mod n, n = this process's
+    OpenBLAS thread count (1 for one pass); the linear J is one more pass. The
+    threads run einsum into arrays allocated here, no BLAS: no byte depends on n."""
+    t, d, passes = len(x), x.shape[1], len(mu)
     if t < 1:
         raise ValueError(f"the sums must cover at least 1 observation, got t={t}")
-    # A divergent pass overflows to inf and NaN; its rows show it.
+    lib = _openblas() if passes > 1 else None
+    n = 1 if lib is None else min(passes, lib.get())
+    linear = kind == ModelKind.LINEAR
+    J, V, diag = np.empty((1 if linear else passes, d, d)), np.empty((passes, d, d)), np.empty((passes, d))
+    rows = np.empty((n, t, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == ModelKind.LINEAR:
-            J_sums = [_ordered_outer_sum(x)]
-        else:
-            J_sums = [_ordered_outer_sum(x, m * (1.0 - m)) for m in mu]
-        V_sums = [_ordered_outer_sum((m - y)[:, None] * x) for m in mu]
+        resid, weights = mu - y, None if linear else mu * (1.0 - mu)
     inverses: list[Optional[np.ndarray]] = []
-    for J_sum in J_sums:
-        try:
-            inverses.append(sandwich_inverse(J_sum / t))
-        except IllConditionedError:
-            inverses.append(None)
-    if kind == ModelKind.LINEAR:
-        inverses *= len(mu)
-    return [
-        None if j_inv is None else _sandwich_interval(j_inv, V_sum / t, t, c, alpha)
-        for j_inv, V_sum, c in zip(inverses, V_sums, center)
-    ]
+
+    # A divergent pass overflows to inf and NaN; its rows show it. A thread does not
+    # inherit numpy's error state, so each share sets it. Thread k weights rows in rows[k].
+    def sums(k: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(k, passes + linear, n):
+                if p == passes:
+                    _ordered_outer_sum(x, out=J[0])
+                    continue
+                if not linear:
+                    _ordered_outer_sum(x, weights[p], out=J[p])
+                _ordered_outer_sum(np.multiply(resid[p][:, None], x, out=rows[k]), out=V[p])
+
+    def diagonals(k: int) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(k, passes, n):
+                if inverses[p] is not None:
+                    _sandwich_diagonal(inverses[p], V[p], out=diag[p])
+
+    with ThreadPoolExecutor(max(n - 1, 1)) as pool:  # starts no thread at n = 1
+        _in_shares(pool, n, sums)
+        V /= t
+        for J_sum in J:
+            try:
+                inverses.append(sandwich_inverse(J_sum / t))
+            except IllConditionedError:
+                inverses.append(None)
+        if linear:
+            inverses *= passes
+        _in_shares(pool, n, diagonals)
+    return [None if j_inv is None else _sandwich_interval(diag[p], t, center[p], alpha)
+            for p, j_inv in enumerate(inverses)]
 
 
 def _logistic_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,4 +268,4 @@ def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
         raise ValueError(f"unsupported model kind: {kind!r}")
     Xr = X * resid[:, None]
     V = matmul(Xr.T, Xr) / t
-    return _sandwich_interval(sandwich_inverse(J), V, t, theta_hat, alpha)
+    return _sandwich_interval(_sandwich_diagonal(sandwich_inverse(J), V), t, theta_hat, alpha)

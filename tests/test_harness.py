@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import tracemalloc
 import warnings
@@ -288,7 +289,9 @@ class TestRunGrid:
         # OpenBLAS stops its helper threads at a fork, and setting a count
         # starts them again, to spin on the CPUs the workers step on. A
         # forked worker already runs one thread, so its initializer must
-        # leave the count alone and the worker stay single-threaded.
+        # leave the count alone and the worker stay single-threaded. A
+        # spawned or forkserver worker starts with OpenBLAS's default helper
+        # thread, which its initializer joins after setting one thread.
         if two_blas_threads is None or not os.path.isdir("/proc/self/task"):
             pytest.skip("needs OpenBLAS's thread setter and /proc/self/task")
         counts = []
@@ -298,18 +301,54 @@ class TestRunGrid:
                 counts.extend(super().map(_worker_thread_count, range(4)))
                 return super().map(fn, *iterables, **kwargs)
 
-        context = multiprocessing.get_context("fork")
         monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        for context in [multiprocessing.get_context(m) for m in ("fork", "spawn", "forkserver")]:
+            monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
+            counts.clear()
+            run_grid([_cfg(reps=2)], threads=2)
+            assert counts == [1] * 4, context.get_start_method()
+
+    def test_forked_workers_form_plugin_sums_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
+        # A pool worker runs one BLAS thread, so its plug-in intervals form
+        # their sums inline: a worker stepping a chunk of three c values
+        # runs one thread throughout. In this process, at two BLAS threads,
+        # the same chunk's sums run on two threads.
+        if two_blas_threads is None or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs OpenBLAS's thread setter and /proc/self/task")
+        ordered_outer_sum = infer._ordered_outer_sum
+
+        def counting(*args, **kwargs):
+            with open(tmp_path / f"{os.getpid()}.txt", "a") as handle:
+                handle.write(f"{len(os.listdir('/proc/self/task'))} {threading.get_ident()}\n")
+            return ordered_outer_sum(*args, **kwargs)
+
+        def records():
+            paths = list(tmp_path.glob("*.txt"))
+            found = {path.stem: [line.split() for line in path.read_text().splitlines()] for path in paths}
+            for path in paths:
+                path.unlink()
+            return found
+
+        cfg = _cfg(d=5, c_grid=(0.1, 0.5, 2.0), reps=2, methods=("plugin",))
+        monkeypatch.setattr(infer, "_ordered_outer_sum", counting)
+        serial = list(run_grid([cfg], threads=1))
+        assert len({ident for _, ident in records()[str(os.getpid())]}) == 2
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        context = multiprocessing.get_context("fork")
         monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
-        run_grid([_cfg(reps=2)], threads=2)
-        assert counts == [1] * 4
+        assert list(run_grid([cfg], threads=2)) == serial
+        workers = records()
+        assert len(workers) == 2 and str(os.getpid()) not in workers
+        # One replication each: its linear J and three V sums.
+        assert all([count for count, _ in lines] == ["1"] * 4 for lines in workers.values())
 
     def test_serial_run_joins_blas_helpers_at_the_current_count(self, monkeypatch):
         # The serial path fits Wald at the current thread count: it sets no
         # count, and each threaded product of the sampler (z @ chol.T and
         # X @ theta_star) and of the linear Wald fit (X'X, X'y, X theta_hat
-        # and the V product) joins OpenBLAS's helper threads.
+        # and the V product) joins OpenBLAS's helper threads. A one-pass
+        # plug-in interval looks up no count: it forms its sums inline.
         calls = []
         fake = statutil._OpenBlas(get=lambda: calls.append("get") or 2, set=lambda n: calls.append(("set", n)),
                                   shutdown=lambda: calls.append("shutdown") or 0)
@@ -323,7 +362,7 @@ class TestRunGrid:
             calls.append("wald")
             return wald_offline(*args)
 
-        for module in (statutil, harness):
+        for module in (statutil, harness, infer):
             monkeypatch.setattr(module, "_openblas", lambda: fake)
         monkeypatch.setattr(harness, "sample_dataset", sample)
         monkeypatch.setattr(harness, "wald_offline", wald)

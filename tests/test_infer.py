@@ -4,6 +4,8 @@ streaming sandwich plug-in, and the offline Wald baseline with oracles."""
 import math
 import os
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +18,11 @@ from scipy import optimize, stats
 
 import streamci.infer as infer
 from plugin_oracle import plugin_sums
+from streamci.harness import _blas_threads
 from streamci.infer import (
     IntervalSet,
     _ordered_outer_sum,
+    _sandwich_diagonal,
     _sandwich_interval,
     hulc_batch_count,
     hulc_interval,
@@ -189,7 +193,7 @@ class TestPlugin:
     def _interval(J, V, t, center):
         """The sandwich interval of t observations with means J and V."""
         J, V = np.asarray(J, dtype=float), np.asarray(V, dtype=float)
-        return _sandwich_interval(sandwich_inverse(J), V, t, center, 0.05)
+        return _sandwich_interval(_sandwich_diagonal(sandwich_inverse(J), V), t, center, 0.05)
 
     def test_pinned_half_width(self):
         # z * sqrt(J^-1 V J^-1 / t) = 1.959964 * sqrt(0.5 * 4 * 0.5 / 100).
@@ -232,6 +236,11 @@ class TestPluginInterval:
             sums.append(plugin_sums(model_kind, thetas, X, y))
         return mu, sums
 
+    @staticmethod
+    def _oracle_interval(J_sum, V_sum, t, center):
+        """The interval of t observations whose sums are J_sum and V_sum."""
+        return _sandwich_interval(_sandwich_diagonal(sandwich_inverse(J_sum / t), V_sum / t), t, center, 0.05)
+
     @pytest.mark.parametrize("d", [2, 5, 100])
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_matches_accumulator_intervals(self, model_kind, d):
@@ -249,9 +258,107 @@ class TestPluginInterval:
         got = plugin_interval(model_kind, X, y, mu, centers, 0.05)
         assert len(got) == 3
         for iv, (J_sum, V_sum), center in zip(got, sums, centers):
-            want = _sandwich_interval(sandwich_inverse(J_sum / t), V_sum / t, t, center, 0.05)
+            want = self._oracle_interval(J_sum, V_sum, t, center)
             assert iv.lo.tobytes() == want.lo.tobytes()
             assert iv.hi.tobytes() == want.hi.tobytes()
+
+    @pytest.mark.parametrize(("model_kind", "d", "n_passes"), [(ModelKind.LINEAR, 100, 5), (ModelKind.LOGISTIC, 20, 4)])
+    def test_threaded_sums_are_bit_for_bit(self, monkeypatch, two_blas_threads, model_kind, d, n_passes):
+        """At two BLAS threads the passes' sums are split over two threads,
+        and every interval is, as bytes, the one-thread call's and the one
+        the oracle's sums give. Pass 1 diverged. The linear one grows past
+        the largest float to inf, so its weighted rows overflow in a thread;
+        it keeps the shared J and gets NaN bounds. The logistic one has NaN
+        responses, a non-finite J and no interval. Under the suite's
+        filterwarnings = error, a RuntimeWarning in either thread would fail
+        the call."""
+        if two_blas_threads is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        t = 300
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((t, d))
+        if model_kind == ModelKind.LINEAR:
+            y = X @ np.linspace(0.0, 1.0, d) + rng.standard_normal(t)
+        else:
+            y = (rng.uniform(size=t) < 0.5).astype(float)
+        mu, sums = self._passes(model_kind, X, y, n_passes, d)
+        if model_kind == ModelKind.LINEAR:
+            mu[1, t // 3 - 5 : t // 3], mu[1, t // 3 :] = 1e308, np.inf
+        else:
+            mu[1] = np.nan
+        centers = rng.standard_normal((n_passes, d))
+        threads = set()
+        ordered_outer_sum = infer._ordered_outer_sum
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return ordered_outer_sum(*args, **kwargs)
+
+        monkeypatch.setattr(infer, "_ordered_outer_sum", recording)
+        got = plugin_interval(model_kind, X, y, mu, centers, 0.05)
+        assert len(threads) == 2
+        threads.clear()
+        with _blas_threads(1):
+            one = plugin_interval(model_kind, X, y, mu, centers, 0.05)
+        assert threads == {threading.get_ident()}
+        fields = ("lo", "hi", "center")
+        for p, (iv, iv_one, (J_sum, V_sum), center) in enumerate(zip(got, one, sums, centers)):
+            if p == 1 and model_kind == ModelKind.LOGISTIC:
+                assert iv is None and iv_one is None
+            elif p == 1:
+                assert np.isnan(iv.lo).all() and np.isnan(iv.hi).all()
+                assert [getattr(iv, f).tobytes() for f in fields] == [getattr(iv_one, f).tobytes() for f in fields]
+                assert iv.center.tobytes() == center.tobytes()
+            else:
+                want = self._oracle_interval(J_sum, V_sum, t, center)
+                for f in fields:
+                    assert getattr(iv, f).tobytes() == getattr(iv_one, f).tobytes() == getattr(want, f).tobytes()
+
+    def test_more_threads_than_cpus_give_the_same_bytes(self, two_blas_threads):
+        # Each thread weights its passes' rows in its own buffer: at four
+        # BLAS threads, with the interpreter switching threads every
+        # microsecond, seven passes come out as on one thread, call after call.
+        if two_blas_threads is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        rng = np.random.default_rng(6)
+        X, y, mu = rng.standard_normal((1000, 50)), rng.standard_normal(1000), rng.standard_normal((7, 1000))
+        centers = rng.standard_normal((7, 50))
+        with _blas_threads(1):
+            want = plugin_interval(ModelKind.LINEAR, X, y, mu, centers, 0.05)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with _blas_threads(4):
+                got = [plugin_interval(ModelKind.LINEAR, X, y, mu, centers, 0.05) for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        for call in got:
+            assert [iv.hi.tobytes() for iv in call] == [iv.hi.tobytes() for iv in want]
+
+    def test_threads_end_with_the_call(self, monkeypatch, two_blas_threads):
+        # The threads that form the sums are joined before plugin_interval
+        # returns: the process runs as many threads as before the call.
+        if not sys.platform.startswith("linux") or two_blas_threads is None:
+            pytest.skip("needs Linux and OpenBLAS's thread setter")
+        X = np.random.default_rng(4).standard_normal((200, 20))
+        mu = np.random.default_rng(5).standard_normal((3, 200))
+        during = []
+        ordered_outer_sum = infer._ordered_outer_sum
+
+        def counting(*args, **kwargs):
+            during.append(len(os.listdir("/proc/self/task")))
+            return ordered_outer_sum(*args, **kwargs)
+
+        monkeypatch.setattr(infer, "_ordered_outer_sum", counting)
+        before = len(os.listdir("/proc/self/task"))
+        plugin_interval(ModelKind.LINEAR, X, np.zeros(200), mu, np.zeros((3, 20)), 0.05)
+        assert max(during) == before + 1
+        # A joined thread's last step, its exit from the kernel, may trail
+        # the join by a moment.
+        deadline = time.monotonic() + 1.0
+        while len(os.listdir("/proc/self/task")) > before and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert len(os.listdir("/proc/self/task")) == before
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_singular_curvature_is_unavailable(self, model_kind):
