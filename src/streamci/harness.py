@@ -60,8 +60,10 @@ WARM_FRACTION = 3
 # A task steps a chunk of replications together; what it holds, _rep_floats
 # per replication, is kept below this bound unless one replication exceeds it.
 CHUNK_FLOATS = 1 << 20
-# Iterate-sized arrays per lane in run_lanes: iterates, average, gradients,
-# products, and a block of steps' gathered rows and new iterates.
+# Iterate-sized arrays per lane in run_lanes: iterates, gradients, products;
+# the average, root's three buffers or the truncation's two; and the phase's
+# buffers of gathered rows, noise rows, new iterates and their quotients, each
+# one step of rows once a block of them would exceed optim.BLOCK_FLOATS.
 LANE_ARRAYS = 8
 
 
@@ -328,8 +330,10 @@ def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np
 def _rep_floats(cfg: ExperimentConfig) -> int:
     """The floats one replication adds to a chunk: its data and noise, its
     recorded plug-in responses (t per c value) and LANE_ARRAYS floats per
-    lane and coordinate. plugin_interval's J and V sums and its threads'
-    row buffers (t x d each) hold one replication, after the pass: not charged."""
+    lane and coordinate. Not charged: run_lanes' step views of its phase
+    buffers (at most optim.BLOCK_STEPS steps, whatever the replications), and
+    plugin_interval's J and V sums and its threads' row buffers (t x d each),
+    which hold one replication, after the pass."""
     plugin = "plugin" in cfg.methods
     noise = cfg.algorithm == AlgorithmKind.NOISY_TRUNCATED
     lanes = len(cfg.c_grid) * (plugin + math.ceil(math.log2(2.0 / cfg.alpha)))

@@ -228,12 +228,12 @@ def plugin_interval(
             for p, j_inv in enumerate(inverses)]
 
 
-def _logistic_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _logistic_mle(X: np.ndarray, y: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration for the logistic MLE, returned with its responses
     sigmoid(X @ theta); raises IllConditionedError on a singular Hessian,
     failure to reach the gradient tolerance, or a perfectly separated sample
     (whose score also vanishes, but only along a parameter path diverging to
-    infinity)."""
+    infinity). work (X's shape) takes each step's weighted rows."""
     t, d = X.shape
     theta = np.zeros(d)
     for _ in range(NEWTON_MAX_ITER):
@@ -244,7 +244,7 @@ def _logistic_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
                 raise IllConditionedError("separated sample: logistic MLE diverges")
             return theta, mu
         w = mu * (1.0 - mu)
-        hess = matmul((X * w[:, None]).T, X) / t
+        hess = matmul(np.multiply(X, w[:, None], work).T, X) / t
         theta = theta - spd_solve(spd_factorize(hess), g)
     raise IllConditionedError("logistic MLE Newton iteration did not converge")
 
@@ -255,17 +255,19 @@ def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
     t = X.shape[0]
     if t < 1:
         raise ValueError("data must be non-empty")
+    # The weighted rows X * w and X * resid, one after the other.
+    work = np.empty_like(X)
     if kind == ModelKind.LINEAR:
         J = matmul(X.T, X) / t
         theta_hat = spd_solve(spd_factorize(J), matmul(X.T, y) / t)
         resid = matmul(X, theta_hat) - y
     elif kind == ModelKind.LOGISTIC:
-        theta_hat, mu = _logistic_mle(X, y)
+        theta_hat, mu = _logistic_mle(X, y, work)
         w = mu * (1.0 - mu)
-        J = matmul((X * w[:, None]).T, X) / t
+        J = matmul(np.multiply(X, w[:, None], work).T, X) / t
         resid = mu - y
     else:
         raise ValueError(f"unsupported model kind: {kind!r}")
-    Xr = X * resid[:, None]
+    Xr = np.multiply(X, resid[:, None], work)
     V = matmul(Xr.T, Xr) / t
     return _sandwich_interval(_sandwich_diagonal(sandwich_inverse(J), V), t, theta_hat, alpha)

@@ -120,13 +120,10 @@ def sigmoid(u):
             return 1.0 / (1.0 + math.exp(-u))
         e = math.exp(u)
         return e / (1.0 + e)
+    # Both branches at once: e is exp(-u) where u >= 0 and exp(u) elsewhere.
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _sigmoid_scalarwise(u: np.ndarray) -> None:

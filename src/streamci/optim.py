@@ -46,8 +46,11 @@ TRUNCATION_EPS2 = 0.64
 NOISE_SIGMA = 1.0
 NOISE_BETA = 0.25
 
-# Bound, in floats, on the rows run_lanes gathers for a block of steps.
+# Bounds on a block of run_lanes steps: the floats of the rows it gathers,
+# and its steps. Each step holds up to seven views of the phase's buffers,
+# about 130 bytes each, so 128 steps' views take about what 2^14 floats do.
 BLOCK_FLOATS = 1 << 14
+BLOCK_STEPS = 128
 
 # Bisection of the implicit update: iteration cap, and the bracket width,
 # relative to max(1, |s0|), at which it stops.
@@ -273,15 +276,17 @@ class LaneRun(NamedTuple):
     responses: np.ndarray
 
 
-def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
+def _truncate_rows(G: np.ndarray, eps2: float, sq: np.ndarray, A: np.ndarray) -> np.ndarray:
     """gradient_truncate applied to every row of G, with the same arithmetic:
-    a stable sort of the squares and a sequential (cumsum) scan."""
+    a stable sort of the squares and a sequential (cumsum) scan. sq and A
+    (G's shape) take the squares and magnitudes: at 1000 x 20, arrays made per
+    call refaulted the heap on every call."""
     n, d = G.shape
-    sq = G * G
+    np.multiply(G, G, sq)
     total = np.add.reduce(sq, axis=1)
     # The stable order of -g^2 in each row, as indices into the flattened
     # (row-major) squares and magnitudes.
-    flat = (-sq).argsort(axis=1, kind="stable")
+    flat = np.negative(sq, A).argsort(axis=1, kind="stable")
     row_offsets = np.arange(0, n * d, d)
     flat += row_offsets[:, None]
     target = (1.0 - eps2) * total
@@ -293,10 +298,7 @@ def _truncate_rows(G: np.ndarray, eps2: float) -> np.ndarray:
     reached[:, 0] = target <= 0.0
     np.greater_equal(sq.ravel()[flat[:, :-2]].cumsum(axis=1), target[:, None], out=reached[:, 1:-1])
     reached[:, -1] = True
-    # |G| is taken after the scan, so that it is not live beside the scan's
-    # arrays: at 133 x 100 the larger peak made malloc trim and refault the
-    # heap on every call.
-    A = np.abs(G)
+    np.abs(G, A)
     kappa = A.ravel()[flat.ravel()[row_offsets + reached.argmax(axis=1)]]
     kappa[total == 0.0] = 0.0
     return np.where(A < kappa[:, None], 0.0, G)
@@ -318,13 +320,14 @@ def run_lanes(
     """Advance independent runs of one algorithm in lockstep over t, each at
     every step constant in c: lane j * len(runs) + r is run r at c[j].
 
-    Run r starts at theta0[r] (or a shared (d,) theta0) and reads
-    observations X[i], y[i] for i in runs[r] in order, so a round-robin
-    bucket is a strided range over its replication's rows and no data is
-    copied per lane. At c[j] it steps with eta_t = c[j] * t**(-gamma)
-    (gamma = 0: the constant step c[j]). Every lane's arithmetic is that of
-    init_state + advance, bit for bit, whatever the number of lanes; the
-    running average is kept only where it is the estimate.
+    Run r starts at theta0[r] (or a shared (d,) theta0) and reads observations
+    X[i], y[i] for i in runs[r] in order (every i a row of both, or
+    ValueError), so a round-robin bucket is a strided range over its
+    replication's rows and no data is copied per lane. At c[j] it steps with
+    eta_t = c[j] * t**(-gamma) (gamma = 0: the constant step c[j]). Every
+    lane's arithmetic is that of init_state + advance, bit for bit, whatever
+    the number of lanes; the running average is kept only where it is the
+    estimate.
 
     noise (same shape as X, noisy-truncated only) is read through the same
     row index: the row a lane observes at step t also supplies its noise.
@@ -334,6 +337,12 @@ def run_lanes(
     """
     if (noise is None) == (kind == AlgorithmKind.NOISY_TRUNCATED):
         raise ValueError("noise is required by noisy-truncated and consumed by nothing else")
+    # The rows are gathered into float buffers with np.take's mode="clip",
+    # which would clip an index out of range instead of raising.
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    noise = None if noise is None else np.asarray(noise, dtype=float)
+    if any(r and (min(r[0], r[-1]) < 0 or max(r[0], r[-1]) >= min(len(X), len(y))) for r in runs):
+        raise ValueError(f"every run must index rows of X and y, which have {len(X)} and {len(y)}")
     n_runs, d = len(runs), X.shape[1]
     run_lengths = np.array([len(r) for r in runs], dtype=np.int64)
     longest = int(run_lengths.max(initial=0))
@@ -351,10 +360,9 @@ def run_lanes(
     theta = np.array(np.broadcast_to(np.asarray(theta0, dtype=float), (n_runs, d))[run_of])
     avg = np.zeros_like(theta) if kind.averaged else None
     # Work arrays, given to the ufuncs as their positional out (the keyword
-    # costs more per call): each step's residuals psi - y, gradients, product
-    # and, at several c, step sizes.
+    # costs more per call): each step's residuals psi - y, gradients and
+    # product.
     resid, grad, work = np.empty(len(order)), np.empty_like(theta), np.empty_like(theta)
-    eta_lane = np.empty((len(order), 1))
     # Each lane's c as a column: numpy's c[j] * decay is the same IEEE product
     # as Python's.
     c_lane = np.array(c, dtype=float)[order // n_runs, None]
@@ -362,7 +370,7 @@ def run_lanes(
     # mu_rec[p, t - 1]: psi(x'theta) of the recorded lane of rank p at step t.
     mu_rec = np.empty((n_record, longest))
     # Each step's t as a float, by which a block's iterates are divided.
-    t_div = np.arange(1.0, longest + 1.0)[:, None, None] if avg is not None else None
+    t_steps = np.arange(1.0, longest + 1.0) if avg is not None else None
     implicit = kind in (AlgorithmKind.IMPLICIT_LAST, AlgorithmKind.IMPLICIT_AVG)
     root = kind == AlgorithmKind.ROOT
     need_grad = not implicit or n_record > 0
@@ -373,11 +381,15 @@ def run_lanes(
         # The correction v, the previous iterates, and their residuals and
         # gradients at this step's rows.
         root_bufs = np.zeros_like(theta), theta.copy(), np.empty(len(order)), np.empty_like(theta)
+    truncated = kind in (AlgorithmKind.TRUNCATED, AlgorithmKind.NOISY_TRUNCATED)
+    if truncated:
+        # The truncation's squares and magnitudes of the gradients.
+        trunc_bufs = np.empty((2, *theta.shape))
     if noise is not None:
         # noisy-truncated's noise row is scaled by a Python ** of each c
         # value's step size c[j] * decay (the lanes' eta, bit for bit),
         # gathered to the lanes by their c index.
-        c_values, c_index = np.asarray(c, dtype=float).tolist(), (order // n_runs)[:, None]
+        c_values, c_lanes = np.asarray(c, dtype=float).tolist(), (order // n_runs)[:, None]
 
     t0 = 1
     th = theta
@@ -391,30 +403,63 @@ def run_lanes(
             th, r, G, W = th[:active], resid[:active], grad[:active], work[:active]
             r_col = r[:, None]
             av = avg[:active] if avg is not None else None
-            c_col, eta_col = c_lane[:active], eta_lane[:active]
+            c_col = c_lane[:active]
+            if noise is not None:
+                c_index = c_lanes[:active]
             if root:
                 v, prev, r_prev, g_prev = (buf[:active] for buf in root_bufs)
-            # Rows are gathered a block of steps at a time: X_b[k] holds what
-            # the running lanes read at step first + k. Step k writes its
-            # responses to mu_b[k] and, when the average needs them, its new
-            # iterates to it_b[k]; both are folded in after the block.
-            block = min(max(1, BLOCK_FLOATS // (active * d)), end + 1 - t0)
-            mu_b = np.empty((block, active))
-            it_b, q_b = np.empty((2, block, active, d)) if av is not None else (None, None)
+                r_prev_col = r_prev[:, None]
+            if truncated:
+                sq, mag = trunc_bufs[:, :active]
+            # The phase's buffers, filled a block of steps at a time, and each
+            # step's views of them, made here once: step k of a block reads the
+            # rows X_b[k], targets y_b[k] and aux rows aux_b[k] (||x||^2 or
+            # noise) its lanes observe and its step sizes eta_b[k], and writes
+            # its responses to mu_b[k] and, when the average needs them, its
+            # new iterates to it_b[k]; both are folded in after the block.
+            block = min(max(1, BLOCK_FLOATS // (active * d)), BLOCK_STEPS, end + 1 - t0)
+            offsets, at = np.arange(block)[:, None] * stride[:active], np.empty((block, active), dtype=np.int64)
+            X_b, y_b, mu_b = np.empty((block, active, d)), np.empty((block, active)), np.empty((block, active))
+            aux_b = np.empty_like(y_b) if implicit else np.empty_like(X_b) if noise is not None else None
+            eta_b = np.empty(block) if single else np.empty((block, active, 1))
+            # A lone step size is a 0-d view: numpy converts a Python float
+            # operand to an array on every call.
+            steps_eta = list(map(np.ndarray.squeeze, eta_b[:, None])) if single else list(eta_b)
+            steps_X, steps_y, steps_mu = list(X_b), list(y_b), list(mu_b)
+            steps_aux = repeat(None) if aux_b is None else list(aux_b)
+            if av is not None:
+                it_b, q_b, fold_b = np.empty_like(X_b), np.empty_like(X_b), np.empty(block)
+                steps_nxt, steps_q = list(it_b), list(q_b)
+                steps_fold = list(map(np.ndarray.squeeze, fold_b[:, None]))
+            else:
+                steps_nxt = repeat(th)
             for first in range(t0, end + 1, block):
                 steps = range(first, min(first + block, end + 1))
-                at = idx[:active] + np.arange(len(steps))[:, None] * stride[:active]
-                X_b, y_b = X[at], y[at]
-                nxt_b = it_b if av is not None else repeat(th)
-                aux_b = np.vecdot(X_b, X_b) if implicit else noise[at] if noise is not None else repeat(None)
+                # The block's steps, as rows of the buffers and t_steps and
+                # columns of mu_rec.
+                n, done = len(steps), slice(first - 1, steps.stop - 1)
+                np.add(idx[:active], offsets[:n], at[:n])
+                # mode="clip" does not buffer the output, as "raise" does; no
+                # index is clipped, the runs being checked to be in range.
+                X.take(at[:n], 0, X_b[:n], "clip")
+                y.take(at[:n], 0, y_b[:n], "clip")
+                if implicit:
+                    np.vecdot(X_b[:n], X_b[:n], aux_b[:n])
+                elif noise is not None:
+                    noise.take(at[:n], 0, aux_b[:n], "clip")
+                # One Python ** per step (numpy's rounds differently), times
+                # each c: step_size's arithmetic. float(t) is t exactly.
+                decays = list(map(pow, map(float, steps), repeat(-gamma)))
+                if single:
+                    np.multiply(decays, c_col[0, 0], eta_b[:n])
+                else:
+                    np.multiply(np.array(decays)[:, None, None], c_col, eta_b[:n])
                 # A step makes only numpy calls, except for the implicit
                 # solve, root's weight, the truncation, noisy-truncated's
-                # noise scale and, on the logistic model, the sigmoid.
-                for t, Xt, yt, mu, nxt, aux in zip(steps, X_b, y_b, mu_b, nxt_b, aux_b):
-                    # One Python ** per step (numpy's rounds differently),
-                    # times each c: step_size's arithmetic. float(t) is t exactly.
-                    decay = float(t) ** -gamma
-                    eta = c[0] * decay if single else np.multiply(c_col, decay, eta_col)
+                # noise scale and, on the logistic model, the sigmoid; it
+                # creates no array for sgd and asgd.
+                for t, decay, eta, Xt, yt, mu, nxt, aux in zip(steps, decays, steps_eta, steps_X, steps_y, steps_mu,
+                                                               steps_nxt, steps_aux):
                     if need_grad:
                         # psi(x'theta), bit for bit the scalar path: np.vecdot
                         # over C-contiguous rows takes the dot product x @ theta
@@ -430,7 +475,7 @@ def run_lanes(
                         # The other rules write their step to W; nxt is th
                         # itself unless the average needs the new iterates.
                         if implicit:
-                            lane_eta = [eta] * active if single else eta[:, 0].tolist()
+                            lane_eta = [eta.item()] * active if single else eta[:, 0].tolist()
                             s = _implicit_steps(model_kind, np.vecdot(Xt, th).tolist(), aux.tolist(), yt.tolist(),
                                                 lane_eta)
                             np.multiply(np.array(s)[:, None], Xt, W)
@@ -442,29 +487,29 @@ def run_lanes(
                                 np.vecdot(Xt, prev, r_prev)
                                 if logistic:
                                     _sigmoid_scalarwise(r_prev)
-                                np.multiply(np.subtract(r_prev, yt, r_prev)[:, None], Xt, g_prev)
+                                np.subtract(r_prev, yt, r_prev)
+                                np.multiply(r_prev_col, Xt, g_prev)
                                 np.multiply(_root_weight(t), np.subtract(v, g_prev, g_prev), g_prev)
                                 np.add(G, g_prev, v)
                             prev[...] = th
                             np.multiply(eta, v, W)
                         else:
-                            np.multiply(eta, _truncate_rows(G, TRUNCATION_EPS2), W)
+                            np.multiply(eta, _truncate_rows(G, TRUNCATION_EPS2, sq, mag), W)
                         np.subtract(th, W, nxt)
                         if noise is not None:
                             scale = [NOISE_SIGMA * (cj * decay) ** (0.5 + NOISE_BETA) for cj in c_values]
-                            nxt += (scale[0] if single else np.array(scale)[c_index[:active]]) * aux
+                            np.add(nxt, np.multiply(scale[0] if single else np.array(scale)[c_index], aux, W), nxt)
                     th = nxt
-                # The block's steps, as columns of mu_rec and rows of t_div;
-                # the recorded lanes, being the longest, run in every phase.
-                n, done = len(steps), slice(first - 1, steps.stop - 1)
+                # The recorded lanes, being the longest, run in every phase.
                 if n_record:
                     mu_rec[:, done] = mu_b[:n, :n_record].T
                 if av is not None:
                     # The reference's (1 - 1/t) * avg + theta / t, step by step.
-                    np.divide(it_b[:n], t_div[done], q_b[:n])
-                    for t, q in zip(steps, q_b):
-                        np.add(np.multiply(av, 1.0 - 1.0 / t, av), q, av)
-                idx[:active] = at[-1] + stride[:active]
+                    np.divide(it_b[:n], t_steps[done, None, None], q_b[:n])
+                    np.subtract(1.0, np.divide(1.0, t_steps[done], fold_b[:n]), fold_b[:n])
+                    for _, q, fold in zip(steps, steps_q, steps_fold):
+                        np.add(np.multiply(av, fold, av), q, av)
+                idx[:active] = at[n - 1] + stride[:active]
             t0 = end + 1
     estimates = (theta if avg is None else avg)[np.argsort(order)]
     return LaneRun(estimates.reshape(len(c), n_runs, d), mu_rec.reshape(len(c), record, longest))

@@ -118,6 +118,23 @@ class TestSigmoid:
     def test_symmetry(self):
         assert sigmoid(1.7) + sigmoid(-1.7) == pytest.approx(1.0, abs=1e-15)
 
+    def test_array_is_bitwise_the_branch_per_entry(self):
+        # The array form takes exp(-|u|) for both branches; it must equal
+        # 1 / (1 + exp(-u)) where u >= 0 and exp(u) / (1 + exp(u)) elsewhere,
+        # each exp taken by numpy over the entries of its branch, bit for bit,
+        # also at signed zeros, the overflow edge, inf and the largest floats.
+        # A NaN stays NaN; only its sign bit may differ.
+        rng = np.random.default_rng(8)
+        edges = [0.0, -0.0, 745.0, -745.0, 709.8, -709.8, 1e308, -1e308, np.inf, -np.inf, 5e-324, -5e-324]
+        for u in [np.array(edges), *(rng.standard_normal(500) * 10.0 ** k for k in range(-3, 4))]:
+            pos = u >= 0.0
+            want = np.empty_like(u)
+            want[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+            e = np.exp(u[~pos])
+            want[~pos] = e / (1.0 + e)
+            assert sigmoid(u).tobytes() == want.tobytes()
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
     def test_scalarwise_array_is_bitwise_scalar(self):
         # The lane kernel's sigmoid must equal the scalar one bit for bit,
         # also where divergent runs push it: signed zeros, overflow, inf, NaN.

@@ -296,7 +296,7 @@ class TestGradientTruncate:
         # the scalar routine's, bit for bit, ties and zero rows included, at
         # the kernel's widths and with the non-finite rows of divergent lanes.
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            out = _truncate_rows(G, eps2)
+            out = _truncate_rows(G, eps2, np.empty_like(G), np.empty_like(G))
             sq = G * G
             for row, got, total in zip(G, out, sq.sum(axis=1)):
                 assert gradient_truncate(row, eps2)[1].tobytes() == got.tobytes()
@@ -703,11 +703,13 @@ class TestRunLanes:
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_block_boundaries_match_reference(self, name, model_kind, monkeypatch):
-        # The property above gathers each phase as one block. Here blocks
-        # hold 1, 2 or 3 steps, in the first phase (every lane running) or
-        # the last (the three longest runs at both step constants), so phases
-        # end mid-block and the responses and the running average are folded
-        # in across block boundaries.
+        # The property above gathers each phase as one block. Here BLOCK_FLOATS
+        # ends blocks of 1, 2 or 3 steps in the first phase (every lane
+        # running) or the last (the three longest runs at both step
+        # constants), or BLOCK_STEPS ends blocks of 2, 3 or 5 steps in every
+        # phase. So phases end mid-block, a phase's buffers and step views
+        # serve up to four blocks, the last one short, and the responses and
+        # the running average are folded in across block boundaries.
         d, pool = 3, 60
         rng = np.random.default_rng(35)
         X = rng.standard_normal((pool, d))
@@ -727,13 +729,17 @@ class TestRunLanes:
             (j, r): _reference_lane(kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(c[j], 0.505), noise)
             for j, r in itertools.product(range(len(c)), range(len(rows)))
         }
-        for steps, lanes in itertools.product((1, 2, 3), (3 * len(c), len(rows) * len(c))):
-            monkeypatch.setattr(optim, "BLOCK_FLOATS", steps * lanes * d)
+        bounds = [(steps * lanes * d, optim.BLOCK_STEPS)
+                  for steps, lanes in itertools.product((1, 2, 3), (3 * len(c), len(rows) * len(c)))]
+        bounds += [(optim.BLOCK_FLOATS, steps) for steps in (2, 3, 5)]
+        for floats, steps in bounds:
+            monkeypatch.setattr(optim, "BLOCK_FLOATS", floats)
+            monkeypatch.setattr(optim, "BLOCK_STEPS", steps)
             run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise, record=2)
             for (j, r), (state, responses, _) in want.items():
-                assert _bits(run.estimates[j, r]) == _bits(_declared_estimate(state)), (steps, lanes, j, r)
+                assert _bits(run.estimates[j, r]) == _bits(_declared_estimate(state)), (floats, steps, j, r)
                 if r < 2:
-                    assert _bits(run.responses[j, r]) == _bits(responses), (steps, lanes, j, r)
+                    assert _bits(run.responses[j, r]) == _bits(responses), (floats, steps, j, r)
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_step_makes_no_python_call(self, model_kind):
@@ -835,6 +841,21 @@ class TestRunLanes:
         with pytest.raises(ValueError):
             run_lanes(AlgorithmKind("sgd"), ModelKind.LINEAR, X, y, [range(3)], np.zeros(2), [0.5], 0.505,
                       noise=np.zeros((3, 2)))
+
+    def test_runs_must_index_rows(self):
+        # The rows are gathered without a bounds check of their own, so a run
+        # reaching past X or y, or below row 0, is refused; an empty run
+        # reads nothing. Integer targets read as floats.
+        X, y = np.ones((4, 2)), np.arange(4)
+        sgd = AlgorithmKind("sgd")
+        for rows in [[range(5)], [range(3), range(2, 6, 2)], [range(-1, 2)], [range(2, -2, -1)]]:
+            with pytest.raises(ValueError):
+                run_lanes(sgd, ModelKind.LINEAR, X, y, rows, np.zeros(2), [0.5], 0.505)
+        with pytest.raises(ValueError):
+            run_lanes(sgd, ModelKind.LINEAR, X, y[:3], [range(4)], np.zeros(2), [0.5], 0.505)
+        run = run_lanes(sgd, ModelKind.LINEAR, X, y, [range(3, -1, -1), range(9, 9)], np.zeros(2), [0.5], 0.505)
+        want = run_lanes(sgd, ModelKind.LINEAR, X, y * 1.0, [range(3, -1, -1), range(0)], np.zeros(2), [0.5], 0.505)
+        assert _bits(run.estimates) == _bits(want.estimates)
 
 
 class TestLaneArithmetic:
