@@ -17,15 +17,16 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .infer import IntervalSet, hulc_batch_count, hulc_interval, plugin_interval, tstat_interval, wald_offline
 from .model import CovarianceKind, Dataset, ModelKind, ModelSpec, covariance_factor, population_hessian, sample_dataset
-from .optim import NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes
-from .statutil import IllConditionedError, RngStream, _openblas, spd_factorize, spd_solve
+from .optim import LANE_ARRAYS, NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes
+from .statutil import (IllConditionedError, RngStream, _blas_thread_count, _blas_threads, _set_blas_threads,
+                       spd_factorize, spd_solve)
 
 __all__ = [
     "ExperimentConfig",
@@ -60,11 +61,6 @@ WARM_FRACTION = 3
 # A task steps a chunk of replications together; what it holds, _rep_floats
 # per replication, is kept below this bound unless one replication exceeds it.
 CHUNK_FLOATS = 1 << 20
-# Iterate-sized arrays per lane in run_lanes: iterates, gradients, products;
-# the average, root's three buffers or the truncation's two; and the phase's
-# buffers of gathered rows, noise rows, new iterates and their quotients, each
-# one step of rows once a block of them would exceed optim.BLOCK_FLOATS.
-LANE_ARRAYS = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,8 +325,8 @@ def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np
 
 def _rep_floats(cfg: ExperimentConfig) -> int:
     """The floats one replication adds to a chunk: its data and noise, its
-    recorded plug-in responses (t per c value) and LANE_ARRAYS floats per
-    lane and coordinate. Not charged: run_lanes' step views of its phase
+    recorded plug-in responses (t per c value) and optim.LANE_ARRAYS floats
+    per lane and coordinate. Not charged: run_lanes' step views of its phase
     buffers (at most optim.BLOCK_STEPS steps, whatever the replications), and
     plugin_interval's J and V sums and its threads' row buffers (t x d each),
     which hold one replication, after the pass."""
@@ -356,61 +352,28 @@ def _replication_task(task: tuple[ExperimentConfig, range]) -> list[ResultBlock]
     return _chunk_rows(cfg, reps, *_sample_reps(cfg, reps))
 
 
-@contextmanager
-def _blas_threads(n: int) -> Iterator[Optional[int]]:
-    """Run the block with numpy's OpenBLAS at n threads, yielding the count
-    it had; afterwards restore that count and join the helper threads, also
-    when the block raises. A no-op yielding None when no OpenBLAS is found.
-
-    The join is needed because restoring a count above 1 starts a fresh
-    helper thread, which spins for about 0.1 s on a CPU that the lane pass,
-    the plug-in or another pool worker needs. Within the block, each
-    threaded product joins its own helpers (see statutil.matmul).
-    """
-    lib = _openblas()
-    if lib is None:
-        yield None
-        return
-    before = lib.get()
-    lib.set(n)
-    try:
-        yield before
-    finally:
-        lib.set(before)
-        if lib.shutdown is not None:
-            lib.shutdown()
-
-
 # The pool's Wald slots, a semaphore, and the BLAS thread count of the
 # worker's Wald fits, which _init_worker sets in each worker: the count of
 # the process that calls run_grid, because how OpenBLAS splits a matrix
 # product over its threads changes the product's rounding. Both are None in
-# that process, whose fits take no slot and run at the current count; the
-# count is None in a worker too when no OpenBLAS is found.
+# that process, whose fits take no slot and run at the current count.
 _wald_slots = None
 _wald_threads = None
 
 
-def _init_worker(slots, wald_threads: Optional[int]) -> None:
+def _init_worker(slots, wald_threads: int) -> None:
     """Pool initializer: the semaphore whose slots the worker's Wald fits
     take, the thread count they run at, and one BLAS thread outside those
-    fits. A spawned or forkserver worker starts at OpenBLAS's default count,
-    with a spinning helper thread that it joins. A forked one inherits the
-    count run_grid set and is left alone: OpenBLAS stops its helpers at a
-    fork, and setting a count starts them again (a pooled sweep ran 30% slower)."""
+    fits, with OpenBLAS's helper threads joined, under every start method."""
     global _wald_slots, _wald_threads
     _wald_slots, _wald_threads = slots, wald_threads
-    lib = _openblas()
-    if lib is not None and lib.get() != 1:
-        lib.set(1)
-        if lib.shutdown is not None:
-            lib.shutdown()
+    _set_blas_threads(1)
 
 
-def _wald_slot_count(cpus: int, wald_threads: Optional[int]) -> int:
+def _wald_slot_count(cpus: int, wald_threads: int) -> int:
     """How many pool workers may fit Wald at once: as many as keep their
-    BLAS threads within the CPUs, one per CPU when the count is unknown."""
-    return max(1, cpus // (wald_threads or 1))
+    BLAS threads within the CPUs."""
+    return max(1, cpus // wald_threads)
 
 
 def _cpu_count() -> int:
@@ -426,10 +389,10 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
     ResultRows sorted by (config fields, c, rep, method, k). Two configs
     of one (model, d, t, cov, algorithm) raise ValueError before any run.
 
-    No other thread of the process may run BLAS while run_grid runs: it
-    sets OpenBLAS's thread count around a pool (see _blas_threads), and
-    every threaded product joins OpenBLAS's helper threads (see
-    statutil.matmul). The threads that plugin_interval starts run none."""
+    run_grid reads the process's OpenBLAS thread count and never sets it.
+    No other thread of the process may run BLAS while run_grid runs: every
+    threaded product joins OpenBLAS's helper threads (see statutil.matmul).
+    The threads that plugin_interval starts run none."""
     if isinstance(cfgs, ExperimentConfig):
         cfgs = [cfgs]
     if len({cfg.head for cfg in cfgs}) < len(cfgs):
@@ -448,12 +411,12 @@ def run_grid(cfgs: Sequence[ExperimentConfig], threads: int = 1) -> Table:
         # numpy loads numpy.random on first use; loaded here, it is loaded
         # in every forked worker too (about 30 ms of CPU each).
         importlib.import_module("numpy.random")
-        with _blas_threads(1) as wald_threads:
-            context = multiprocessing.get_context()
-            slots = context.BoundedSemaphore(_wald_slot_count(_cpu_count(), wald_threads))
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker,
-                                     initargs=(slots, wald_threads)) as pool:
-                tasks = list(pool.map(_replication_task, chunks))
+        wald_threads = _blas_thread_count()
+        context = multiprocessing.get_context()
+        slots = context.BoundedSemaphore(_wald_slot_count(_cpu_count(), wald_threads))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=_init_worker,
+                                 initargs=(slots, wald_threads)) as pool:
+            tasks = list(pool.map(_replication_task, chunks))
     # A block's rows are in k order and no two blocks share a head, so
     # sorting the blocks by head sorts the rows.
     return Table(sorted((block for task in tasks for block in task), key=lambda block: block.head))

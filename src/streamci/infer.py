@@ -19,7 +19,7 @@ import numpy as np
 from .model import Dataset, ModelKind, sigmoid
 from .statutil import (
     IllConditionedError,
-    _openblas,
+    _blas_thread_count,
     matmul,
     normal_quantile,
     spd_factorize,
@@ -186,8 +186,7 @@ def plugin_interval(
     t, d, passes = len(x), x.shape[1], len(mu)
     if t < 1:
         raise ValueError(f"the sums must cover at least 1 observation, got t={t}")
-    lib = _openblas() if passes > 1 else None
-    n = 1 if lib is None else min(passes, lib.get())
+    n = min(passes, _blas_thread_count()) if passes > 1 else 1
     linear = kind == ModelKind.LINEAR
     J, V, diag = np.empty((1 if linear else passes, d, d)), np.empty((passes, d, d)), np.empty((passes, d))
     rows = np.empty((n, t, d))

@@ -25,6 +25,7 @@ from .statutil import RngStream
 __all__ = [
     "ALGORITHM_NAMES",
     "AlgorithmKind",
+    "LANE_ARRAYS",
     "LaneRun",
     "NOISE_BETA",
     "NOISE_SIGMA",
@@ -51,6 +52,11 @@ NOISE_BETA = 0.25
 # about 130 bytes each, so 128 steps' views take about what 2^14 floats do.
 BLOCK_FLOATS = 1 << 14
 BLOCK_STEPS = 128
+# Iterate-sized arrays per lane in run_lanes: iterates, gradients, products;
+# the average, root's three buffers or the truncation's two; and the phase's
+# buffers of gathered rows, noise rows, new iterates and their quotients, each
+# one step of rows once a block of them would exceed BLOCK_FLOATS.
+LANE_ARRAYS = 8
 
 # Bisection of the implicit update: iteration cap, and the bracket width,
 # relative to max(1, |s0|), at which it stops.

@@ -1,6 +1,7 @@
 """Numerical utilities: quantile functions, SPD factorization, keyed
-deterministic random streams, and the matrix product that joins OpenBLAS's
-helper threads.
+deterministic random streams, and numpy's OpenBLAS threads: the matrix
+product that joins its helper threads, and the one reader and setters of its
+thread count. No other module of the package calls into OpenBLAS.
 
 Quantiles are computed in-repo from first principles (erfc-based normal CDF,
 the closed-form series for Student's t at integer degrees of freedom, both
@@ -14,8 +15,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from contextlib import contextmanager
 from functools import cache, lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -177,17 +179,18 @@ _OPENBLAS_THREAD_SYMBOLS = (
 @dataclasses.dataclass(frozen=True)
 class _OpenBlas:
     """Thread controls of the OpenBLAS that numpy loaded. shutdown joins the
-    helper threads (OpenBLAS restarts them on its next threaded call); None
-    when the library does not export it."""
+    helper threads (OpenBLAS restarts them on its next threaded call). The
+    defaults stand in for a missing OpenBLAS, which reads as one thread, and
+    for a missing blas_thread_shutdown_, which joins nothing."""
 
-    get: Callable[[], int]
-    set: Callable[[int], None]
-    shutdown: Optional[Callable[[], int]]
+    get: Callable[[], int] = lambda: 1
+    set: Callable[[int], None] = lambda n: None
+    shutdown: Callable[[], int] = lambda: 0
 
 
 @cache
-def _openblas() -> Optional[_OpenBlas]:
-    """numpy's OpenBLAS, or None when no such library is found."""
+def _openblas() -> _OpenBlas:
+    """numpy's OpenBLAS, or the stand-in when no such library is found."""
     import ctypes
     import glob
 
@@ -200,10 +203,11 @@ def _openblas() -> Optional[_OpenBlas]:
                 get.restype, get.argtypes = ctypes.c_int, []
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
                 shutdown = getattr(handle, "blas_thread_shutdown_", None)
-                if shutdown is not None:
-                    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+                if shutdown is None:
+                    return _OpenBlas(get, set_)
+                shutdown.restype, shutdown.argtypes = ctypes.c_int, []
                 return _OpenBlas(get, set_, shutdown)
-    return None
+    return _OpenBlas()
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,10 +222,37 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     small to be threaded, such as the lane kernel's, stay plain @.
     """
     out = a @ b
-    lib = _openblas()
-    if lib is not None and lib.shutdown is not None:
-        lib.shutdown()
+    _openblas().shutdown()
     return out
+
+
+def _blas_thread_count() -> int:
+    """numpy's OpenBLAS thread count: 1 when no OpenBLAS is found."""
+    return _openblas().get()
+
+
+def _set_blas_threads(n: int) -> None:
+    """Set numpy's OpenBLAS to n threads and join its helper threads: a
+    fresh interpreter runs OpenBLAS's default helper, and a count above 1
+    starts a fresh one, which would spin for about 0.1 s on a CPU that the
+    lane pass, the plug-in or another pool worker needs."""
+    lib = _openblas()
+    lib.set(n)
+    lib.shutdown()
+
+
+@contextmanager
+def _blas_threads(n: int) -> Iterator[None]:
+    """Run the block with numpy's OpenBLAS at n threads; afterwards restore
+    the count it had (see _set_blas_threads), also when the block raises.
+    Within the block, each threaded product joins its own helpers (see
+    matmul)."""
+    before = _blas_thread_count()
+    _openblas().set(n)
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)
 
 
 # ---------------------------------------------------------------------------

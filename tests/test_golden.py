@@ -14,10 +14,10 @@ import pytest
 
 import streamci.harness as harness
 from streamci.cli import run_cli
-from streamci.harness import ROLE_HULC_U, STREAM_SPACING, _blas_threads
+from streamci.harness import ROLE_HULC_U, STREAM_SPACING
 from streamci.infer import hulc_batch_count
 from streamci.optim import ALGORITHM_NAMES
-from streamci.statutil import RngStream
+from streamci.statutil import RngStream, _blas_threads
 
 ROOT = Path(__file__).resolve().parent.parent
 

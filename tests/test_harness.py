@@ -52,7 +52,7 @@ from streamci.harness import (
 from streamci.infer import hulc_interval
 from streamci.model import CovarianceKind, DataPoint, Dataset, ModelKind, loss_grad, make_theta_star, population_hessian
 from streamci.optim import ALGORITHM_NAMES, AlgorithmKind, PolynomialStep, advance, init_state, run_lanes
-from streamci.statutil import _openblas
+from streamci.statutil import _blas_thread_count
 
 INF, NAN = float("inf"), float("nan")
 DATA = Path(__file__).resolve().parent / "data"
@@ -216,7 +216,7 @@ class TestReplication:
 
 
 def _worker_blas_threads(_):
-    return _openblas().get()
+    return _blas_thread_count()
 
 
 def _worker_thread_count(_):
@@ -254,18 +254,19 @@ class TestRunGrid:
             assert all(out == outputs[0] for out in outputs)
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch, two_blas_threads):
-        # A forked worker inherits this process's count; a spawned or
-        # forkserver one starts at OpenBLAS's default until the initializer
-        # sets it. Under every start method the workers read one thread
-        # outside their Wald fits, and the rows are the serial path's.
+        # run_grid reads this process's count and never sets it: the count
+        # is 2 while the pool runs, after the run, and after a task raises,
+        # pooled or serial. Under every start method the workers read one
+        # thread outside their Wald fits, a spawned or forkserver one too,
+        # which starts at OpenBLAS's default count, and the rows are the
+        # serial path's.
         if two_blas_threads is None:
             pytest.skip("no OpenBLAS thread setter found")
-        get = two_blas_threads.get
         seen = []
 
         class Pool(ProcessPoolExecutor):
             def map(self, fn, *iterables, **kwargs):
-                seen.append(get())
+                seen.append(_blas_thread_count())
                 seen.extend(super().map(_worker_blas_threads, range(4)))
                 return super().map(fn, *iterables, **kwargs)
 
@@ -277,21 +278,21 @@ class TestRunGrid:
             monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
             seen.clear()
             assert list(run_grid([cfg], threads=2)) == serial, context.get_start_method()
-            assert seen == [1] * 5, context.get_start_method()
-        assert get() == 2
-        # The count is restored when a task raises, too.
+            assert seen == [2] + [1] * 4, context.get_start_method()
+            assert _blas_thread_count() == 2, context.get_start_method()
         monkeypatch.setattr(harness, "_replication_task", _failing_task)
-        with pytest.raises(RuntimeError, match="task failed"):
-            run_grid([_cfg(reps=2)], threads=2)
-        assert get() == 2
+        for threads in (2, 1):
+            with pytest.raises(RuntimeError, match="task failed"):
+                run_grid([cfg], threads=threads)
+            assert _blas_thread_count() == 2, threads
 
     def test_forked_workers_start_no_blas_threads(self, monkeypatch, two_blas_threads):
-        # OpenBLAS stops its helper threads at a fork, and setting a count
-        # starts them again, to spin on the CPUs the workers step on. A
-        # forked worker already runs one thread, so its initializer must
-        # leave the count alone and the worker stay single-threaded. A
-        # spawned or forkserver worker starts with OpenBLAS's default helper
-        # thread, which its initializer joins after setting one thread.
+        # A worker's initializer sets one thread and joins OpenBLAS's
+        # helpers under every start method: a forked worker's count is
+        # its caller's, and setting it starts helpers that would spin on the
+        # CPUs the workers step on; a spawned or forkserver worker starts
+        # with OpenBLAS's default helper thread. Either way the worker runs
+        # one OS thread.
         if two_blas_threads is None or not os.path.isdir("/proc/self/task"):
             pytest.skip("needs OpenBLAS's thread setter and /proc/self/task")
         counts = []
@@ -362,8 +363,7 @@ class TestRunGrid:
             calls.append("wald")
             return wald_offline(*args)
 
-        for module in (statutil, harness, infer):
-            monkeypatch.setattr(module, "_openblas", lambda: fake)
+        monkeypatch.setattr(statutil, "_openblas", lambda: fake)
         monkeypatch.setattr(harness, "sample_dataset", sample)
         monkeypatch.setattr(harness, "wald_offline", wald)
         rows = list(run_grid([_cfg(reps=2)], threads=1))
@@ -382,18 +382,18 @@ class TestRunGrid:
         # At d=100 the sampler's and the Wald fit's products are large
         # enough for OpenBLAS to wake its helper thread, which, left alone,
         # spins for about 0.1 s after its last job; the serial path joins it.
-        if not sys.platform.startswith("linux") or two_blas_threads is None or two_blas_threads.shutdown is None:
-            pytest.skip("needs Linux and OpenBLAS's thread setter and blas_thread_shutdown_")
+        if not sys.platform.startswith("linux") or two_blas_threads is None:
+            pytest.skip("needs Linux and OpenBLAS's thread setter")
         run_grid([_cfg(d=100, t=1000, methods=("wald", "hulc"))], threads=1)
         assert self._idle_cpu_seconds() < 0.05
         assert two_blas_threads.get() == 2
 
     def test_pooled_run_leaves_no_blas_helper_spinning(self, monkeypatch, two_blas_threads):
         # OpenBLAS's fork handler stops this process's helper threads, and
-        # restoring its count after the pool starts a fresh one, which spins
-        # unless run_grid joins it.
-        if not sys.platform.startswith("linux") or two_blas_threads is None or two_blas_threads.shutdown is None:
-            pytest.skip("needs Linux and OpenBLAS's thread setter and blas_thread_shutdown_")
+        # none spins after the pool: run_grid sets no count, which would
+        # start a fresh one.
+        if not sys.platform.startswith("linux") or two_blas_threads is None:
+            pytest.skip("needs Linux and OpenBLAS's thread setter")
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         run_grid([_cfg(reps=2)], threads=2)
         assert self._idle_cpu_seconds() < 0.05
@@ -455,7 +455,7 @@ class TestRunGrid:
         assert list(run_grid([cfg], threads=4)) == serial
         assert workers == [2]
 
-    @pytest.mark.parametrize(("cpus", "wald_threads", "slots"), [(2, 2, 1), (8, 2, 4), (3, None, 3), (1, 4, 1)])
+    @pytest.mark.parametrize(("cpus", "wald_threads", "slots"), [(2, 2, 1), (8, 2, 4), (3, 1, 3), (1, 4, 1)])
     def test_wald_slots_keep_fit_threads_within_cpus(self, cpus, wald_threads, slots):
         assert harness._wald_slot_count(cpus, wald_threads) == slots
 
@@ -490,7 +490,8 @@ class TestRunGrid:
         # The workers get the semaphore and this process's Wald thread count
         # from the pool's initializer, not by inheriting this process's
         # memory, so a fresh interpreter gets them too; it starts at
-        # OpenBLAS's default count, not this process's.
+        # OpenBLAS's default count, not this process's. Without OpenBLAS the
+        # count reads 1.
         context = multiprocessing.get_context(method)
         probed = []
 
@@ -505,7 +506,7 @@ class TestRunGrid:
         monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
         assert list(run_grid([cfg], threads=2)) == serial
-        assert probed == [(True, None if two_blas_threads is None else 2)] * 4
+        assert probed == [(True, 1 if two_blas_threads is None else 2)] * 4
         assert harness._wald_slots is None and harness._wald_threads is None
 
     def test_dead_worker_breaks_the_pool_without_hanging(self):
@@ -516,11 +517,12 @@ class TestRunGrid:
             import os
             from concurrent.futures.process import BrokenProcessPool
             import streamci.harness as harness
+            from streamci.statutil import _blas_threads
             harness._cpu_count = lambda: 2
             harness.wald_offline = lambda *args: os._exit(1)
             cfg = harness.ExperimentConfig(model="logistic", d=3, t=200, cov="identity", algorithm="sgd",
                                            c_grid=(0.5,), reps=2)
-            with harness._blas_threads(2):
+            with _blas_threads(2):
                 try:
                     harness.run_grid([cfg], threads=2)
                 except BrokenProcessPool:

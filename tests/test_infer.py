@@ -18,7 +18,6 @@ from scipy import optimize, stats
 
 import streamci.infer as infer
 from plugin_oracle import plugin_sums
-from streamci.harness import _blas_threads
 from streamci.infer import (
     IntervalSet,
     _ordered_outer_sum,
@@ -42,7 +41,7 @@ from streamci.model import (
     sample_dataset,
     sigmoid,
 )
-from streamci.statutil import IllConditionedError, RngStream
+from streamci.statutil import IllConditionedError, RngStream, _blas_threads
 
 
 class TestIntervalSet:
@@ -433,8 +432,8 @@ class TestWaldOffline:
         # OpenBLAS's helper thread. Each product joins it before returning,
         # so at every sigmoid, between the products, the process runs as
         # many threads as right after a join.
-        if not sys.platform.startswith("linux") or two_blas_threads is None or two_blas_threads.shutdown is None:
-            pytest.skip("needs Linux and OpenBLAS's thread setter and blas_thread_shutdown_")
+        if not sys.platform.startswith("linux") or two_blas_threads is None:
+            pytest.skip("needs Linux and OpenBLAS's thread setter")
         spec = ModelSpec(ModelKind.LOGISTIC, 20, CovarianceKind.TOEPLITZ)
         data = sample_dataset(spec, covariance_factor(spec), RngStream(37, 0), 10**4)
         counts = []

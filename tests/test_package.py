@@ -157,3 +157,29 @@ def test_every_export_is_needed():
     }
     unread = [name for name in _unread_exports(trees) if name.split(".")[0] in MODULES]
     assert [name for name in unread if name not in imported] == []
+
+
+def _openblas_uses(tree: ast.Module) -> list[str]:
+    """What in tree imports ctypes or names OpenBLAS's handle (_openblas,
+    _OpenBlas): bare, as an attribute, an imported name or a definition."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names if alias.name.split(".")[0] == "ctypes")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes":
+            found.append(node.module)
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in ("_openblas", "_OpenBlas"):
+            found.append(name)
+    return found
+
+
+def test_only_statutil_calls_into_openblas():
+    # statutil owns numpy's OpenBLAS: its handle, the thread count's reader
+    # and setters, and the joining product. Every other module goes through
+    # those, so deleting the handle is a change to statutil alone.
+    source = "import ctypes\nfrom ctypes import CDLL\nfrom .statutil import _openblas\ns._OpenBlas()\n_openblas().get()\n"
+    assert _openblas_uses(ast.parse(source)) == ["ctypes", "ctypes", "_openblas", "_OpenBlas", "_openblas"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "statutil":
+            assert _openblas_uses(ast.parse(path.read_text())) == [], path.name

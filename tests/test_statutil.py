@@ -17,10 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from streamci.harness import _blas_threads
 from streamci.statutil import (
     IllConditionedError,
     RngStream,
+    _blas_threads,
     matmul,
     normal_cdf,
     normal_quantile,
