@@ -305,6 +305,8 @@ def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np
     estimates, responses = run_lanes(cfg.algorithm, cfg.model, X, y, runs, _initial_iterates(cfg, X, y, runs),
                                      cfg.c_grid, cfg.gamma, noise=noise, record=n_passes)
     wald = _wald_intervals(cfg, X, y, len(reps)) if "wald" in cfg.methods else []
+    # Only a pool worker has _wald_slots (_init_worker sets them); it shares the CPUs, so its plug-in runs inline.
+    plugin_threads = _cpu_count() if _wald_slots is None else 1
     blocks: list[ResultBlock] = []
     for i, rep in enumerate(reps):
         rows, buckets = slice(i * n, (i + 1) * n), estimates[:, bucket_runs[i]]
@@ -312,7 +314,8 @@ def _chunk_rows(cfg: ExperimentConfig, reps: Sequence[int], X: np.ndarray, y: np
         # plug-in's are centred at the asgd passes' averages.
         per_c = {
             "wald": lambda: [wald[i]] * len(cfg.c_grid),
-            "plugin": lambda: plugin_interval(cfg.model, X[rows], y[rows], responses[:, i], estimates[:, i], cfg.alpha),
+            "plugin": lambda: plugin_interval(cfg.model, X[rows], y[rows], responses[:, i], estimates[:, i], cfg.alpha,
+                                              plugin_threads),
             "hulc": lambda: [hulc_interval(b) for b in buckets],
             "tstat": lambda: [tstat_interval(b, cfg.alpha) for b in buckets],
         }

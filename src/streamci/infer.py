@@ -19,7 +19,6 @@ import numpy as np
 from .model import Dataset, ModelKind, sigmoid
 from .statutil import (
     IllConditionedError,
-    _blas_thread_count,
     matmul,
     normal_quantile,
     spd_factorize,
@@ -32,7 +31,6 @@ __all__ = [
     "hulc_batch_count",
     "hulc_interval",
     "plugin_interval",
-    "sandwich_inverse",
     "tstat_interval",
     "wald_offline",
 ]
@@ -114,12 +112,6 @@ def tstat_interval(estimates: np.ndarray, alpha: float) -> IntervalSet:
     return IntervalSet(center - half, center + half, center)
 
 
-def sandwich_inverse(J: np.ndarray) -> np.ndarray:
-    """J^-1 through the Cholesky factor of J; raises IllConditionedError
-    when J is not finite or numerically singular."""
-    return spd_solve(spd_factorize(J), np.eye(J.shape[0]))
-
-
 def _sandwich_interval(diag: np.ndarray, t: int, center: np.ndarray, alpha: float) -> IntervalSet:
     """center +/- z * sqrt(diag / t), from the _sandwich_diagonal of the
     per-observation means J and V of t observations."""
@@ -172,7 +164,7 @@ def _in_shares(pool: ThreadPoolExecutor, n: int, share: Callable[[int], None]) -
 
 
 def plugin_interval(
-    kind: ModelKind, x: np.ndarray, y: np.ndarray, mu: np.ndarray, center: np.ndarray, alpha: float
+    kind: ModelKind, x: np.ndarray, y: np.ndarray, mu: np.ndarray, center: np.ndarray, alpha: float, threads: int
 ) -> list[Optional[IntervalSet]]:
     """Sandwich intervals of passes over the t observations x, y: pass p has
     responses mu[p] = psi(x'theta) at its pre-update iterates and averaged
@@ -180,13 +172,13 @@ def plugin_interval(
     None marks a pass whose J is not finite or numerically singular. The
     linear J does not depend on the iterate, so all passes share one J.
 
-    Pass p's sums and diagonal are taken on thread p mod n, n = this process's
-    OpenBLAS thread count (1 for one pass); the linear J is one more pass. The
-    threads run einsum into arrays allocated here, no BLAS: no byte depends on n."""
+    Pass p's sums and diagonal are taken on thread p mod n, n = min(passes,
+    threads) and at least 1; the linear J is one more pass. The threads run
+    einsum into arrays allocated here, no BLAS: no byte depends on n."""
     t, d, passes = len(x), x.shape[1], len(mu)
     if t < 1:
         raise ValueError(f"the sums must cover at least 1 observation, got t={t}")
-    n = min(passes, _blas_thread_count()) if passes > 1 else 1
+    n = max(min(passes, threads), 1)
     linear = kind == ModelKind.LINEAR
     J, V, diag = np.empty((1 if linear else passes, d, d)), np.empty((passes, d, d)), np.empty((passes, d))
     rows = np.empty((n, t, d))
@@ -217,7 +209,7 @@ def plugin_interval(
         V /= t
         for J_sum in J:
             try:
-                inverses.append(sandwich_inverse(J_sum / t))
+                inverses.append(spd_solve(spd_factorize(J_sum / t), np.eye(d)))
             except IllConditionedError:
                 inverses.append(None)
         if linear:
@@ -256,17 +248,18 @@ def wald_offline(kind: ModelKind, data: Dataset, alpha: float) -> IntervalSet:
         raise ValueError("data must be non-empty")
     # The weighted rows X * w and X * resid, one after the other.
     work = np.empty_like(X)
+    # J's Cholesky factor, taken once: the linear fit solves for theta_hat with it.
     if kind == ModelKind.LINEAR:
-        J = matmul(X.T, X) / t
-        theta_hat = spd_solve(spd_factorize(J), matmul(X.T, y) / t)
+        lower = spd_factorize(matmul(X.T, X) / t)
+        theta_hat = spd_solve(lower, matmul(X.T, y) / t)
         resid = matmul(X, theta_hat) - y
     elif kind == ModelKind.LOGISTIC:
         theta_hat, mu = _logistic_mle(X, y, work)
         w = mu * (1.0 - mu)
-        J = matmul(np.multiply(X, w[:, None], work).T, X) / t
+        lower = spd_factorize(matmul(np.multiply(X, w[:, None], work).T, X) / t)
         resid = mu - y
     else:
         raise ValueError(f"unsupported model kind: {kind!r}")
     Xr = np.multiply(X, resid[:, None], work)
     V = matmul(Xr.T, Xr) / t
-    return _sandwich_interval(_sandwich_diagonal(sandwich_inverse(J), V), t, theta_hat, alpha)
+    return _sandwich_interval(_sandwich_diagonal(spd_solve(lower, np.eye(X.shape[1])), V), t, theta_hat, alpha)

@@ -52,7 +52,7 @@ from streamci.harness import (
 from streamci.infer import hulc_interval
 from streamci.model import CovarianceKind, DataPoint, Dataset, ModelKind, loss_grad, make_theta_star, population_hessian
 from streamci.optim import ALGORITHM_NAMES, AlgorithmKind, PolynomialStep, advance, init_state, run_lanes
-from streamci.statutil import _blas_thread_count
+from streamci.statutil import _blas_thread_count, _blas_threads
 
 INF, NAN = float("inf"), float("nan")
 DATA = Path(__file__).resolve().parent / "data"
@@ -311,10 +311,9 @@ class TestRunGrid:
             assert counts == [1] * 4, context.get_start_method()
 
     def test_forked_workers_form_plugin_sums_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
-        # A pool worker runs one BLAS thread, so its plug-in intervals form
-        # their sums inline: a worker stepping a chunk of three c values
-        # runs one thread throughout. In this process, at two BLAS threads,
-        # the same chunk's sums run on two threads.
+        # A pool worker forms its plug-in sums inline: a worker stepping a
+        # chunk of three c values runs one thread throughout. In this
+        # process, on two CPUs, the same chunk's sums run on two threads.
         if two_blas_threads is None or not os.path.isdir("/proc/self/task"):
             pytest.skip("needs OpenBLAS's thread setter and /proc/self/task")
         ordered_outer_sum = infer._ordered_outer_sum
@@ -333,9 +332,9 @@ class TestRunGrid:
 
         cfg = _cfg(d=5, c_grid=(0.1, 0.5, 2.0), reps=2, methods=("plugin",))
         monkeypatch.setattr(infer, "_ordered_outer_sum", counting)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         serial = list(run_grid([cfg], threads=1))
         assert len({ident for _, ident in records()[str(os.getpid())]}) == 2
-        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
         context = multiprocessing.get_context("fork")
         monkeypatch.setattr(harness.multiprocessing, "get_context", lambda: context)
         assert list(run_grid([cfg], threads=2)) == serial
@@ -344,12 +343,29 @@ class TestRunGrid:
         # One replication each: its linear J and three V sums.
         assert all([count for count, _ in lines] == ["1"] * 4 for lines in workers.values())
 
+    def test_serial_plugin_threads_follow_the_cpus_not_blas(self, monkeypatch):
+        # The plug-in's threads run einsum, no BLAS, so a serial run sizes
+        # them by its CPUs: at one BLAS thread on two CPUs, a chunk of three
+        # c values forms its sums on two threads.
+        threads = set()
+        ordered_outer_sum = infer._ordered_outer_sum
+
+        def recording(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return ordered_outer_sum(*args, **kwargs)
+
+        monkeypatch.setattr(infer, "_ordered_outer_sum", recording)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        with _blas_threads(1):
+            run_grid([_cfg(d=5, c_grid=(0.1, 0.5, 2.0), methods=("plugin",))], threads=1)
+        assert len(threads) == 2
+
     def test_serial_run_joins_blas_helpers_at_the_current_count(self, monkeypatch):
         # The serial path fits Wald at the current thread count: it sets no
         # count, and each threaded product of the sampler (z @ chol.T and
         # X @ theta_star) and of the linear Wald fit (X'X, X'y, X theta_hat
-        # and the V product) joins OpenBLAS's helper threads. A one-pass
-        # plug-in interval looks up no count: it forms its sums inline.
+        # and the V product) joins OpenBLAS's helper threads. The plug-in
+        # interval looks up no count.
         calls = []
         fake = statutil._OpenBlas(get=lambda: calls.append("get") or 2, set=lambda n: calls.append(("set", n)),
                                   shutdown=lambda: calls.append("shutdown") or 0)

@@ -26,7 +26,6 @@ from streamci.infer import (
     hulc_batch_count,
     hulc_interval,
     plugin_interval,
-    sandwich_inverse,
     tstat_interval,
     wald_offline,
 )
@@ -41,7 +40,12 @@ from streamci.model import (
     sample_dataset,
     sigmoid,
 )
-from streamci.statutil import IllConditionedError, RngStream, _blas_threads
+from streamci.statutil import IllConditionedError, RngStream, spd_factorize, spd_solve
+
+
+def sandwich_inverse(J):
+    """J^-1 through the Cholesky factor of J, as the sandwiches take it."""
+    return spd_solve(spd_factorize(J), np.eye(J.shape[0]))
 
 
 class TestIntervalSet:
@@ -169,7 +173,7 @@ class TestPlugin:
         X = np.array([[1.0, 2.0], [1.0, -1.0]])
         y = np.array([1.0, -1.0])
         mu = np.array([[0.0, 0.0], [2.0, -2.0]])
-        got = plugin_interval(ModelKind.LINEAR, X, y, mu, np.zeros((2, 2)), 0.05)
+        got = plugin_interval(ModelKind.LINEAR, X, y, mu, np.zeros((2, 2)), 0.05, 2)
         half = 1.959963984540054 * np.sqrt([5.0 / 9.0, 2.0 / 9.0])
         for iv in got:
             assert_allclose(iv.hi, half, rtol=1e-12)
@@ -215,7 +219,7 @@ class TestPlugin:
 
     def test_empty_accumulator_raises(self):
         with pytest.raises(ValueError):
-            plugin_interval(ModelKind.LINEAR, np.empty((0, 2)), np.empty(0), np.empty((1, 0)), np.zeros((1, 2)), 0.05)
+            plugin_interval(ModelKind.LINEAR, np.empty((0, 2)), np.empty(0), np.empty((1, 0)), np.zeros((1, 2)), 0.05, 1)
 
 
 class TestPluginInterval:
@@ -254,7 +258,7 @@ class TestPluginInterval:
             y = (rng.uniform(size=t) < 0.5).astype(float)
         mu, sums = self._passes(model_kind, X, y, 3, d)
         centers = rng.standard_normal((3, d))
-        got = plugin_interval(model_kind, X, y, mu, centers, 0.05)
+        got = plugin_interval(model_kind, X, y, mu, centers, 0.05, 2)
         assert len(got) == 3
         for iv, (J_sum, V_sum), center in zip(got, sums, centers):
             want = self._oracle_interval(J_sum, V_sum, t, center)
@@ -262,17 +266,15 @@ class TestPluginInterval:
             assert iv.hi.tobytes() == want.hi.tobytes()
 
     @pytest.mark.parametrize(("model_kind", "d", "n_passes"), [(ModelKind.LINEAR, 100, 5), (ModelKind.LOGISTIC, 20, 4)])
-    def test_threaded_sums_are_bit_for_bit(self, monkeypatch, two_blas_threads, model_kind, d, n_passes):
-        """At two BLAS threads the passes' sums are split over two threads,
-        and every interval is, as bytes, the one-thread call's and the one
+    def test_threaded_sums_are_bit_for_bit(self, monkeypatch, model_kind, d, n_passes):
+        """At two threads the passes' sums are split over two threads, and
+        every interval is, as bytes, the one-thread call's and the one
         the oracle's sums give. Pass 1 diverged. The linear one grows past
         the largest float to inf, so its weighted rows overflow in a thread;
         it keeps the shared J and gets NaN bounds. The logistic one has NaN
         responses, a non-finite J and no interval. Under the suite's
         filterwarnings = error, a RuntimeWarning in either thread would fail
         the call."""
-        if two_blas_threads is None:
-            pytest.skip("no OpenBLAS thread setter found")
         t = 300
         rng = np.random.default_rng(d)
         X = rng.standard_normal((t, d))
@@ -294,11 +296,10 @@ class TestPluginInterval:
             return ordered_outer_sum(*args, **kwargs)
 
         monkeypatch.setattr(infer, "_ordered_outer_sum", recording)
-        got = plugin_interval(model_kind, X, y, mu, centers, 0.05)
+        got = plugin_interval(model_kind, X, y, mu, centers, 0.05, 2)
         assert len(threads) == 2
         threads.clear()
-        with _blas_threads(1):
-            one = plugin_interval(model_kind, X, y, mu, centers, 0.05)
+        one = plugin_interval(model_kind, X, y, mu, centers, 0.05, 1)
         assert threads == {threading.get_ident()}
         fields = ("lo", "hi", "center")
         for p, (iv, iv_one, (J_sum, V_sum), center) in enumerate(zip(got, one, sums, centers)):
@@ -313,32 +314,28 @@ class TestPluginInterval:
                 for f in fields:
                     assert getattr(iv, f).tobytes() == getattr(iv_one, f).tobytes() == getattr(want, f).tobytes()
 
-    def test_more_threads_than_cpus_give_the_same_bytes(self, two_blas_threads):
+    def test_more_threads_than_cpus_give_the_same_bytes(self):
         # Each thread weights its passes' rows in its own buffer: at four
-        # BLAS threads, with the interpreter switching threads every
-        # microsecond, seven passes come out as on one thread, call after call.
-        if two_blas_threads is None:
-            pytest.skip("no OpenBLAS thread setter found")
+        # threads, with the interpreter switching threads every microsecond,
+        # seven passes come out as on one thread, call after call.
         rng = np.random.default_rng(6)
         X, y, mu = rng.standard_normal((1000, 50)), rng.standard_normal(1000), rng.standard_normal((7, 1000))
         centers = rng.standard_normal((7, 50))
-        with _blas_threads(1):
-            want = plugin_interval(ModelKind.LINEAR, X, y, mu, centers, 0.05)
+        want = plugin_interval(ModelKind.LINEAR, X, y, mu, centers, 0.05, 1)
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            with _blas_threads(4):
-                got = [plugin_interval(ModelKind.LINEAR, X, y, mu, centers, 0.05) for _ in range(10)]
+            got = [plugin_interval(ModelKind.LINEAR, X, y, mu, centers, 0.05, 4) for _ in range(10)]
         finally:
             sys.setswitchinterval(interval)
         for call in got:
             assert [iv.hi.tobytes() for iv in call] == [iv.hi.tobytes() for iv in want]
 
-    def test_threads_end_with_the_call(self, monkeypatch, two_blas_threads):
+    def test_threads_end_with_the_call(self, monkeypatch):
         # The threads that form the sums are joined before plugin_interval
         # returns: the process runs as many threads as before the call.
-        if not sys.platform.startswith("linux") or two_blas_threads is None:
-            pytest.skip("needs Linux and OpenBLAS's thread setter")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("needs Linux's /proc/self/task")
         X = np.random.default_rng(4).standard_normal((200, 20))
         mu = np.random.default_rng(5).standard_normal((3, 200))
         during = []
@@ -350,7 +347,7 @@ class TestPluginInterval:
 
         monkeypatch.setattr(infer, "_ordered_outer_sum", counting)
         before = len(os.listdir("/proc/self/task"))
-        plugin_interval(ModelKind.LINEAR, X, np.zeros(200), mu, np.zeros((3, 20)), 0.05)
+        plugin_interval(ModelKind.LINEAR, X, np.zeros(200), mu, np.zeros((3, 20)), 0.05, 2)
         assert max(during) == before + 1
         # A joined thread's last step, its exit from the kernel, may trail
         # the join by a moment.
@@ -366,7 +363,7 @@ class TestPluginInterval:
         X[:, 2] = 0.0
         y = (X[:, 0] > 0.0).astype(float)
         mu, _ = self._passes(model_kind, X, y, 2, 3)
-        assert plugin_interval(model_kind, X, y, mu, np.zeros((2, 3)), 0.05) == [None, None]
+        assert plugin_interval(model_kind, X, y, mu, np.zeros((2, 3)), 0.05, 2) == [None, None]
 
 
 class TestWaldOffline:
@@ -426,6 +423,19 @@ class TestWaldOffline:
     def test_empty_data_raises(self):
         with pytest.raises(ValueError):
             wald_offline(ModelKind.LINEAR, Dataset(np.zeros((0, 1)), np.zeros(0)), 0.05)
+
+    def test_linear_fit_factors_j_once(self, monkeypatch):
+        # The factor that solves for theta_hat also gives the sandwich's J^-1.
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return spd_factorize(a)
+
+        monkeypatch.setattr(infer, "spd_factorize", counting)
+        X = np.column_stack([np.ones(20), np.random.default_rng(38).standard_normal((20, 2))])
+        wald_offline(ModelKind.LINEAR, Dataset(X, np.random.default_rng(39).standard_normal(20)), 0.05)
+        assert calls == [(3, 3)]
 
     def test_no_blas_helper_outlives_a_product(self, monkeypatch, two_blas_threads):
         # At two BLAS threads the Newton fit's products at d=20, T=10^4 wake

@@ -183,3 +183,24 @@ def test_only_statutil_calls_into_openblas():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem != "statutil":
             assert _openblas_uses(ast.parse(path.read_text())) == [], path.name
+
+
+def _named(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
+    """Each of names that tree names: bare, as an attribute, an imported
+    name or a definition."""
+    found = (getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree))
+    return [name for name in found if name in names]
+
+
+def test_only_statutil_and_harness_handle_blas_thread_counts():
+    # The harness owns the process's OpenBLAS thread count: it reads it for
+    # the pool's Wald fits and pins each worker to one thread. No other
+    # layer sizes anything by it, so dropping the count touches statutil and
+    # harness alone.
+    names = ("_blas_thread_count", "_blas_threads", "_set_blas_threads")
+    source = "from .statutil import _blas_threads as b\ns._set_blas_threads(1)\ndef _blas_thread_count():\n    pass\n"
+    assert sorted(_named(ast.parse(source), names)) == sorted(names)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in ("statutil", "harness"):
+            assert _named(ast.parse(path.read_text()), names) == [], path.name
