@@ -705,8 +705,8 @@ class TestRunLanes:
     def test_block_boundaries_match_reference(self, name, model_kind, monkeypatch):
         # The property above gathers each phase as one block. Here BLOCK_FLOATS
         # ends blocks of 1, 2 or 3 steps in the first phase (every lane
-        # running) or the last (the three longest runs at both step
-        # constants), or BLOCK_STEPS ends blocks of 2, 3 or 5 steps in every
+        # running) or the last (the three longest runs at every step
+        # constant), or BLOCK_STEPS ends blocks of 2, 3 or 5 steps in every
         # phase. So phases end mid-block, a phase's buffers and step views
         # serve up to four blocks, the last one short, and the responses and
         # the running average are folded in across block boundaries.
@@ -723,23 +723,27 @@ class TestRunLanes:
         # third ties with them.
         rows = [range(0, pool, 3)[:17], range(4, pool, 3)[:17], range(1, pool, 3)[:17], range(1, pool, 3)[:10],
                 range(2, pool, 4)[:7], range(5, pool, 5)]
-        c = [0.5, 0.1]
         theta0 = 0.1 * rng.standard_normal((len(rows), d))
         want = {
-            (j, r): _reference_lane(kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(c[j], 0.505), noise)
-            for j, r in itertools.product(range(len(c)), range(len(rows)))
+            (cj, r): _reference_lane(kind, model_kind, X, y, rows[r], theta0[r], PolynomialStep(cj, 0.505), noise)
+            for cj, r in itertools.product((0.5, 0.1), range(len(rows)))
         }
-        bounds = [(steps * lanes * d, optim.BLOCK_STEPS)
-                  for steps, lanes in itertools.product((1, 2, 3), (3 * len(c), len(rows) * len(c)))]
-        bounds += [(optim.BLOCK_FLOATS, steps) for steps in (2, 3, 5)]
-        for floats, steps in bounds:
-            monkeypatch.setattr(optim, "BLOCK_FLOATS", floats)
-            monkeypatch.setattr(optim, "BLOCK_STEPS", steps)
-            run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise, record=2)
-            for (j, r), (state, responses, _) in want.items():
-                assert _bits(run.estimates[j, r]) == _bits(_declared_estimate(state)), (floats, steps, j, r)
-                if r < 2:
-                    assert _bits(run.responses[j, r]) == _bits(responses), (floats, steps, j, r)
+        # Two step constants, and one: a lone c steps with 0-d views of the
+        # block's step sizes, as accept-d5 and the sweep do.
+        for c in ([0.5, 0.1], [0.5]):
+            bounds = [(steps * lanes * d, optim.BLOCK_STEPS)
+                      for steps, lanes in itertools.product((1, 2, 3), (3 * len(c), len(rows) * len(c)))]
+            bounds += [(optim.BLOCK_FLOATS, steps) for steps in (2, 3, 5)]
+            for floats, steps in bounds:
+                monkeypatch.setattr(optim, "BLOCK_FLOATS", floats)
+                monkeypatch.setattr(optim, "BLOCK_STEPS", steps)
+                run = run_lanes(kind, model_kind, X, y, rows, theta0, c, 0.505, noise=noise, record=2)
+                for j, r in itertools.product(range(len(c)), range(len(rows))):
+                    state, responses, _ = want[c[j], r]
+                    where = (c, floats, steps, j, r)
+                    assert _bits(run.estimates[j, r]) == _bits(_declared_estimate(state)), where
+                    if r < 2:
+                        assert _bits(run.responses[j, r]) == _bits(responses), where
 
     @pytest.mark.parametrize("model_kind", [ModelKind.LINEAR, ModelKind.LOGISTIC])
     def test_step_makes_no_python_call(self, model_kind):
