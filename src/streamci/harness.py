@@ -26,7 +26,7 @@ from .infer import IntervalSet, hulc_batch_count, hulc_interval, plugin_interval
 from .model import CovarianceKind, Dataset, ModelKind, ModelSpec, covariance_factor, population_hessian, sample_dataset
 from .optim import LANE_ARRAYS, NOISE_BETA, NOISE_SIGMA, TRUNCATION_EPS2, AlgorithmKind, run_lanes
 from .statutil import (IllConditionedError, RngStream, _blas_thread_count, _blas_threads, _set_blas_threads,
-                       spd_factorize, spd_solve)
+                       matmul, spd_factorize, spd_solve)
 
 __all__ = [
     "ExperimentConfig",
@@ -489,9 +489,9 @@ def expansion_residuals(cfg: ExperimentConfig) -> list[float]:
             x, r = X[i * t : (i + 1) * t], mu - y[i * t : (i + 1) * t]
             # numpy's einsum loop, not BLAS: no helper thread starts.
             g_sum, wg_sum = np.einsum("ti,t->i", x, r), np.einsum("ti,t->i", x, w * r)
-            xi = g_sum - hess @ (t * (theta0[i] - theta_star) - wg_sum)
+            xi = g_sum - matmul(hess, t * (theta0[i] - theta_star) - wg_sum)
             rem = math.sqrt(t) * (avg - theta_star) + spd_solve(lower, xi) / math.sqrt(t)
-            residuals.append(float(math.sqrt(rem @ hess @ rem)))
+            residuals.append(float(math.sqrt(matmul(matmul(rem, hess), rem))))
     return residuals
 
 

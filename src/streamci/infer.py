@@ -230,7 +230,7 @@ def _logistic_mle(X: np.ndarray, y: np.ndarray, work: np.ndarray) -> tuple[np.nd
     for _ in range(NEWTON_MAX_ITER):
         mu = sigmoid(matmul(X, theta))
         g = matmul(X.T, mu - y) / t
-        if math.sqrt(float(g @ g)) <= NEWTON_GRAD_TOL:
+        if math.sqrt(float(matmul(g, g))) <= NEWTON_GRAD_TOL:
             if float(np.max(np.abs(mu - y))) < SEPARATION_TOL:
                 raise IllConditionedError("separated sample: logistic MLE diverges")
             return theta, mu

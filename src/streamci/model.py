@@ -167,7 +167,7 @@ def _mean_response(kind: ModelKind, u: float) -> float:
 
 def loss_value(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> float:
     """Per-observation loss: squared error / 2 or the logistic log loss."""
-    u = float(p.x @ theta)
+    u = float(matmul(p.x, theta))
     if kind == ModelKind.LINEAR:
         return 0.5 * (u - p.y) ** 2
     if kind == ModelKind.LOGISTIC:
@@ -178,7 +178,7 @@ def loss_value(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> float:
 
 def loss_grad(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> np.ndarray:
     """Per-observation gradient (psi(x'theta) - y) x."""
-    return (_mean_response(kind, float(p.x @ np.asarray(theta, dtype=float))) - p.y) * p.x
+    return (_mean_response(kind, float(matmul(p.x, np.asarray(theta, dtype=float)))) - p.y) * p.x
 
 
 def loss_hessian(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> np.ndarray:
@@ -187,7 +187,7 @@ def loss_hessian(kind: ModelKind, theta: np.ndarray, p: DataPoint) -> np.ndarray
     if kind == ModelKind.LINEAR:
         return np.outer(x, x)
     if kind == ModelKind.LOGISTIC:
-        s = sigmoid(float(x @ theta))
+        s = sigmoid(float(matmul(x, theta)))
         return s * (1.0 - s) * np.outer(x, x)
     raise ValueError(f"unsupported model kind: {kind!r}")
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .model import DataPoint, ModelKind, _sigmoid_scalarwise, loss_grad
-from .statutil import RngStream
+from .statutil import RngStream, matmul, rowdot
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -242,7 +242,7 @@ def advance(state: OptimizerState, sched: PolynomialStep, model_kind: ModelKind,
     if name in ("sgd", "asgd"):
         step = eta * loss_grad(model_kind, theta, p)
     elif name in ("implicit-last", "implicit-avg"):
-        (s,) = _implicit_steps(model_kind, [float(p.x @ theta)], [float(p.x @ p.x)], [p.y], [eta])
+        (s,) = _implicit_steps(model_kind, [float(matmul(p.x, theta))], [float(matmul(p.x, p.x))], [p.y], [eta])
         step = s * p.x
     elif name == "root":
         g = loss_grad(model_kind, theta, p)
@@ -400,7 +400,7 @@ def run_lanes(
     # The step and fold loops call numpy through local names: numpy's module
     # __getattr__ keeps CPython from specializing np.<name> loads, each
     # about 20 ns dearer than a local.
-    vecdot, subtract, multiply, add, array = np.vecdot, np.subtract, np.multiply, np.add, np.array
+    dot, subtract, multiply, add, array = rowdot, np.subtract, np.multiply, np.add, np.array
     t0 = 1
     th = theta
     # Divergent lanes overflow to inf and NaN; they stay in the results, where
@@ -454,7 +454,7 @@ def run_lanes(
                 X.take(at[:n], 0, X_b[:n], "clip")
                 y.take(at[:n], 0, y_b[:n], "clip")
                 if implicit:
-                    np.vecdot(X_b[:n], X_b[:n], aux_b[:n])
+                    rowdot(X_b[:n], X_b[:n], aux_b[:n])
                 elif noise is not None:
                     noise.take(at[:n], 0, aux_b[:n], "clip")
                 # One Python ** per step (numpy's rounds differently), times
@@ -471,10 +471,10 @@ def run_lanes(
                 for t, decay, eta, Xt, yt, mu, nxt, aux in zip(steps, decays, steps_eta, steps_X, steps_y, steps_mu,
                                                                steps_nxt, steps_aux):
                     if need_grad:
-                        # psi(x'theta), bit for bit the scalar path: np.vecdot
+                        # psi(x'theta), bit for bit the scalar path: rowdot
                         # over C-contiguous rows takes the dot product x @ theta
                         # takes (a strided operand rounds differently).
-                        vecdot(Xt, th, mu)
+                        dot(Xt, th, mu)
                         if logistic:
                             _sigmoid_scalarwise(mu)
                         subtract(mu, yt, r)
@@ -486,7 +486,7 @@ def run_lanes(
                         # itself unless the average needs the new iterates.
                         if implicit:
                             lane_eta = [eta.item()] * active if single else eta[:, 0].tolist()
-                            s = _implicit_steps(model_kind, vecdot(Xt, th).tolist(), aux.tolist(), yt.tolist(),
+                            s = _implicit_steps(model_kind, dot(Xt, th).tolist(), aux.tolist(), yt.tolist(),
                                                 lane_eta)
                             multiply(array(s)[:, None], Xt, W)
                         elif root:
@@ -494,7 +494,7 @@ def run_lanes(
                                 v[...] = G
                             else:
                                 # v = G + w_t * (v - G_prev), each term written to a buffer.
-                                vecdot(Xt, prev, r_prev)
+                                dot(Xt, prev, r_prev)
                                 if logistic:
                                     _sigmoid_scalarwise(r_prev)
                                 subtract(r_prev, yt, r_prev)

@@ -1,7 +1,8 @@
 """Numerical utilities: quantile functions, SPD factorization, keyed
-deterministic random streams, and numpy's OpenBLAS threads: the matrix
-product that joins its helper threads, and the one reader and setters of its
-thread count. No other module of the package calls into OpenBLAS.
+deterministic random streams, the package's products (matmul, which joins
+OpenBLAS's helper threads, and the lane kernel's rowdot) and the one reader
+and setters of numpy's OpenBLAS thread count. No other module of the package
+takes a product or calls into OpenBLAS.
 
 Quantiles are computed in-repo from first principles (erfc-based normal CDF,
 the closed-form series for Student's t at integer degrees of freedom, both
@@ -27,6 +28,7 @@ __all__ = [
     "matmul",
     "normal_cdf",
     "normal_quantile",
+    "rowdot",
     "spd_factorize",
     "spd_solve",
     "student_t_cdf",
@@ -128,7 +130,7 @@ def spd_factorize(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise IllConditionedError("matrix has a non-finite entry")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if not np.allclose(a, a.T, rtol=0.0, atol=1.0e-12 * max(scale, 1.0)):
+    if np.abs(a - a.T).max(initial=0.0) > 1.0e-12 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     max_diag = float(np.max(np.diag(a))) if n else 0.0
@@ -164,7 +166,7 @@ def spd_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# OpenBLAS's threads
+# Products and OpenBLAS's threads
 # ---------------------------------------------------------------------------
 
 # (get, set) symbol pairs of OpenBLAS's thread count, in the builds numpy
@@ -211,19 +213,26 @@ def _openblas() -> _OpenBlas:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, with OpenBLAS's helper threads joined before it returns.
+    """a @ b, with OpenBLAS's helper threads joined before it returns: the
+    package's one matrix and vector product outside this module.
 
     A product large enough to be split over threads wakes OpenBLAS's
     helpers, and a helper left alone spins for about 0.1 s after its last
     job, on a CPU that the code between products or another pool worker
     needs. OpenBLAS restarts the helpers on its next threaded call. The join
     comes after the product and changes no thread count, so the result, and
-    every later product, is bit for bit what plain @ gives. Products too
-    small to be threaded, such as the lane kernel's, stay plain @.
+    every later product, is bit for bit what plain @ gives. After a product
+    too small to be threaded, the join is a no-op of about 0.5 us.
     """
     out = a @ b
     _openblas().shutdown()
     return out
+
+
+# The lane kernel's row dots: np.vecdot itself, not a wrapper, so a kernel
+# step makes no Python-level call. Over C-contiguous rows it takes the dot
+# product that x @ theta takes.
+rowdot = np.vecdot
 
 
 def _blas_thread_count() -> int:

@@ -185,6 +185,46 @@ def test_only_statutil_calls_into_openblas():
             assert _openblas_uses(ast.parse(path.read_text())) == [], path.name
 
 
+# numpy's product callables, and its linear algebra module.
+NUMPY_PRODUCTS = ("dot", "vdot", "vecdot", "matmul", "inner", "tensordot", "linalg")
+
+
+def _products(tree: ast.Module) -> list[str]:
+    """Every product that tree takes or names: @ and @=, np.<product> (see
+    NUMPY_PRODUCTS), a .dot(...) call, and np.einsum with optimize=, which
+    may hand the sum to BLAS."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np" and node.attr in NUMPY_PRODUCTS:
+            found.append(f"np.{node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = getattr(node.func.value, "id", None)
+            if node.func.attr == "dot" and owner != "np":
+                found.append(".dot()")
+            elif node.func.attr == "einsum" and owner == "np" and any(k.arg == "optimize" for k in node.keywords):
+                found.append("np.einsum(optimize=)")
+    return found
+
+
+def test_only_statutil_takes_products():
+    # statutil.matmul and statutil.rowdot are the package's products, so a
+    # product that leaves BLAS is a change to statutil's bodies alone.
+    source = (
+        "@property\ndef f(a, b):\n    a @= b\n    return a @ b\n"
+        "np.dot(a, b), np.vdot(a, b), np.vecdot, np.matmul(a, b), np.inner(a, b), np.tensordot(a, b, 1)\n"
+        "np.linalg.solve(a, b)\na.T.dot(b)\nnp.einsum('i,i', a, b, optimize=True)\n"
+        "np.einsum('i,i', a, b)\nnp.outer(a, b)\nnp.multiply(a, b).sum()\nnp.add.reduce(a)\n"
+    )
+    want = ["@", "@", "np.dot", "np.vdot", "np.vecdot", "np.matmul", "np.inner", "np.tensordot", "np.linalg",
+            ".dot()", "np.einsum(optimize=)"]
+    assert sorted(_products(ast.parse(source))) == sorted(want)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "statutil":
+            assert _products(ast.parse(path.read_text())) == [], path.name
+
+
 def _named(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
     """Each of names that tree names: bare, as an attribute, an imported
     name or a definition."""

@@ -24,6 +24,7 @@ from streamci.statutil import (
     matmul,
     normal_cdf,
     normal_quantile,
+    rowdot,
     spd_factorize,
     spd_solve,
     student_t_cdf,
@@ -184,6 +185,21 @@ class TestSpdFactorize:
         with pytest.raises(ValueError):
             spd_factorize(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_asymmetry_tolerance_is_inclusive(self, scale):
+        # The tolerance is 1e-12 times the largest |entry|, at least 1e-12:
+        # an asymmetry of exactly that passes, in either triangle, and the
+        # next float above it raises.
+        tol = 1.0e-12 * scale
+        for gap, passes in (tol, True), (np.nextafter(tol, 1.0), False):
+            a = np.array([[scale, gap], [0.0, scale]])
+            for m in a, a.T:
+                if passes:
+                    assert_allclose(spd_factorize(m), math.sqrt(scale) * np.eye(2), atol=1e-6)
+                else:
+                    with pytest.raises(ValueError, match="not symmetric"):
+                        spd_factorize(m)
+
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             spd_factorize(np.ones((2, 3)))
@@ -217,15 +233,28 @@ class TestSpdSolve:
 class TestMatmul:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_equals_the_product_bit_for_bit(self, threads):
-        # The Wald fit's shapes at d=20, T=10^4: the matrix-vector product
-        # and X'X. Joining the helper threads changes no bit, at either
-        # OpenBLAS thread count.
+        # Joining the helper threads changes no bit, at either OpenBLAS
+        # thread count, on every form the package passes: the Wald fit's
+        # matrix-vector product and X'X at d=20, T=10^4, and, as the
+        # per-observation reference, the Newton stopping test and the
+        # expansion residual pass them, vector . vector, matrix . vector and
+        # vector . matrix at d = 5, 20 and 100, on contiguous rows and
+        # strided columns.
         rng = np.random.default_rng(41)
         X = rng.standard_normal((10**4, 20))
-        theta = rng.standard_normal(20)
+        pairs = [(X, rng.standard_normal(20)), (X.T, X)]
+        for d in 5, 20, 100:
+            M = rng.standard_normal((d + 1, d + 1))
+            vectors = M[0, :d], M[1, 1:], M[:d, 0], M[1:, 1]
+            pairs += [(u, v) for u in vectors for v in vectors]
+            pairs += [pair for a in (M[:d, :d], M[1:, 1:].T) for u in vectors for pair in ((a, u), (u, a))]
         with _blas_threads(threads):
-            for a, b in (X, theta), (X.T, X):
+            for a, b in pairs:
                 assert matmul(a, b).tobytes() == (a @ b).tobytes()
+
+    def test_rowdot_is_numpys_vecdot(self):
+        # Not a wrapper: the lane kernel's step makes no Python-level call.
+        assert rowdot is np.vecdot
 
 
 class TestRngStream:
